@@ -18,12 +18,18 @@ Two independent routes decide invariance:
 
 The two deliberately share no invariance logic, so each checks the other.
 
-Enumeration is a recursive descent over the generator list with a
-remaining-degree bound.  The invariant enumeration can additionally prune a
-branch when the generators not yet visited are unable to move some coordinate
-out of a nonzero residue class (a suffix-gcd criterion); pruning never changes
-the result and can be switched off.  Monomial counts are capped (default 10^7)
-and the cap fails loudly.
+All three enumerations (plain, divisibility, oracle) run on one walker: a
+depth-first descent over the generator list, kept on an explicit stack, that
+reaches each monomial of the requested degrees at most once, in one pass over
+a whole degree range.  The walker knows degrees only.  Each route hands it
+per-generator step tables over the route's own state (weight residues, or
+eigenvalue products coded as integers), the accepted state, and optionally
+per-generator sets of states from which acceptance is still reachable.  The
+divisibility route uses these sets to prune a branch when the generators not
+yet visited are unable to move some coordinate out of a nonzero residue class
+(a suffix-gcd criterion); pruning never changes the result and can be
+switched off.  The oracle never prunes.  Monomial counts are capped per degree
+(default 10^7) and the cap fails loudly.
 
 All list outputs are sorted in a canonical order (generator id ascending,
 exponent descending) so repeated runs are byte-identical.
@@ -42,9 +48,6 @@ from .ffq import Fq, PrimePower, multiplicative_generator
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
 MONOMIAL_CAP = 10 ** 7
-
-# fields at most this size use an integer multiplication table in the oracle
-_TABLE_THRESHOLD = 512
 
 
 @dataclass(frozen=True)
@@ -234,66 +237,162 @@ def monomial_weight(alg: AlgebraSpec, m: Monomial) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# enumeration engines
+# enumeration: one descent walker, two invariance routes
 # ---------------------------------------------------------------------------
 
-def _descent_tables(alg: AlgebraSpec):
-    """Per-generator degree/cap arrays plus suffix feasibility data."""
+# Entries the step and pruning tables of one walk may store, at most about
+# 14 MB; later misses are computed and not stored, so memory stays bounded
+# however many distinct states a walk reaches.
+_TABLE_BUDGET = 1 << 17
+
+
+class _Table(dict):
+    """Mapping filled by `fill(key)` on first lookup; values are stored while
+    the walk's shared `budget` (a one-item list) lasts."""
+
+    def __init__(self, fill, budget):
+        super().__init__()
+        self.fill, self.budget = fill, budget
+
+    def __missing__(self, key):
+        value = self.fill(key)
+        if self.budget[0] > 0:
+            self.budget[0] -= 1
+            self[key] = value
+        return value
+
+
+def _tables(keys, make, budget) -> list:
+    """One `_Table(make(key))` per distinct key, shared by equal keys; None
+    for an empty key."""
+    shared = {}
+    for key in keys:
+        if key and key not in shared:
+            shared[key] = _Table(make(key), budget)
+    return [shared.get(key) for key in keys]
+
+
+def _walk(alg: AlgebraSpec, lo: int, hi: int, steps=None, start=0,
+          target=None, allowed=None, keep=True, max_count=MONOMIAL_CAP):
+    """Walk the monomials of degree lo..hi depth first on an explicit stack.
+
+    A node is a monomial; its children multiply in generators after its last
+    factor, so each monomial is reached at most once.  The caller supplies
+    the state carried along: `start` is the state of the monomial 1,
+    `steps[j][s]` the state after one more factor of generator j (None:
+    unchanged), `allowed[j][s]` whether generators j onward can still reach
+    an accepted state from s (None: no pruning) and `target` the accepted
+    state (None: accept every monomial).  The walker only looks states up.
+
+    Returns one entry per degree lo..hi: the accepted monomials as tuples of
+    (generator id, exponent) pairs, or just their number without `keep`.
+    Reaching more than `max_count` monomials of one degree raises
+    ResourceGuardError.
+    """
+    if lo < 0:
+        raise InputError("degree must be nonnegative")
     gens = alg.generators
-    ngen = len(gens)
-    degs = [g.degree for g in gens]
-    caps = [1 if g.parity == EXTERIOR else None for g in gens]
-    suffix_max = [0] * (ngen + 1)   # None = unbounded once a polynomial remains
-    suffix_deg_gcd = [0] * (ngen + 1)
-    for i in range(ngen - 1, -1, -1):
-        above = suffix_max[i + 1]
-        if caps[i] is None or above is None:
-            suffix_max[i] = None
-        else:
-            suffix_max[i] = above + degs[i] * caps[i]
-        suffix_deg_gcd[i] = math.gcd(suffix_deg_gcd[i + 1], degs[i])
-    return gens, ngen, degs, caps, suffix_max, suffix_deg_gcd
+    steps = steps or [None] * len(gens)
+    factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, g.id)
+               for g, step in zip(gens, steps)]
+    span = hi - lo
+    # A node with rem degrees left tries generators j < stop[rem] only: the
+    # rest cannot add a degree landing in lo..hi, as what generators j onward
+    # can add (at most `reach`, a multiple of `dgcd`) shrinks as j grows.
+    stop = [0] * (hi + 1)
+    reach, dgcd = 0, 0
+    for j in range(len(gens) - 1, -1, -1):
+        reach += gens[j].degree if gens[j].parity == EXTERIOR else math.inf
+        dgcd = math.gcd(dgcd, gens[j].degree)
+        for rem in range(hi + 1):
+            need = rem - span if rem > span else 1
+            if not stop[rem] and reach >= need and rem - rem % dgcd >= need:
+                stop[rem] = j + 1
+
+    seen = [0] * (span + 1)
+    found = [[] if keep else 0 for _ in range(span + 1)]
+    stack = [(0, hi, start, ())]
+    push, pop = stack.append, stack.pop
+    while stack:
+        k, rem, s, exps = pop()
+        if rem <= span:
+            index = span - rem
+            seen[index] += 1
+            if seen[index] > max_count:
+                raise ResourceGuardError(f"more than {max_count} monomials "
+                                         f"examined in degree {hi - rem}")
+            if target is None or s == target:
+                if keep:
+                    found[index].append(exps)
+                else:
+                    found[index] += 1
+        for j in range(k, stop[rem]):
+            if allowed is not None:
+                ok = allowed[j]
+                if ok is not None and not ok[s]:
+                    break
+            d, cap, step, gid = factors[j]
+            top = rem // d
+            if top > cap:
+                top = cap
+            t = s
+            r = rem
+            for e in range(1, top + 1):
+                r -= d
+                if step is not None:
+                    t = step[t]
+                push((j + 1, r, t, exps + ((gid, e),) if keep else None))
+    return found
+
+
+def _as_monomials(found) -> list[Monomial]:
+    return canonical_sort(Monomial(exps) for exps in found)
 
 
 def enumerate_monomials(alg: AlgebraSpec, degree: int,
                         max_count: int = MONOMIAL_CAP) -> list[Monomial]:
     """All monomials of total degree exactly `degree`, canonically sorted."""
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
-    gens, ngen, degs, caps, suffix_max, suffix_deg_gcd = _descent_tables(alg)
-    out = []
-    count = 0
-    acc = []
+    return _as_monomials(_walk(alg, degree, degree, max_count=max_count)[0])
 
-    def rec(i, rem):
-        nonlocal count
-        if rem == 0:
-            count += 1
-            if count > max_count:
-                raise ResourceGuardError(
-                    f"more than {max_count} monomials in degree {degree}")
-            out.append(Monomial(tuple(acc)))
-            return
-        if i == ngen:
-            return
-        smax = suffix_max[i]
-        if smax is not None and rem > smax:
-            return
-        if rem % suffix_deg_gcd[i]:
-            return
-        d = degs[i]
-        maxe = rem // d
-        if caps[i] is not None:
-            maxe = min(maxe, caps[i])
-        rec(i + 1, rem)
-        gid = gens[i].id
-        for e in range(1, maxe + 1):
-            acc.append((gid, e))
-            rec(i + 1, rem - e * d)
-            acc.pop()
 
-    rec(0, degree)
-    return canonical_sort(out)
+def _residue_route(alg: AlgebraSpec, prune: bool = True) -> dict:
+    """Walker tables for the divisibility test.
+
+    The state is the weight residue vector packed into one integer, digit c
+    in base moduli[c], so the monomial 1 and the accepted state are both 0.
+    Generator j is tried from s only if each residue is a multiple of the gcd
+    of its modulus and the weights of generators j onward; else no
+    completion returns the state to 0.
+    """
+    moduli = alg.moduli
+    places = [math.prod(moduli[:c]) for c in range(alg.torus_rank)]
+    budget = [_TABLE_BUDGET]
+
+    def add(moves):
+        def fill(s):
+            for place, m, w in moves:
+                v = s // place % m
+                s += ((v + w) % m - v) * place
+            return s
+        return fill
+
+    def completable(checks):
+        return lambda s: all(s // place % m % g == 0
+                             for place, m, g in checks)
+
+    steps = _tables([tuple((place, m, w) for place, m, w
+                           in zip(places, moduli, g.weight) if w)
+                     for g in alg.generators], add, budget)
+    allowed = None
+    if prune:
+        checks = []
+        gcds = moduli
+        for gen in reversed(alg.generators):
+            gcds = [math.gcd(g, w) for g, w in zip(gcds, gen.weight)]
+            checks.append(tuple((place, m, g) for place, m, g
+                                in zip(places, moduli, gcds) if g > 1))
+        allowed = _tables(checks[::-1], completable, budget)
+    return {"steps": steps, "start": 0, "target": 0, "allowed": allowed}
 
 
 def invariant_monomials(alg: AlgebraSpec, degree: int, prune: bool = True,
@@ -306,78 +405,13 @@ def invariant_monomials(alg: AlgebraSpec, degree: int, prune: bool = True,
     the weights still ahead; this is exact, and switched off it degenerates to
     the plain filter over the full enumeration.
     """
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
-    gens, ngen, degs, caps, suffix_max, suffix_deg_gcd = _descent_tables(alg)
-    rank = alg.torus_rank
-    moduli = alg.moduli
-    nz = [[(c, g.weight[c]) for c in range(rank) if g.weight[c] % moduli[c]]
-          for g in gens]
-
-    # suffix_gcd[i][c]: gcd of modulus c and all weights in coordinate c from
-    # generator i on; a partial weight must be divisible by it to complete
-    suffix_gcd = [[0] * rank for _ in range(ngen + 1)]
-    suffix_gcd[ngen] = list(moduli)
-    for i in range(ngen - 1, -1, -1):
-        w = gens[i].weight
-        suffix_gcd[i] = [math.gcd(suffix_gcd[i + 1][c], w[c])
-                         for c in range(rank)]
-    check_coords = [[(c, g) for c in range(rank)
-                     if (g := suffix_gcd[i][c]) > 1]
-                    for i in range(ngen + 1)]
-
-    out = []
-    count = 0
-    acc = []
-    wacc = [0] * rank
-
-    def rec(i, rem):
-        nonlocal count
-        if rem == 0:
-            count += 1
-            if count > max_count:
-                raise ResourceGuardError(
-                    f"more than {max_count} monomials examined in degree {degree}")
-            if not any(wacc):
-                out.append(Monomial(tuple(acc)))
-            return
-        if i == ngen:
-            return
-        smax = suffix_max[i]
-        if smax is not None and rem > smax:
-            return
-        if rem % suffix_deg_gcd[i]:
-            return
-        if prune:
-            for c, g in check_coords[i]:
-                if wacc[c] % g:
-                    return
-        d = degs[i]
-        maxe = rem // d
-        if caps[i] is not None:
-            maxe = min(maxe, caps[i])
-        rec(i + 1, rem)
-        if maxe == 0:
-            return
-        gid = gens[i].id
-        touched = nz[i]
-        saved = [wacc[c] for c, _ in touched]
-        for e in range(1, maxe + 1):
-            for c, w in touched:
-                wacc[c] = (wacc[c] + w) % moduli[c]
-            acc.append((gid, e))
-            rec(i + 1, rem - e * d)
-            acc.pop()
-        for (c, _), v in zip(touched, saved):
-            wacc[c] = v
-
-    rec(0, degree)
-    return canonical_sort(out)
+    found = _walk(alg, degree, degree, **_residue_route(alg, prune),
+                  max_count=max_count)
+    return _as_monomials(found[0])
 
 
 def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
-                               max_count: int = MONOMIAL_CAP,
-                               _table_threshold: int = _TABLE_THRESHOLD
+                               max_count: int = MONOMIAL_CAP
                                ) -> list[Monomial]:
     """Invariant monomials found by acting with explicit field scalars.
 
@@ -386,80 +420,46 @@ def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
     F_q^x).  Each generator then has a concrete eigenvalue per coordinate, and
     a monomial is kept exactly when multiplying its eigenvalues out in F_q
     gives 1 in every coordinate.  No weight-residue arithmetic is used.
+
+    The walk state is the vector of running products, field elements by
+    their integer codes packed as base-q digits.  Every product comes from
+    an actual `FqElement` multiplication, made on the first lookup of an
+    (eigenvalue, element) pair and kept in a table while the budget lasts.
     """
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
     field = Fq(alg.field.p, alg.field.r)
     gen = multiplicative_generator(field)
     q = field.q
     scalars = [gen ** ((q - 1) // m if q > 2 else 0) for m in alg.moduli]
+    places = [q ** c for c in range(alg.torus_rank)]
+    one = field.one().to_int()
+    budget = [_TABLE_BUDGET]
 
-    gens, ngen, degs, caps, suffix_max, suffix_deg_gcd = _descent_tables(alg)
-    rank = alg.torus_rank
-    one = field.one()
+    def times(ev):
+        factor = field.from_int(ev)
+        return lambda v: (field.from_int(v) * factor).to_int()
 
-    use_table = q <= _table_threshold
-    if use_table:
-        elems = [field.from_int(k) for k in range(q)]
-        mul = [[(elems[a] * elems[b]).to_int() for b in range(q)]
-               for a in range(q)]
-        one_v = one.to_int()
-        eig = [[(scalars[c] ** g.weight[c]).to_int() for c in range(rank)]
-               for g in gens]
-    else:
-        one_v = one
-        eig = [[scalars[c] ** g.weight[c] for c in range(rank)] for g in gens]
+    def act(moves):
+        tables = [(place, products[ev]) for place, ev in moves]
 
-    nz = [[c for c in range(rank) if eig[i][c] != one_v] for i in range(ngen)]
+        def fill(s):
+            for place, table in tables:
+                v = s // place % q
+                s += (table[v] - v) * place
+            return s
+        return fill
 
-    out = []
-    count = 0
-    acc = []
-    eacc = [one_v] * rank
-
-    def rec(i, rem):
-        nonlocal count
-        if rem == 0:
-            count += 1
-            if count > max_count:
-                raise ResourceGuardError(
-                    f"more than {max_count} monomials examined in degree {degree}")
-            if all(v == one_v for v in eacc):
-                out.append(Monomial(tuple(acc)))
-            return
-        if i == ngen:
-            return
-        smax = suffix_max[i]
-        if smax is not None and rem > smax:
-            return
-        if rem % suffix_deg_gcd[i]:
-            return
-        d = degs[i]
-        maxe = rem // d
-        if caps[i] is not None:
-            maxe = min(maxe, caps[i])
-        rec(i + 1, rem)
-        if maxe == 0:
-            return
-        gid = gens[i].id
-        touched = nz[i]
-        saved = [eacc[c] for c in touched]
-        ev = eig[i]
-        for e in range(1, maxe + 1):
-            if use_table:
-                for c in touched:
-                    eacc[c] = mul[eacc[c]][ev[c]]
-            else:
-                for c in touched:
-                    eacc[c] = eacc[c] * ev[c]
-            acc.append((gid, e))
-            rec(i + 1, rem - e * d)
-            acc.pop()
-        for c, v in zip(touched, saved):
-            eacc[c] = v
-
-    rec(0, degree)
-    return canonical_sort(out)
+    moves = []
+    for g in alg.generators:
+        eig = [(x ** w).to_int() for x, w in zip(scalars, g.weight)]
+        moves.append(tuple((place, ev) for place, ev in zip(places, eig)
+                           if ev != one))
+    evs = {ev for move in moves for _, ev in move}
+    products = {ev: _Table(times(ev), budget) for ev in evs}
+    steps = _tables(moves, act, budget)
+    identity = one * sum(places)
+    found = _walk(alg, degree, degree, steps, identity, identity,
+                  max_count=max_count)
+    return _as_monomials(found[0])
 
 
 # ---------------------------------------------------------------------------
@@ -470,30 +470,28 @@ FILTERS = ("all", "invariant", "invariant_nilpotent")
 
 
 def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
-                     prune: bool = True,
                      max_count: int = MONOMIAL_CAP) -> list[int]:
-    """dims[d] = number of monomials passing the filter in degree d <= D."""
+    """dims[d] = number of monomials passing the filter in degree d <= D.
+
+    One walk covers every degree; the cap applies to each degree alone.
+    """
     if filter not in FILTERS:
         raise InputError(f"filter must be one of {FILTERS}")
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
-    exterior_ids = {g.id for g in alg.generators if g.parity == EXTERIOR}
-    dims = []
-    for d in range(max_degree + 1):
-        if filter == "all":
-            dims.append(len(enumerate_monomials(alg, d, max_count)))
-        else:
-            inv = invariant_monomials(alg, d, prune, max_count)
-            if filter == "invariant":
-                dims.append(len(inv))
-            else:
-                dims.append(sum(1 for m in inv
-                                if m.support() & exterior_ids))
-    return dims
+    if filter == "all":
+        return _walk(alg, 0, max_degree, keep=False, max_count=max_count)
+    nilpotent = filter == "invariant_nilpotent"
+    found = _walk(alg, 0, max_degree, **_residue_route(alg), keep=nilpotent,
+                  max_count=max_count)
+    if not nilpotent:
+        return found
+    exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}
+    return [sum(1 for exps in monos if any(i in exterior for i, _ in exps))
+            for monos in found]
 
 
 def detection_kernel(alg: AlgebraSpec, degree: int, family,
-                     prune: bool = True,
                      max_count: int = MONOMIAL_CAP) -> dict:
     """Invariant monomials supported inside no family member.
 
@@ -511,7 +509,7 @@ def detection_kernel(alg: AlgebraSpec, degree: int, family,
         if unknown:
             raise InputError(f"unknown generator ids {sorted(unknown)}")
         id_sets.append(ids)
-    inv = invariant_monomials(alg, degree, prune, max_count)
+    inv = invariant_monomials(alg, degree, max_count=max_count)
     kernel = [m for m in inv
               if not any(m.support() <= ids for ids in id_sets)]
     return {

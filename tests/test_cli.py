@@ -151,6 +151,16 @@ def test_rootsys_algebra(capsys):
     assert env["results"]["series"] == [1, 0, 3]
 
 
+def test_rootsys_algebra_deep_generator_list(capsys):
+    # 1,200 generators, more than the default recursion limit of 1,000
+    code, env = run_json(capsys, ["rootsys", "algebra", "--type", "E",
+                                  "--rank", "8", "--p", "3", "--r", "5",
+                                  "--max-degree", "1"])
+    assert code == 0
+    assert env["results"]["generator_count"] == 1200
+    assert env["results"]["series"] == [1, 0]
+
+
 def test_grun_build(capsys):
     code, env = run_json(capsys, ["grun", "build", "--n", "4", "--p", "5",
                                   "--r", "1"])

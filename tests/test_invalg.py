@@ -269,7 +269,7 @@ def test_oracle_agreement_random_specs():
 
 
 def test_oracle_object_path_large_field():
-    # q = 625 is beyond the lookup-table threshold
+    # q = 625: the oracle's product table is filled lazily, never in full
     gens = [GeneratorSpec("x0", EXTERIOR, 1, (1,)),
             GeneratorSpec("y0", POLYNOMIAL, 2, (1,))]
     alg = AlgebraSpec.make(5, 4, 1, gens, moduli=(4,))
@@ -309,6 +309,33 @@ def test_nilpotent_series_bounded_by_invariant_series():
         assert all(a <= b for a, b in zip(nil, inv))
         if alg.char2_mode:
             assert nil[1:] == [0] * 5
+
+
+def test_dimension_series_matches_per_degree_enumeration():
+    # the one-pass series against one single-degree walk per degree
+    rng = random.Random(23)
+    for _ in range(50):
+        alg = random_algebra_spec(rng)
+        exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}
+        every = [enumerate_monomials(alg, d) for d in range(9)]
+        inv = [invariant_monomials(alg, d) for d in range(9)]
+        assert dimension_series(alg, 8, "all") == [len(ms) for ms in every]
+        assert dimension_series(alg, 8, "invariant") == [len(ms) for ms in inv]
+        assert dimension_series(alg, 8, "invariant_nilpotent") == [
+            sum(1 for m in ms if m.support() & exterior) for ms in inv]
+
+
+def test_oracle_cap_is_exact_at_the_requested_degree():
+    # the oracle prunes nothing, so it examines every monomial of the degree
+    rng = random.Random(31)
+    for _ in range(20):
+        alg = random_algebra_spec(rng)
+        for d in (0, 3, 6):
+            n = len(enumerate_monomials(alg, d))
+            invariant_monomials_oracle(alg, d, max_count=n)
+            if n:
+                with pytest.raises(ResourceGuardError):
+                    invariant_monomials_oracle(alg, d, max_count=n - 1)
 
 
 def test_dimension_series_rejects_unknown_filter():
