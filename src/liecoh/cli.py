@@ -545,6 +545,9 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:    # a bug: report it, never as "check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     return 0 if ok else 1
 
 

@@ -1,8 +1,9 @@
 """Error classes shared across the package.
 
 The CLI maps these onto exit codes: InputError is 2 (bad or out-of-domain
-input), ResourceGuardError is 3 (a size cap tripped).  Verification failures
-are not exceptions; reports carry a pass flag and the CLI exits 1.
+input), ResourceGuardError is 3 (a size cap tripped), and any other exception
+is 4 (an internal error).  Verification failures are not exceptions; reports
+carry a pass flag and the CLI exits 1.
 """
 
 

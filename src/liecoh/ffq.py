@@ -9,9 +9,14 @@ Two canonical choices make every run reproducible:
 
 * the modulus is the lexicographically smallest monic irreducible polynomial
   of degree r, comparing coefficient vectors (c0, ..., c_{r-1}) from the left;
+  for r >= 2 the search starts at c0 = 1, since t divides every c0 = 0 case;
 * the distinguished generator of the multiplicative group is the
   lexicographically smallest element of multiplicative order q - 1 under the
   same coefficient ordering.
+
+Products sum unreduced integer coefficients, then reduce mod p and mod the
+modulus once per field product or matrix entry.  `mat_pow(m, e)` takes
+bit_length(e) - 1 + popcount(e) - 1 matrix products for e >= 1.
 
 All arithmetic is exact.  Field sizes are capped at q <= 2**20 and full
 enumerations of matrix groups at 10**6 elements; both caps fail loudly.
@@ -78,40 +83,25 @@ class PrimePower:
 # dense little-endian polynomial arithmetic over F_p
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _poly_rem(a, b, p):
-    """Remainder of a modulo monic b."""
+    """Remainder of a (any integer coefficients) modulo monic b, mod p."""
     a = list(a)
     db = len(b) - 1
+    low = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] % p
         if c:
-            a[i] = 0
-            for j in range(db):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return a[:db] if db else []
-
-
-def _monic_polys(p, degree):
-    for lower in itertools.product(range(p), repeat=degree):
-        yield lower + (1,)
+            for j, bj in low:
+                a[i - db + j] -= c * bj
+    return [x % p for x in a[:db]]
 
 
 def _is_irreducible(f, p) -> bool:
+    """True when no monic polynomial of degree 1 .. deg // 2 divides f."""
     deg = len(f) - 1
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not any(_poly_rem(f, g, p)):
+        for lower in itertools.product(range(p), repeat=d):
+            if not any(_poly_rem(f, lower + (1,), p)):
                 return False
     return True
 
@@ -122,9 +112,11 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
     For r = 1 this is the polynomial t itself, (0, 1).
     """
     PrimePower(p, r)
-    for f in _monic_polys(p, r):
-        if _is_irreducible(f, p):
-            return f
+    for c0 in range(p) if r == 1 else range(1, p):
+        for rest in itertools.product(range(p), repeat=r - 1):
+            f = (c0,) + rest + (1,)
+            if _is_irreducible(f, p):
+                return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -142,13 +134,13 @@ class Fq:
         self.q = self.pp.q
         if modulus is None:
             modulus = find_irreducible(p, r)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != r + 1 or modulus[-1] != 1:
-            raise InputError("modulus must be monic of degree r")
-        if not _is_irreducible(modulus, p):
-            raise InputError(f"modulus {modulus} is reducible over F_{p}")
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != r + 1 or modulus[-1] != 1:
+                raise InputError("modulus must be monic of degree r")
+            if not _is_irreducible(modulus, p):
+                raise InputError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
-        self._powers_of_t = None
 
     def __eq__(self, other):
         return (isinstance(other, Fq)
@@ -183,12 +175,6 @@ class Fq:
     def one(self) -> "FqElement":
         return FqElement(self, (1,) + (0,) * (self.r - 1))
 
-    def gen_t(self) -> "FqElement":
-        """The residue class of t (zero when r = 1)."""
-        if self.r == 1:
-            return self.zero()
-        return FqElement(self, (0, 1) + (0,) * (self.r - 2))
-
     def elements(self):
         """All q elements in lexicographic coefficient order."""
         for coeffs in itertools.product(range(self.p), repeat=self.r):
@@ -202,9 +188,12 @@ class Fq:
         return tuple((-x) % self.p for x in a)
 
     def _mul(self, a, b):
-        prod = _poly_mul(a, b, self.p)
-        red = _poly_rem(prod, self.modulus, self.p)
-        return tuple(red) + (0,) * (self.r - len(red))
+        acc = [0] * (2 * self.r - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    acc[k] += ai * bj
+        return tuple(_poly_rem(acc, self.modulus, self.p))
 
     def _pow(self, a, e):
         if e < 0:
@@ -303,13 +292,13 @@ class FqMatrix:
     rows: tuple[tuple[FqElement, ...], ...]
 
     def __post_init__(self):
+        f = self.field
         n = len(self.rows)
         for row in self.rows:
             if len(row) != n:
                 raise InputError("matrix must be square")
-            for e in row:
-                if e.field != self.field:
-                    raise InputError("matrix entries from a different field")
+            if any(e.field is not f and e.field != f for e in row):
+                raise InputError("matrix entries from a different field")
 
     @classmethod
     def identity(cls, field: Fq, n: int) -> "FqMatrix":
@@ -334,17 +323,25 @@ class FqMatrix:
                 or other.n != self.n:
             raise InputError("matrix product needs matching shapes and fields")
         f = self.field
-        n = self.n
-        cols = tuple(zip(*other.rows))
+        p, modulus, width = f.p, f.modulus, 2 * f.r - 1
+
+        def terms(e):
+            return [(i, c) for i, c in enumerate(e.coeffs) if c]
+
+        # nonzero coefficients of each entry, read once per product
+        a_rows = [[terms(e) for e in row] for row in self.rows]
+        b_cols = list(zip(*([terms(e) for e in row] for row in other.rows)))
         out = []
-        for row in self.rows:
-            rc = []
-            for col in cols:
-                acc = f.zero().coeffs
-                for a, b in zip(row, col):
-                    acc = f._add(acc, f._mul(a.coeffs, b.coeffs))
-                rc.append(FqElement(f, acc))
-            out.append(tuple(rc))
+        for a_row in a_rows:
+            out_row = []
+            for b_col in b_cols:
+                acc = [0] * width
+                for a, b in zip(a_row, b_col):
+                    for i, ai in a:
+                        for j, bj in b:
+                            acc[i + j] += ai * bj
+                out_row.append(FqElement(f, tuple(_poly_rem(acc, modulus, p))))
+            out.append(tuple(out_row))
         return FqMatrix(f, tuple(out))
 
     def to_int_rows(self) -> list[list[int]]:
@@ -362,17 +359,17 @@ class FqMatrix:
 
 
 def mat_pow(m: FqMatrix, e: int) -> FqMatrix:
-    """m ** e by repeated squaring, e >= 0."""
+    """m ** e by repeated squaring, e >= 0, squaring only below e's top bit."""
     if e < 0:
         raise InputError("negative matrix powers are not supported")
-    result = FqMatrix.identity(m.field, m.n)
-    base = m
+    result = None
     while e:
         if e & 1:
-            result = result * base
-        base = base * base
+            result = m if result is None else result * m
         e >>= 1
-    return result
+        if e:
+            m = m * m
+    return FqMatrix.identity(m.field, m.n) if result is None else result
 
 
 def unitriangular_elements(n: int, field: Fq, mode: str = "all",

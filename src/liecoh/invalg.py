@@ -48,6 +48,7 @@ from .ffq import Fq, PrimePower, multiplicative_generator
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
 MONOMIAL_CAP = 10 ** 7
+QUILLEN_CAP = 10 ** 6       # tuples enumerated by quillen_verify
 
 
 @dataclass(frozen=True)
@@ -529,10 +530,17 @@ def quillen_verify(p: int, r: int) -> dict:
     Over all tuples (a_0, ..., a_{r-1}) of nonnegative integers with
     0 < sum <= r(p-1): if (p^r - 1) divides sum a_k p^k then the digit sum is
     at least r(p-1), with equality exactly for the all-(p-1) tuple.
+    There are C(r(p-1) + r, r) such tuples with sum <= r(p-1), counting the
+    zero tuple; above QUILLEN_CAP the check is refused before it starts.
     """
     pp = PrimePower(p, r)
     modulus = pp.q - 1
     bound = r * (p - 1)
+    total = math.comb(bound + r, r)
+    if total > QUILLEN_CAP:
+        raise ResourceGuardError(
+            f"quillen check for p = {p}, r = {r} would enumerate {total} "
+            f"tuples, over the cap {QUILLEN_CAP}")
     failures = []
     equality_matches = 0
     checked = 0

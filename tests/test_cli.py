@@ -2,9 +2,11 @@
 determinism, and error mapping."""
 
 import json
+import time
 
 import pytest
 
+from liecoh import cli
 from liecoh.cli import main
 from liecoh.gl2 import gl2_algebra
 from liecoh.invalg import canonical_json
@@ -51,6 +53,31 @@ def test_check_quillen(capsys):
     code, env = run_json(capsys, ["check", "quillen", "--p", "3", "--r", "1"])
     assert code == 0
     assert env["results"]["pass"] is True
+
+
+def test_check_quillen_guard_trips_before_enumerating(capsys):
+    # C(28, 14) = 40,116,600 tuples; without the guard this ran past 20 s
+    start = time.perf_counter()
+    code = main(["check", "quillen", "--p", "2", "--r", "14"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 1.0
+    assert "resource guard" in err
+    for part in ("p = 2", "r = 14", "40116600", "1000000"):
+        assert part in err
+
+
+def test_unexpected_exception_exit_four(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_run_check_quillen", broken)
+    code = main(["check", "quillen", "--p", "3", "--r", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in captured.err
 
 
 def test_check_exponent_exit_codes(capsys):

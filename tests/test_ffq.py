@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.ffq import (
@@ -8,6 +10,7 @@ from liecoh.ffq import (
     FqMatrix,
     PrimePower,
     find_irreducible,
+    is_prime,
     mat_pow,
     multiplicative_generator,
     unitriangular_elements,
@@ -85,6 +88,47 @@ def test_find_irreducible_is_lex_smallest():
         for g in all_monic(p, r):
             if g < f:
                 assert reducible_by_product(g, p)
+
+
+def test_find_irreducible_frozen_large_fields():
+    # values returned by the full lexicographic search, before it skipped
+    # candidates with a zero constant term
+    assert find_irreducible(2, 20) == (1,) + (0,) * 16 + (1, 0, 0, 1)
+    assert find_irreducible(3, 12) == (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1)
+    assert find_irreducible(5, 8) == (1, 0, 0, 0, 0, 1, 1, 0, 1)
+    assert find_irreducible(7, 7) == (1, 0, 0, 0, 0, 0, 6, 1)
+    assert find_irreducible(1021, 2) == (1, 5, 1)
+
+
+def lex_smallest_irreducible(p, r):
+    """First monic polynomial of degree r, in all_monic order, that is not a
+    product of two lower-degree monic polynomials."""
+    products = {poly_mul_naive(g, h, p)
+                for d in range(1, r // 2 + 1)
+                for g in all_monic(p, d)
+                for h in all_monic(p, r - d)}
+    f = next(f for f in all_monic(p, r) if f not in products)
+    assert not reducible_by_product(f, p)
+    return f
+
+
+def test_find_irreducible_matches_brute_force_up_to_3000():
+    cases = [(p, r) for p in range(2, 3001) if is_prime(p)
+             for r in range(1, 12) if p ** r <= 3000]
+    assert len(cases) == 466
+    for p, r in cases:
+        assert find_irreducible(p, r) == lex_smallest_irreducible(p, r), (p, r)
+
+
+def test_explicit_modulus_is_checked():
+    assert Fq(2, 2, modulus=(1, 1, 1)).modulus == (1, 1, 1)
+    assert Fq(3, 2, modulus=(4, 0, 1)).modulus == (1, 0, 1)
+    with pytest.raises(InputError):
+        Fq(2, 2, modulus=(1, 0, 1))         # (t + 1)^2
+    with pytest.raises(InputError):
+        Fq(3, 2, modulus=(0, 1, 1))         # t (t + 1)
+    with pytest.raises(InputError):
+        Fq(2, 3, modulus=(1, 1, 0, 2))      # not monic of degree 3
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +251,74 @@ def test_mat_pow_zero_exponent():
     k = Fq(2, 2)
     m = FqMatrix.from_ints(k, [[1, 3], [0, 1]])
     assert mat_pow(m, 0) == FqMatrix.identity(k, 2)
+
+
+def test_mat_pow_product_count(monkeypatch):
+    k = Fq(3, 2)
+    m = FqMatrix.from_ints(k, [[1, 4, 7], [0, 1, 2], [0, 0, 1]])
+    calls = []
+    product = FqMatrix.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(FqMatrix, "__mul__", counting)
+    for e in range(41):
+        calls.clear()
+        mat_pow(m, e)
+        want = e.bit_length() - 1 + bin(e).count("1") - 1 if e > 1 else 0
+        assert len(calls) == want, e
+
+
+def entrywise_product(x, y):
+    """Matrix product from FqElement * and + alone."""
+    f, n = x.field, x.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = f.zero()
+            for k in range(n):
+                acc = acc + x.entry(i, k) * y.entry(k, j)
+            row.append(acc)
+        rows.append(tuple(row))
+    return FqMatrix(f, tuple(rows))
+
+
+PRODUCT_FIELDS = [Fq(p, r) for p, r in
+                  ((2, 1), (2, 3), (2, 8), (3, 2), (3, 6), (5, 1), (7, 2),
+                   (1021, 2))]
+
+
+@st.composite
+def field_matrices(draw):
+    f = draw(st.sampled_from(PRODUCT_FIELDS))
+    n = draw(st.integers(1, 4))
+    entries = st.integers(0, f.q - 1)
+
+    def matrix():
+        return FqMatrix.from_ints(f, [[draw(entries) for _ in range(n)]
+                                      for _ in range(n)])
+    return matrix(), matrix()
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices())
+def test_matrix_product_matches_entrywise_reference(pair):
+    x, y = pair
+    assert x * y == entrywise_product(x, y)
+    assert y * x == entrywise_product(y, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_matrices(), st.integers(0, 12))
+def test_mat_pow_matches_repeated_product(pair, e):
+    x, _ = pair
+    acc = FqMatrix.identity(x.field, x.n)
+    for _ in range(e):
+        acc = acc * x
+    assert mat_pow(x, e) == acc
 
 
 def test_unitriangular_enumeration_counts():
