@@ -20,9 +20,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
-from .ffq import Fq, FqMatrix, PrimePower, is_prime, mat_pow, \
-    unitriangular_elements
+from .errors import InputError, ResourceGuardError
+from .ffq import ENUMERATION_CAP, Fq, FqMatrix, PrimePower, is_prime, \
+    mat_pow, unitriangular_elements
 from .gl2 import gl2_landmarks
 from .invalg import (
     EXTERIOR,
@@ -409,13 +409,19 @@ def commuting_regular_subgroup(n: int, p: int, r: int) -> dict:
     elementary abelian of order q with every nontrivial element regular.
 
     Needs n <= p: beyond that (I + J)^p picks up a J^p term and the
-    generators no longer have order p.
+    generators no longer have order p.  Groups of order above
+    ENUMERATION_CAP are refused before any matrix is built.
     """
     if n < 2:
         raise InputError("matrix size must be at least 2")
-    field = Fq(p, r)
+    order = PrimePower(p, r).q
     if n > p:
         raise InputError("regular unipotents of order p need n <= p")
+    if order > ENUMERATION_CAP:
+        raise ResourceGuardError(
+            f"regular subgroup check for n = {n}, p = {p}, r = {r} would "
+            f"build {order} elements, over the cap {ENUMERATION_CAP}")
+    field = Fq(p, r)
     gens = []
     for i in range(r):
         lam = field.elem((0,) * i + (1,))
@@ -425,23 +431,24 @@ def commuting_regular_subgroup(n: int, p: int, r: int) -> dict:
                      for a in range(n))
         gens.append(FqMatrix(field, rows))
     ident = FqMatrix.identity(field, n)
+    powers = [[mat_pow(g, c) for c in range(1, p)] for g in gens]
     elements = []
     for cs in itertools.product(range(p), repeat=r):
-        m = ident
-        for g, c in zip(gens, cs):
-            if c:
-                m = m * mat_pow(g, c)
+        factors = [pw[c - 1] for pw, c in zip(powers, cs) if c]
+        m = factors[0] if factors else ident
+        for f in factors[1:]:
+            m = m * f
         elements.append(m)
     commuting = all(a * b == b * a for a, b in itertools.combinations(gens, 2))
     exponent_p = all(g != ident and mat_pow(g, p) == ident for g in gens)
-    distinct = len(set(elements)) == p ** r
+    distinct = len(set(elements)) == order
     nontrivial = [m for m in elements if m != ident]
     all_regular = all(regular_unipotent_check(m) for m in nontrivial)
     return {
         "op": "commuting_regular_subgroup",
         "params": {"n": n, "p": p, "r": r},
         "generators": [g.to_int_rows() for g in gens],
-        "order": p ** r,
+        "order": order,
         "nontrivial_count": len(nontrivial),
         "commuting": commuting,
         "exponent_p": exponent_p,

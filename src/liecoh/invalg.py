@@ -18,18 +18,24 @@ Two independent routes decide invariance:
 
 The two deliberately share no invariance logic, so each checks the other.
 
-All three enumerations (plain, divisibility, oracle) run on one walker: a
-depth-first descent over the generator list, kept on an explicit stack, that
-reaches each monomial of the requested degrees at most once, in one pass over
-a whole degree range.  The walker knows degrees only.  Each route hands it
-per-generator step tables over the route's own state (weight residues, or
-eigenvalue products coded as integers), the accepted state, and optionally
-per-generator sets of states from which acceptance is still reachable.  The
-divisibility route uses these sets to prune a branch when the generators not
-yet visited are unable to move some coordinate out of a nonzero residue class
-(a suffix-gcd criterion); pruning never changes the result and can be
-switched off.  The oracle never prunes.  Monomial counts are capped per degree
-(default 10^7) and the cap fails loudly.
+All enumerations run on one walker: a depth-first descent over a list of
+generators, kept on an explicit stack, that reaches each monomial of the
+requested degrees at most once, in one pass over a whole degree range.  The
+walker knows degrees only.  Each route hands it per-generator step tables
+over the route's own state (weight residues, or eigenvalue products coded as
+integers), the accepted state, and optionally per-generator sets of states
+from which acceptance is still reachable.  The divisibility route uses these
+sets to prune a branch when the generators not yet visited are unable to
+move some coordinate out of a nonzero residue class (a suffix-gcd
+criterion); pruning never changes the result and can be switched off.
+
+The oracle cannot prune without borrowing that logic, so it meets in the
+middle instead (the Horowitz-Sahni subset-sum split): it cuts the generator
+list in two, walks each half once with the walker grouping every monomial by
+its eigenvalue products, the right half's inverted, and hash-joins the two
+halves on equal products.  Monomial counts are capped per degree (default
+10^7) and the cap fails loudly; the oracle knows the count from the two
+halves' Hilbert series before it walks.
 
 All list outputs are sorted in a canonical order (generator id ascending,
 exponent descending) so repeated runs are byte-identical.
@@ -40,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .errors import InputError, ResourceGuardError
@@ -273,9 +280,10 @@ def _tables(keys, make, budget) -> list:
     return [shared.get(key) for key in keys]
 
 
-def _walk(alg: AlgebraSpec, lo: int, hi: int, steps=None, start=0,
-          target=None, allowed=None, keep=True, max_count=MONOMIAL_CAP):
-    """Walk the monomials of degree lo..hi depth first on an explicit stack.
+def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
+          allowed=None, keep=True, group=False, max_count=MONOMIAL_CAP):
+    """Walk the monomials in the generators `gens` (a tuple of
+    GeneratorSpec) of degree lo..hi depth first on an explicit stack.
 
     A node is a monomial; its children multiply in generators after its last
     factor, so each monomial is reached at most once.  The caller supplies
@@ -286,13 +294,13 @@ def _walk(alg: AlgebraSpec, lo: int, hi: int, steps=None, start=0,
     state (None: accept every monomial).  The walker only looks states up.
 
     Returns one entry per degree lo..hi: the accepted monomials as tuples of
-    (generator id, exponent) pairs, or just their number without `keep`.
-    Reaching more than `max_count` monomials of one degree raises
-    ResourceGuardError.
+    (generator id, exponent) pairs, or just their number without `keep`, or
+    with `group` a mapping from each final state to the accepted monomials
+    reaching it.  Reaching more than `max_count` monomials of one degree
+    raises ResourceGuardError.
     """
     if lo < 0:
         raise InputError("degree must be nonnegative")
-    gens = alg.generators
     steps = steps or [None] * len(gens)
     factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, g.id)
                for g, step in zip(gens, steps)]
@@ -311,7 +319,8 @@ def _walk(alg: AlgebraSpec, lo: int, hi: int, steps=None, start=0,
                 stop[rem] = j + 1
 
     seen = [0] * (span + 1)
-    found = [[] if keep else 0 for _ in range(span + 1)]
+    found = [defaultdict(list) if group else [] if keep else 0
+             for _ in range(span + 1)]
     stack = [(0, hi, start, ())]
     push, pop = stack.append, stack.pop
     while stack:
@@ -323,7 +332,9 @@ def _walk(alg: AlgebraSpec, lo: int, hi: int, steps=None, start=0,
                 raise ResourceGuardError(f"more than {max_count} monomials "
                                          f"examined in degree {hi - rem}")
             if target is None or s == target:
-                if keep:
+                if group:
+                    found[index][s].append(exps)
+                elif keep:
                     found[index].append(exps)
                 else:
                     found[index] += 1
@@ -353,7 +364,8 @@ def _as_monomials(found) -> list[Monomial]:
 def enumerate_monomials(alg: AlgebraSpec, degree: int,
                         max_count: int = MONOMIAL_CAP) -> list[Monomial]:
     """All monomials of total degree exactly `degree`, canonically sorted."""
-    return _as_monomials(_walk(alg, degree, degree, max_count=max_count)[0])
+    return _as_monomials(_walk(alg.generators, degree, degree,
+                                max_count=max_count)[0])
 
 
 def _residue_route(alg: AlgebraSpec, prune: bool = True) -> dict:
@@ -406,9 +418,25 @@ def invariant_monomials(alg: AlgebraSpec, degree: int, prune: bool = True,
     the weights still ahead; this is exact, and switched off it degenerates to
     the plain filter over the full enumeration.
     """
-    found = _walk(alg, degree, degree, **_residue_route(alg, prune),
-                  max_count=max_count)
+    found = _walk(alg.generators, degree, degree,
+                  **_residue_route(alg, prune), max_count=max_count)
     return _as_monomials(found[0])
+
+
+def _hilbert(gens, top: int) -> list[int]:
+    """Number of monomials in the generators `gens` of each degree 0..top:
+    the coefficients of the product of (1 + t^d) over exterior generators and
+    1/(1 - t^d) over polynomial ones, d the generator's degree."""
+    coeffs = [1] + [0] * top
+    for g in gens:
+        d = g.degree
+        if g.parity == EXTERIOR:
+            for k in range(top, d - 1, -1):
+                coeffs[k] += coeffs[k - d]
+        else:
+            for k in range(d, top + 1):
+                coeffs[k] += coeffs[k - d]
+    return coeffs
 
 
 def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
@@ -422,15 +450,41 @@ def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
     a monomial is kept exactly when multiplying its eigenvalues out in F_q
     gives 1 in every coordinate.  No weight-residue arithmetic is used.
 
-    The walk state is the vector of running products, field elements by
-    their integer codes packed as base-q digits.  Every product comes from
-    an actual `FqElement` multiplication, made on the first lookup of an
-    (eigenvalue, element) pair and kept in a table while the budget lasts.
+    The search meets in the middle (Horowitz and Sahni, 1974).  The generator
+    list is cut in two halves.  Each half is walked once over the degrees a
+    whose partner degree `degree - a` has monomials in the other half, and
+    its monomials are grouped by their state: the vector of eigenvalue
+    products, field elements by their integer codes packed as base-q digits.
+    The right half multiplies by inverted eigenvalues, so a left monomial
+    and a right one multiply to 1 exactly when their states are equal, and
+    a hash join on the state pairs them.  Every product comes from an actual
+    `FqElement` multiplication, made on the first lookup of an (eigenvalue,
+    element) pair and kept in a table while the budget lasts.
+
+    The number of monomials of the degree is known from the two halves'
+    Hilbert series before anything is walked; above `max_count` the call
+    raises ResourceGuardError.
     """
+    if degree < 0:
+        raise InputError("degree must be nonnegative")
+    gens = alg.generators
+    half = len(gens) // 2
+    left, right = gens[:half], gens[half:]
+    lcount, rcount = _hilbert(left, degree), _hilbert(right, degree)
+    splits = [a for a in range(degree + 1)
+              if lcount[a] and rcount[degree - a]]
+    if not splits:
+        return []
+    count = sum(lcount[a] * rcount[degree - a] for a in splits)
+    if count > max_count:
+        raise ResourceGuardError(f"{count} monomials in degree {degree}, "
+                                 f"more than the cap {max_count}")
+
     field = Fq(alg.field.p, alg.field.r)
     gen = multiplicative_generator(field)
     q = field.q
     scalars = [gen ** ((q - 1) // m if q > 2 else 0) for m in alg.moduli]
+    inverted = [x.inverse() for x in scalars]
     places = [q ** c for c in range(alg.torus_rank)]
     one = field.one().to_int()
     budget = [_TABLE_BUDGET]
@@ -449,18 +503,35 @@ def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
             return s
         return fill
 
-    moves = []
-    for g in alg.generators:
-        eig = [(x ** w).to_int() for x, w in zip(scalars, g.weight)]
-        moves.append(tuple((place, ev) for place, ev in zip(places, eig)
-                           if ev != one))
-    evs = {ev for move in moves for _, ev in move}
+    def move(xs, weight):
+        eig = [(x ** w).to_int() for x, w in zip(xs, weight)]
+        return tuple((place, ev) for place, ev in zip(places, eig)
+                     if ev != one)
+
+    # (x^-1)^w = (x^w)^-1: the right half's eigenvalues come inverted
+    moves = [move(scalars, g.weight) for g in left] \
+        + [move(inverted, g.weight) for g in right]
+    evs = {ev for m in moves for _, ev in m}
     products = {ev: _Table(times(ev), budget) for ev in evs}
     steps = _tables(moves, act, budget)
     identity = one * sum(places)
-    found = _walk(alg, degree, degree, steps, identity, identity,
-                  max_count=max_count)
-    return _as_monomials(found[0])
+    # A degree inside a half's window that no partner degree completes has
+    # no monomials in that half, or no more than its two neighbours together,
+    # which are completed; so no degree of either walk has more than `count`
+    # monomials and neither walk trips.
+    lo, hi = splits[0], splits[-1]
+    lgroups = _walk(left, lo, hi, steps[:half], identity, group=True,
+                    max_count=count)
+    rgroups = _walk(right, degree - hi, degree - lo, steps[half:], identity,
+                    group=True, max_count=count)
+    found = []
+    for a in splits:
+        rstates = rgroups[hi - a]
+        for s, lexps in lgroups[a - lo].items():
+            rexps = rstates.get(s)
+            if rexps:
+                found.extend(x + y for x in lexps for y in rexps)
+    return _as_monomials(found)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +552,11 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
     if filter == "all":
-        return _walk(alg, 0, max_degree, keep=False, max_count=max_count)
+        return _walk(alg.generators, 0, max_degree, keep=False,
+                     max_count=max_count)
     nilpotent = filter == "invariant_nilpotent"
-    found = _walk(alg, 0, max_degree, **_residue_route(alg), keep=nilpotent,
-                  max_count=max_count)
+    found = _walk(alg.generators, 0, max_degree, **_residue_route(alg),
+                  keep=nilpotent, max_count=max_count)
     if not nilpotent:
         return found
     exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}

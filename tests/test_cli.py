@@ -107,6 +107,19 @@ def test_check_regular(capsys):
     assert code == 2
 
 
+def test_check_regular_guard_trips_before_building_matrices(capsys):
+    # q = 2^20 elements; without the guard this ran for minutes
+    start = time.perf_counter()
+    code = main(["check", "regular", "--n", "2", "--p", "2", "--r", "20"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 1.0
+    assert "resource guard" in err
+    for part in ("n = 2", "p = 2", "r = 20", "1048576", "1000000"):
+        assert part in err
+
+
 def test_gl2_landmarks(capsys):
     code, env = run_json(capsys, ["gl2", "landmarks", "--p", "3", "--r", "1"])
     assert code == 0

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecoh.errors import InputError, ResourceGuardError
+from liecoh.ffq import Fq, multiplicative_generator
 from liecoh.invalg import (
     EXTERIOR,
     POLYNOMIAL,
@@ -277,6 +280,81 @@ def test_oracle_object_path_large_field():
         assert invariant_monomials_oracle(alg, d) == invariant_monomials(alg, d)
 
 
+def eigenvalue_reference(alg, degree):
+    """Every monomial of the degree whose eigenvalues, multiplied out one
+    factor at a time in F_q, give 1 in every torus coordinate."""
+    field = Fq(alg.field.p, alg.field.r)
+    gen = multiplicative_generator(field)
+    q = field.q
+    scalars = [gen ** ((q - 1) // m if q > 2 else 0) for m in alg.moduli]
+    keep = []
+    for m in enumerate_monomials(alg, degree):
+        products = [field.one()] * alg.torus_rank
+        for gid, e in m.exps:
+            weight = alg.by_id(gid).weight
+            for _ in range(e):
+                products = [v * x ** w
+                            for v, x, w in zip(products, scalars, weight)]
+        if all(v == field.one() for v in products):
+            keep.append(m)
+    return keep
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 8))
+def test_oracle_matches_divisibility_and_reference(seed, degree):
+    alg = random_algebra_spec(random.Random(seed))
+    oracle = invariant_monomials_oracle(alg, degree)
+    assert oracle == invariant_monomials(alg, degree)
+    assert oracle == eigenvalue_reference(alg, degree)
+
+
+def test_oracle_edge_cases():
+    empty = AlgebraSpec.make(5, 1, 1, [])
+    assert invariant_monomials_oracle(empty, 0) == [Monomial(())]
+    assert invariant_monomials_oracle(empty, 3) == []
+    single = AlgebraSpec.make(5, 1, 1,
+                              [GeneratorSpec("y", POLYNOMIAL, 2, (2,))])
+    # eigenvalue of order 2 under a scalar of order 4
+    assert invariant_monomials_oracle(single, 4) == [mono(y=2)]
+    assert invariant_monomials_oracle(single, 2) == []
+    assert invariant_monomials_oracle(single, 0) == [Monomial(())]
+    # every non-identity eigenvalue in one half, the other half all ones
+    trivial = [GeneratorSpec(f"a{i}", EXTERIOR, 1, (0, 0)) for i in range(3)]
+    acting = [GeneratorSpec("b0", EXTERIOR, 1, (1, 2)),
+              GeneratorSpec("b1", POLYNOMIAL, 2, (5, 4)),
+              GeneratorSpec("b2", POLYNOMIAL, 2, (3, 0))]
+    for gens in (trivial + acting, acting + trivial):
+        alg = AlgebraSpec.make(7, 1, 2, gens)
+        for d in range(9):
+            oracle = invariant_monomials_oracle(alg, d)
+            assert oracle == invariant_monomials(alg, d)
+            assert oracle == eigenvalue_reference(alg, d)
+
+
+def test_oracle_cap_exact_when_a_half_degree_has_no_partner():
+    # left half polynomial only (even degrees), right half exterior only
+    # (degrees 0..4): many degrees of one half have no partner in the other
+    gens = [GeneratorSpec(f"y{i}", POLYNOMIAL, 2, (i + 1,)) for i in range(4)]
+    gens += [GeneratorSpec(f"x{i}", EXTERIOR, 1, (2 * i + 1,))
+             for i in range(4)]
+    alg = AlgebraSpec.make(7, 1, 1, gens)
+    left = alg.restrict([g.id for g in gens[:4]])
+    right = alg.restrict([g.id for g in gens[4:]])
+    unpartnered = 0
+    for d in range(13):
+        for a in range(d + 1):
+            if enumerate_monomials(left, a) and \
+                    not enumerate_monomials(right, d - a):
+                unpartnered += 1
+        n = len(enumerate_monomials(alg, d))
+        assert invariant_monomials_oracle(alg, d, max_count=n) == \
+            invariant_monomials(alg, d)
+        with pytest.raises(ResourceGuardError):
+            invariant_monomials_oracle(alg, d, max_count=n - 1)
+    assert unpartnered > 0
+
+
 def test_rescaling_by_a_unit_preserves_invariants():
     alg = rank1_pair_algebra(7, 1)  # modulus 6, units 1 and 5
     for unit in (1, 5):
@@ -326,7 +404,8 @@ def test_dimension_series_matches_per_degree_enumeration():
 
 
 def test_oracle_cap_is_exact_at_the_requested_degree():
-    # the oracle prunes nothing, so it examines every monomial of the degree
+    # the oracle counts the degree's monomials from its two halves' Hilbert
+    # series before walking, so the cap trips exactly above that count
     rng = random.Random(31)
     for _ in range(20):
         alg = random_algebra_spec(rng)
