@@ -23,11 +23,15 @@ generators, kept on an explicit stack, that reaches each monomial of the
 requested degrees at most once, in one pass over a whole degree range.  The
 walker knows degrees only.  Each route hands it per-generator step tables
 over the route's own state (weight residues, or eigenvalue products coded as
-integers), the accepted state, and optionally per-generator sets of states
-from which acceptance is still reachable.  The divisibility route uses these
-sets to prune a branch when the generators not yet visited are unable to
-move some coordinate out of a nonzero residue class (a suffix-gcd
-criterion); pruning never changes the result and can be switched off.
+integers), the accepted state, and optionally per-generator sets of (state,
+remaining degree) pairs from which acceptance is still reachable.  The
+divisibility route builds these from suffix residue sets: for each
+generator j, coordinate and completion degree t, the residues from which
+the generators j onward bring that coordinate back to 0 with a monomial of
+degree exactly t.  A branch is pruned when some coordinate's residue lies
+in none of the sets for the degrees that could still complete it to a
+requested degree.  The test is a necessary condition, so pruning never
+changes the result, and it can be switched off.
 
 The oracle cannot prune without borrowing that logic, so it meets in the
 middle instead (the Horowitz-Sahni subset-sum split): it cuts the generator
@@ -43,9 +47,11 @@ exponent descending) so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
@@ -250,7 +256,8 @@ def monomial_weight(alg: AlgebraSpec, m: Monomial) -> tuple[int, ...]:
 
 # Entries the step and pruning tables of one walk may store, at most about
 # 14 MB; later misses are computed and not stored, so memory stays bounded
-# however many distinct states a walk reaches.
+# however many distinct states a walk reaches.  The divisibility route's
+# suffix residue sets are charged against it too, one entry per 64 residues.
 _TABLE_BUDGET = 1 << 17
 
 
@@ -289,9 +296,10 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     factor, so each monomial is reached at most once.  The caller supplies
     the state carried along: `start` is the state of the monomial 1,
     `steps[j][s]` the state after one more factor of generator j (None:
-    unchanged), `allowed[j][s]` whether generators j onward can still reach
-    an accepted state from s (None: no pruning) and `target` the accepted
-    state (None: accept every monomial).  The walker only looks states up.
+    unchanged), `allowed[j][s * (hi + 1) + rem]` whether generators j onward
+    can still reach an accepted state from s, with rem degrees left before
+    degree hi (None: no pruning), and `target` the accepted state (None:
+    accept every monomial).  The walker only looks states up.
 
     Returns one entry per degree lo..hi: the accepted monomials as tuples of
     (generator id, exponent) pairs, or just their number without `keep`, or
@@ -304,7 +312,7 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     steps = steps or [None] * len(gens)
     factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, g.id)
                for g, step in zip(gens, steps)]
-    span = hi - lo
+    span, width = hi - lo, hi + 1
     # A node with rem degrees left tries generators j < stop[rem] only: the
     # rest cannot add a degree landing in lo..hi, as what generators j onward
     # can add (at most `reach`, a multiple of `dgcd`) shrinks as j grows.
@@ -341,7 +349,7 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
         for j in range(k, stop[rem]):
             if allowed is not None:
                 ok = allowed[j]
-                if ok is not None and not ok[s]:
+                if ok is not None and not ok[s * width + rem]:
                     break
             d, cap, step, gid = factors[j]
             top = rem // d
@@ -368,17 +376,73 @@ def enumerate_monomials(alg: AlgebraSpec, degree: int,
                                 max_count=max_count)[0])
 
 
-def _residue_route(alg: AlgebraSpec, prune: bool = True) -> dict:
-    """Walker tables for the divisibility test.
+def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
+    """Per generator position j, the residues of coordinate c (modulus m)
+    from which generators j onward can still bring it to 0, as bitsets:
+    rows[rem] holds the residue v (bit v) when a monomial in them of some
+    degree in [max(0, rem - (hi - lo)), rem] adds -v to the coordinate.
+    None where each set past degree 0 is empty or full: then the coordinate
+    cannot prune a branch that has a monomial of the degrees ahead.
+
+    With `exact` the sets are built per completion degree t: sets[t] for
+    generators j onward is sets[t] for j + 1 onward joined with sets[t - d]
+    (of j + 1 onward for an exterior generator, of j onward for a
+    polynomial one) rotated by generator j's weight.  Otherwise rows[rem]
+    are the multiples of the gcd of m and the weights ahead, for every rem.
+    Both only grow as j falls, so equal rows are shared between neighbours.
+    """
+    full = (1 << m) - 1
+    out = [None] * len(gens)
+    rows = None
+    if not exact:
+        g, last = m, None
+        for j in range(len(gens) - 1, -1, -1):
+            g = math.gcd(g, gens[j].weight[c])
+            if g != last:
+                last = g
+                rows = (full // ((1 << g) - 1),) * (hi + 1) if g > 1 else None
+            out[j] = rows
+        return out
+    windows = [(max(0, rem - (hi - lo)), rem + 1) for rem in range(hi + 1)]
+    sets = [1] + [0] * hi       # no generators: degree 0 from residue 0 only
+    last = None
+    for j in range(len(gens) - 1, -1, -1):
+        gen = gens[j]
+        d, shift = gen.degree, -gen.weight[c] % m
+        # v completes with one more factor of generator j when v + w
+        # completes without it: rotate by -w
+        for t in (range(hi, d - 1, -1) if gen.parity == EXTERIOR
+                  else range(d, hi + 1)):
+            bits = sets[t - d]
+            sets[t] |= (bits << shift | bits >> (m - shift)) & full
+        if sets != last:
+            last = sets[:]
+            ahead = sets[1:]
+            if ahead.count(0) + ahead.count(full) == hi:
+                rows = None
+            else:
+                rows = tuple(functools.reduce(operator.or_, sets[i:k])
+                             for i, k in windows)
+        out[j] = rows
+    return out
+
+
+def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
+                   prune: bool = True) -> dict:
+    """Walker tables for the divisibility test over degrees lo..hi.
 
     The state is the weight residue vector packed into one integer, digit c
     in base moduli[c], so the monomial 1 and the accepted state are both 0.
-    Generator j is tried from s only if each residue is a multiple of the gcd
-    of its modulus and the weights of generators j onward; else no
-    completion returns the state to 0.
+    Generator j is tried from state s with rem degrees left only if, in
+    every coordinate, generators j onward can bring the residue to 0 with a
+    monomial whose degree lands the walk in lo..hi (`_suffix_rows`).  The
+    sets of a coordinate take one table entry per 64 residues, per degree
+    and generator, from the walk's budget; a coordinate whose sets do not
+    fit is checked against the gcd of the weights ahead, for all degrees.
     """
-    moduli = alg.moduli
+    gens, moduli = alg.generators, alg.moduli
     places = [math.prod(moduli[:c]) for c in range(alg.torus_rank)]
+    width = hi + 1
     budget = [_TABLE_BUDGET]
 
     def add(moves):
@@ -390,21 +454,31 @@ def _residue_route(alg: AlgebraSpec, prune: bool = True) -> dict:
         return fill
 
     def completable(checks):
-        return lambda s: all(s // place % m % g == 0
-                             for place, m, g in checks)
+        def fill(key):
+            s, rem = divmod(key, width)
+            for place, m, rows in checks:
+                if not rows[rem] >> (s // place % m) & 1:
+                    return False
+            return True
+        return fill
 
     steps = _tables([tuple((place, m, w) for place, m, w
                            in zip(places, moduli, g.weight) if w)
-                     for g in alg.generators], add, budget)
+                     for g in gens], add, budget)
     allowed = None
     if prune:
-        checks = []
-        gcds = moduli
-        for gen in reversed(alg.generators):
-            gcds = [math.gcd(g, w) for g, w in zip(gcds, gen.weight)]
-            checks.append(tuple((place, m, g) for place, m, g
-                                in zip(places, moduli, gcds) if g > 1))
-        allowed = _tables(checks[::-1], completable, budget)
+        checks = [[] for _ in gens]
+        for c, (place, m) in enumerate(zip(places, moduli)):
+            cells = len(gens) * width * (m // 64 + 1)
+            exact = cells <= budget[0]
+            if exact:
+                budget[0] -= cells
+            for check, rows in zip(checks,
+                                   _suffix_rows(gens, c, m, lo, hi, exact)):
+                if rows is not None:
+                    check.append((place, m, rows))
+        allowed = _tables([tuple(check) for check in checks], completable,
+                          budget)
     return {"steps": steps, "start": 0, "target": 0, "allowed": allowed}
 
 
@@ -414,12 +488,14 @@ def invariant_monomials(alg: AlgebraSpec, degree: int, prune: bool = True,
 
     Invariance is the divisibility test: each weight coordinate must vanish
     modulo that coordinate's modulus.  With `prune` a branch is abandoned as
-    soon as some coordinate's residue lies outside the subgroup generated by
-    the weights still ahead; this is exact, and switched off it degenerates to
-    the plain filter over the full enumeration.
+    soon as some coordinate's residue lies outside the set of residues that
+    the generators still ahead can return to 0 with a monomial of exactly
+    the degree still missing; this is exact, and switched off it degenerates
+    to the plain filter over the full enumeration.
     """
     found = _walk(alg.generators, degree, degree,
-                  **_residue_route(alg, prune), max_count=max_count)
+                  **_residue_route(alg, degree, degree, prune),
+                  max_count=max_count)
     return _as_monomials(found[0])
 
 
@@ -545,17 +621,25 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
                      max_count: int = MONOMIAL_CAP) -> list[int]:
     """dims[d] = number of monomials passing the filter in degree d <= D.
 
-    One walk covers every degree; the cap applies to each degree alone.
+    Without an invariance filter the counts are the Hilbert series, and the
+    cap trips exactly when some degree has more than `max_count` monomials.
+    The invariant filters walk every degree in one pass; their cap applies
+    to the leaves a pruned walk examines in each degree alone.
     """
     if filter not in FILTERS:
         raise InputError(f"filter must be one of {FILTERS}")
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
     if filter == "all":
-        return _walk(alg.generators, 0, max_degree, keep=False,
-                     max_count=max_count)
+        dims = _hilbert(alg.generators, max_degree)
+        for d, count in enumerate(dims):
+            if count > max_count:
+                raise ResourceGuardError(f"{count} monomials in degree {d}, "
+                                         f"more than the cap {max_count}")
+        return dims
     nilpotent = filter == "invariant_nilpotent"
-    found = _walk(alg.generators, 0, max_degree, **_residue_route(alg),
+    found = _walk(alg.generators, 0, max_degree,
+                  **_residue_route(alg, 0, max_degree),
                   keep=nilpotent, max_count=max_count)
     if not nilpotent:
         return found

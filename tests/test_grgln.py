@@ -160,6 +160,17 @@ def test_essential_kernel_vanishes_beyond_p():
     assert rep["discrepancy"] is False
 
 
+def test_essential_kernel_large_p_hooks():
+    # invariant dimensions as computed with the degree-free (suffix-gcd)
+    # pruning, where these two walks took a few seconds together
+    for n, p, invariant_dim in ((8, 11, 76), (7, 13, 42)):
+        rep = essential_kernel(n, p)
+        assert rep["degree"] == 2 * p - 3
+        assert rep["invariant_dim"] == invariant_dim
+        assert rep["kernel_dim"] == 1
+        assert rep["discrepancy"] is False
+
+
 def test_essential_kernel_rank_one():
     rep = essential_kernel(2, 5)
     assert rep["kernel_dim"] == 1

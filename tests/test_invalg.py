@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.ffq import Fq, multiplicative_generator
+from liecoh import invalg
+from liecoh.grgln import build_gr_un, subgroup_support
 from liecoh.invalg import (
     EXTERIOR,
     POLYNOMIAL,
@@ -241,6 +243,73 @@ def test_pruning_does_not_change_results():
                 invariant_monomials(alg, d, prune=True)
 
 
+def _hook_spec(n, p, r, left, right):
+    spec = build_gr_un(n, p, r)
+    hook = subgroup_support(spec, "hook", left, right)
+    return spec.algebra.restrict(hook.ids)
+
+
+HOOK_SPECS = [(n, p, r, left, right)
+              for n, p, r in ((3, 3, 1), (4, 3, 1), (4, 5, 1), (5, 5, 1),
+                              (5, 7, 1), (3, 3, 2), (3, 2, 2), (4, 2, 1))
+              for left in range(1, n) for right in range(left + 1, n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(lambda seed: random_algebra_spec(random.Random(seed)),
+              st.integers(0, 2 ** 32)),
+    st.sampled_from(HOOK_SPECS).map(lambda args: _hook_spec(*args))))
+def test_degree_aware_pruning_is_exact(alg):
+    top = 10
+    plain = [invariant_monomials(alg, d, prune=False) for d in range(top + 1)]
+    for d in range(top + 1):
+        assert invariant_monomials(alg, d) == plain[d]
+    exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}
+    assert dimension_series(alg, top, "invariant") == [len(ms) for ms in plain]
+    assert dimension_series(alg, top, "invariant_nilpotent") == [
+        sum(1 for m in ms if m.support() & exterior) for ms in plain]
+    # a window that starts above degree 0
+    for lo, hi in ((3, 7), (6, 10)):
+        found = invalg._walk(alg.generators, lo, hi,
+                             **invalg._residue_route(alg, lo, hi))
+        assert [_as_sorted(f) for f in found] == plain[lo:hi + 1]
+
+
+def _as_sorted(found):
+    return canonical_sort(Monomial(exps) for exps in found)
+
+
+def test_pruning_collapses_to_gcd_outside_the_table_budget(monkeypatch):
+    exact = []
+    suffix_rows = invalg._suffix_rows
+
+    def record(gens, c, m, lo, hi, is_exact):
+        exact.append(is_exact)
+        return suffix_rows(gens, c, m, lo, hi, is_exact)
+
+    monkeypatch.setattr(invalg, "_suffix_rows", record)
+    # q = 2^20 with weights in a proper subgroup: the degree-aware sets of
+    # the one coordinate would take 20 * 11 * 16385 entries, over the budget
+    gens = [GeneratorSpec(f"x{k}", POLYNOMIAL, 1, (3 * 2 ** k,))
+            for k in range(20)]
+    big = AlgebraSpec.make(2, 20, 1, gens)
+    assert dimension_series(big, 3, "invariant") == [1, 0, 0, 0]
+    assert exact == [False]
+    assert invariant_monomials(big, 3) == \
+        invariant_monomials(big, 3, prune=False)
+    # with no budget at all every coordinate takes the degree-free check
+    monkeypatch.setattr(invalg, "_TABLE_BUDGET", 0)
+    rng = random.Random(5)
+    for _ in range(20):
+        alg = random_algebra_spec(rng)
+        exact.clear()
+        for d in range(7):
+            assert invariant_monomials(alg, d) == \
+                invariant_monomials(alg, d, prune=False)
+        assert not any(exact)
+
+
 def test_invariants_subset_of_enumeration():
     alg = gr_u3_p3()
     for d in range(5):
@@ -415,6 +484,21 @@ def test_oracle_cap_is_exact_at_the_requested_degree():
             if n:
                 with pytest.raises(ResourceGuardError):
                     invariant_monomials_oracle(alg, d, max_count=n - 1)
+
+
+def test_dimension_series_all_cap_is_exact():
+    rng = random.Random(41)
+    specs = [gr_u3_p3(), char2_rank1_algebra(3)] + \
+        [random_algebra_spec(rng) for _ in range(20)]
+    for alg in specs:
+        dims = dimension_series(alg, 8, "all")
+        assert dims == [len(enumerate_monomials(alg, d)) for d in range(9)]
+        top = max(dims)
+        assert dimension_series(alg, 8, "all", max_count=top) == dims
+        lowest = dims.index(top)
+        with pytest.raises(ResourceGuardError,
+                           match=f"^{top} monomials in degree {lowest},"):
+            dimension_series(alg, 8, "all", max_count=top - 1)
 
 
 def test_dimension_series_rejects_unknown_filter():
