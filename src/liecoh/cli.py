@@ -8,7 +8,7 @@ emit identical bytes.
 
 Exit codes: 0 computed and all embedded expectation checks passed; 1 a
 verification check failed or a discrepancy flag is set; 2 invalid input;
-3 a resource guard tripped.
+3 a resource guard tripped; 4 an internal error, reported on stderr.
 """
 
 import argparse
@@ -194,14 +194,14 @@ def _run_field_info(args):
 
 
 def _run_invariants(args):
+    if args.oracle and args.filter != "invariant":
+        raise InputError("--oracle applies to the 'invariant' filter")
     alg = _load_algebra(args.spec)
     series = dimension_series(alg, args.max_degree, args.filter)
     results = {"spec_hash": alg.spec_hash(), "filter": args.filter,
                "max_degree": args.max_degree, "series": series}
     ok = True
     if args.oracle:
-        if args.filter != "invariant":
-            raise InputError("--oracle applies to the 'invariant' filter")
         mismatch = [d for d in range(args.max_degree + 1)
                     if invariant_monomials(alg, d)
                     != invariant_monomials_oracle(alg, d)]

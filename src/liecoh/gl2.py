@@ -19,7 +19,7 @@ from .invalg import (
     AlgebraSpec,
     GeneratorSpec,
     Monomial,
-    invariant_monomials,
+    invariant_monomials_by_degree,
     monomial_json,
 )
 
@@ -63,39 +63,22 @@ def _expected_monomial(r, xexp, yexp):
     return Monomial(tuple(exps))
 
 
-def _scan_landmarks(alg, max_degree):
-    """Invariant monomials per degree, first positive hit, first fully
-    polynomial (non-nilpotent) hit."""
-    first = None
-    first_monos = []
-    nonnilp = None
-    nonnilp_witness = None
-    exterior_ids = {g.id for g in alg.generators if g.parity == EXTERIOR}
-    for d in range(1, max_degree + 1):
-        monos = invariant_monomials(alg, d)
-        if monos and first is None:
-            first = d
-            first_monos = monos
-        if nonnilp is None:
-            solid = [m for m in monos if not (m.support() & exterior_ids)]
-            if solid:
-                nonnilp = d
-                nonnilp_witness = solid[0]
-        if first is not None and nonnilp is not None:
-            break
-    return first, first_monos, nonnilp, nonnilp_witness
-
-
-def _landmark_report(group, alg, p, r, expected):
-    cap = r * (2 * p - 2) + 1
-    first, first_monos, nonnilp, nonnilp_witness = _scan_landmarks(alg, cap)
+def _landmark_report(group, alg, p, r, expected, top):
+    # top: the degree of some non-nilpotent invariant, so no landmark is above
+    by_degree = invariant_monomials_by_degree(alg, 1, top)
+    # first positive hit, first fully polynomial (non-nilpotent) hit
+    first = next((d for d, monos in enumerate(by_degree, 1) if monos), None)
+    first_monos = by_degree[first - 1] if first else []
     witness = first_monos[0] if len(first_monos) == 1 else None
+    exterior_ids = {g.id for g in alg.generators if g.parity == EXTERIOR}
+    nonnilp, nonnilp_witness = next(
+        ((d, m) for d, monos in enumerate(by_degree, 1) for m in monos
+         if not m.support() & exterior_ids), (None, None))
 
     square_free = None
     if p == 2:
-        degree_r = invariant_monomials(alg, r)
         square_free = not any(
-            all(e % 2 == 0 for _, e in m.exps) for m in degree_r)
+            all(e % 2 == 0 for _, e in m.exps) for m in by_degree[r - 1])
 
     rep = {
         "group": group,
@@ -147,7 +130,8 @@ def gl2_landmarks(p, r) -> dict:
             "lowest_nonnilpotent_degree": r * (2 * p - 2),
             "nonnilpotent_witness": _expected_monomial(r, 0, p - 1).format(),
         }
-    return _landmark_report("GL2", alg, p, r, expected)
+    top = r if p == 2 else r * (2 * p - 2)     # prod x_k, prod y_k^(p-1)
+    return _landmark_report("GL2", alg, p, r, expected, top)
 
 
 def sl2_landmarks(p, r) -> dict:
@@ -160,4 +144,5 @@ def sl2_landmarks(p, r) -> dict:
         "first_dim": 1,
         "witness": _expected_monomial(r, 1, (p - 3) // 2).format(),
     }
-    return _landmark_report("SL2", alg, p, r, expected)
+    # prod y_k^((p-1)/2)
+    return _landmark_report("SL2", alg, p, r, expected, r * (p - 1))

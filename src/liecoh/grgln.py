@@ -181,8 +181,9 @@ def hook_detection(spec: GrUnSpec, degree=None, family=None) -> dict:
     if family is None:
         family = _default_family(spec)
     alg = spec.algebra
-    series = dimension_series(alg, degree, "invariant")
     det = detection_kernel(alg, degree, family)
+    series = dimension_series(alg, degree - 1, "invariant") \
+        + [det["invariant_dim"]]
     vanishing_ok = all(d == 0 for d in series[1:degree])
     return {
         "op": "hook_detection",

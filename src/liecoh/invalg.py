@@ -7,13 +7,14 @@ mode, unbounded exponents).  Each generator carries an integer weight vector,
 one coordinate per torus factor, read modulo that coordinate's modulus.  A
 monomial is invariant when its total weight vanishes in every coordinate.
 
-Two independent routes decide invariance:
+Two independent routes decide invariance, each over a degree range in one
+pass:
 
-* `invariant_monomials` sums weights coordinatewise and tests divisibility by
-  the modulus;
-* `invariant_monomials_oracle` realizes the action literally: it picks, for
-  each coordinate, a field element whose multiplicative order is that
-  coordinate's modulus, multiplies actual eigenvalues in F_q along the
+* `invariant_monomials_by_degree` sums weights coordinatewise and tests
+  divisibility by the modulus;
+* `invariant_monomials_oracle_by_degree` realizes the action literally: it
+  picks, for each coordinate, a field element whose multiplicative order is
+  that coordinate's modulus, multiplies actual eigenvalues in F_q along the
   monomial, and accepts when every product is 1.
 
 The two deliberately share no invariance logic, so each checks the other.
@@ -37,9 +38,9 @@ The oracle cannot prune without borrowing that logic, so it meets in the
 middle instead (the Horowitz-Sahni subset-sum split): it cuts the generator
 list in two, walks each half once with the walker grouping every monomial by
 its eigenvalue products, the right half's inverted, and hash-joins the two
-halves on equal products.  Monomial counts are capped per degree (default
-10^7) and the cap fails loudly; the oracle knows the count from the two
-halves' Hilbert series before it walks.
+halves on equal products in each requested degree.  Monomial counts are
+capped per degree (default 10^7) and the cap fails loudly; the oracle knows
+the count from the two halves' Hilbert series before it walks.
 
 All list outputs are sorted in a canonical order (generator id ascending,
 exponent descending) so repeated runs are byte-identical.
@@ -203,9 +204,6 @@ class Monomial:
     def from_dict(cls, blob: dict) -> "Monomial":
         return cls(tuple(blob.get("exps", {}).items()))
 
-    def to_dict(self) -> dict:
-        return {"exps": {i: e for i, e in self.exps}}
-
     def support(self) -> frozenset:
         return frozenset(i for i, _ in self.exps)
 
@@ -307,8 +305,8 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     reaching it.  Reaching more than `max_count` monomials of one degree
     raises ResourceGuardError.
     """
-    if lo < 0:
-        raise InputError("degree must be nonnegative")
+    if not 0 <= lo <= hi:
+        raise InputError(f"degree range {lo}..{hi} is not 0 <= lo <= hi")
     steps = steps or [None] * len(gens)
     factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, g.id)
                for g, step in zip(gens, steps)]
@@ -421,7 +419,7 @@ def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
             if ahead.count(0) + ahead.count(full) == hi:
                 rows = None
             else:
-                rows = tuple(functools.reduce(operator.or_, sets[i:k])
+                rows = tuple(functools.reduce(operator.or_, sets[i:k], 0)
                              for i, k in windows)
         out[j] = rows
     return out
@@ -482,21 +480,28 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
     return {"steps": steps, "start": 0, "target": 0, "allowed": allowed}
 
 
-def invariant_monomials(alg: AlgebraSpec, degree: int, prune: bool = True,
-                        max_count: int = MONOMIAL_CAP) -> list[Monomial]:
-    """Monomials of the given degree whose total weight is zero everywhere.
+def invariant_monomials_by_degree(
+        alg: AlgebraSpec, lo: int, hi: int, prune: bool = True,
+        max_count: int = MONOMIAL_CAP) -> list[list[Monomial]]:
+    """Per degree lo..hi, the monomials whose weight is zero everywhere.
 
     Invariance is the divisibility test: each weight coordinate must vanish
     modulo that coordinate's modulus.  With `prune` a branch is abandoned as
     soon as some coordinate's residue lies outside the set of residues that
-    the generators still ahead can return to 0 with a monomial of exactly
-    the degree still missing; this is exact, and switched off it degenerates
+    the generators still ahead can return to 0 with a monomial whose degree
+    lands the walk in lo..hi; this is exact, and switched off it degenerates
     to the plain filter over the full enumeration.
     """
-    found = _walk(alg.generators, degree, degree,
-                  **_residue_route(alg, degree, degree, prune),
+    found = _walk(alg.generators, lo, hi, **_residue_route(alg, lo, hi, prune),
                   max_count=max_count)
-    return _as_monomials(found[0])
+    return [_as_monomials(monos) for monos in found]
+
+
+def invariant_monomials(alg: AlgebraSpec, degree: int, prune: bool = True,
+                        max_count: int = MONOMIAL_CAP) -> list[Monomial]:
+    """`invariant_monomials_by_degree` for the one degree."""
+    return invariant_monomials_by_degree(alg, degree, degree, prune,
+                                         max_count)[0]
 
 
 def _hilbert(gens, top: int) -> list[int]:
@@ -515,10 +520,11 @@ def _hilbert(gens, top: int) -> list[int]:
     return coeffs
 
 
-def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
-                               max_count: int = MONOMIAL_CAP
-                               ) -> list[Monomial]:
-    """Invariant monomials found by acting with explicit field scalars.
+def invariant_monomials_oracle_by_degree(
+        alg: AlgebraSpec, lo: int, hi: int,
+        max_count: int = MONOMIAL_CAP) -> list[list[Monomial]]:
+    """Per degree lo..hi, the invariant monomials found by acting with
+    explicit field scalars.
 
     For each torus coordinate a scalar of multiplicative order equal to the
     coordinate's modulus is fixed (a power of the canonical generator of
@@ -527,34 +533,39 @@ def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
     gives 1 in every coordinate.  No weight-residue arithmetic is used.
 
     The search meets in the middle (Horowitz and Sahni, 1974).  The generator
-    list is cut in two halves.  Each half is walked once over the degrees a
-    whose partner degree `degree - a` has monomials in the other half, and
-    its monomials are grouped by their state: the vector of eigenvalue
-    products, field elements by their integer codes packed as base-q digits.
-    The right half multiplies by inverted eigenvalues, so a left monomial
-    and a right one multiply to 1 exactly when their states are equal, and
-    a hash join on the state pairs them.  Every product comes from an actual
-    `FqElement` multiplication, made on the first lookup of an (eigenvalue,
-    element) pair and kept in a table while the budget lasts.
+    list is cut in two halves.  Each half is walked once, over the degrees a
+    whose partner degree `d - a` has monomials in the other half for some d
+    in lo..hi, and its monomials are grouped by degree and by their state:
+    the vector of eigenvalue products, field elements by their integer codes
+    packed as base-q digits.  The right half multiplies by inverted
+    eigenvalues, so a left monomial and a right one multiply to 1 exactly
+    when their states are equal, and a hash join on the state pairs them in
+    each degree d.  Every product comes from an actual `FqElement`
+    multiplication, made on the first lookup of an (eigenvalue, element)
+    pair and kept in a table while the budget lasts; the field, its scalars
+    and the eigenvalues are set up once per call.
 
-    The number of monomials of the degree is known from the two halves'
-    Hilbert series before anything is walked; above `max_count` the call
-    raises ResourceGuardError.
+    The number of monomials of each degree is known from the two halves'
+    Hilbert series before anything is walked; when a degree has more than
+    `max_count`, the call raises ResourceGuardError naming the lowest one.
     """
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
+    if not 0 <= lo <= hi:
+        raise InputError(f"degree range {lo}..{hi} is not 0 <= lo <= hi")
     gens = alg.generators
     half = len(gens) // 2
     left, right = gens[:half], gens[half:]
-    lcount, rcount = _hilbert(left, degree), _hilbert(right, degree)
-    splits = [a for a in range(degree + 1)
-              if lcount[a] and rcount[degree - a]]
-    if not splits:
-        return []
-    count = sum(lcount[a] * rcount[degree - a] for a in splits)
-    if count > max_count:
-        raise ResourceGuardError(f"{count} monomials in degree {degree}, "
-                                 f"more than the cap {max_count}")
+    lcount, rcount = _hilbert(left, hi), _hilbert(right, hi)
+    degrees = range(lo, hi + 1)
+    counts = _hilbert(gens, hi)[lo:]
+    for d, count in zip(degrees, counts):
+        if count > max_count:
+            raise ResourceGuardError(f"{count} monomials in degree {d}, "
+                                     f"more than the cap {max_count}")
+    # (d, a): degree d takes degree a from the left half, d - a from the right
+    pairs = [(d, a) for d in degrees for a in range(d + 1)
+             if lcount[a] and rcount[d - a]]
+    if not pairs:
+        return [[] for _ in degrees]
 
     field = Fq(alg.field.p, alg.field.r)
     gen = multiplicative_generator(field)
@@ -591,23 +602,32 @@ def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
     products = {ev: _Table(times(ev), budget) for ev in evs}
     steps = _tables(moves, act, budget)
     identity = one * sum(places)
-    # A degree inside a half's window that no partner degree completes has
-    # no monomials in that half, or no more than its two neighbours together,
-    # which are completed; so no degree of either walk has more than `count`
-    # monomials and neither walk trips.
-    lo, hi = splits[0], splits[-1]
-    lgroups = _walk(left, lo, hi, steps[:half], identity, group=True,
-                    max_count=count)
-    rgroups = _walk(right, degree - hi, degree - lo, steps[half:], identity,
-                    group=True, max_count=count)
-    found = []
-    for a in splits:
-        rstates = rgroups[hi - a]
-        for s, lexps in lgroups[a - lo].items():
+    # A half's degree inside its window that no pair uses has no monomials
+    # in that half, or (lo = hi only) no more than its two neighbours
+    # together, which pairs use; so no degree of either walk has more than
+    # max(counts) monomials and neither walk trips.
+    llo, lhi = min(a for _, a in pairs), max(a for _, a in pairs)
+    rlo, rhi = min(d - a for d, a in pairs), max(d - a for d, a in pairs)
+    lgroups = _walk(left, llo, lhi, steps[:half], identity, group=True,
+                    max_count=max(counts))
+    rgroups = _walk(right, rlo, rhi, steps[half:], identity, group=True,
+                    max_count=max(counts))
+    found = {d: [] for d in degrees}
+    for d, a in pairs:
+        rstates = rgroups[d - a - rlo]
+        for s, lexps in lgroups[a - llo].items():
             rexps = rstates.get(s)
             if rexps:
-                found.extend(x + y for x in lexps for y in rexps)
-    return _as_monomials(found)
+                found[d].extend(x + y for x in lexps for y in rexps)
+    return [_as_monomials(found[d]) for d in degrees]
+
+
+def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
+                               max_count: int = MONOMIAL_CAP
+                               ) -> list[Monomial]:
+    """`invariant_monomials_oracle_by_degree` for the one degree."""
+    return invariant_monomials_oracle_by_degree(alg, degree, degree,
+                                                max_count)[0]
 
 
 # ---------------------------------------------------------------------------

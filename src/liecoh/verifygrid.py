@@ -24,8 +24,9 @@ from .grgln import (
     theorem_lowest_gl,
 )
 from .invalg import (
-    invariant_monomials,
-    invariant_monomials_oracle,
+    dimension_series,
+    invariant_monomials_by_degree,
+    invariant_monomials_oracle_by_degree,
     quillen_verify,
     random_algebra_spec,
 )
@@ -196,24 +197,16 @@ def _c08_grid_specs():
 
 def c08():
     rng = random.Random(RANDOM_SPEC_SEED)
-    comparisons = 0
-    mismatches = 0
-    for _ in range(100):
-        alg = random_algebra_spec(rng)
-        for d in range(1, 9):
-            comparisons += 1
-            if invariant_monomials(alg, d) != invariant_monomials_oracle(alg, d):
-                mismatches += 1
+    specs = [(random_algebra_spec(rng), 8) for _ in range(100)]
     grid = _c08_grid_specs()
-    for alg, top in grid:
-        for d in range(1, top + 1):
-            comparisons += 1
-            if invariant_monomials(alg, d) != invariant_monomials_oracle(alg, d):
-                mismatches += 1
+    agree = [a == b for alg, top in specs + grid for a, b in zip(
+        invariant_monomials_by_degree(alg, 1, top),
+        invariant_monomials_oracle_by_degree(alg, 1, top))]
     return _result("c08", "divisibility route equals eigenvalue oracle",
-                   mismatches == 0,
+                   all(agree),
                    {"random_specs": 100, "grid_specs": len(grid),
-                    "comparisons": comparisons, "mismatches": mismatches})
+                    "comparisons": len(agree),
+                    "mismatches": agree.count(False)})
 
 
 def c09():
@@ -281,7 +274,7 @@ def c11():
         lat = cocharacter_lattice(rs, "adjoint")
         for r in (1, 2, 3):
             alg = lie_gr_algebra(rs, lat, 2, r)
-            dims = [len(invariant_monomials(alg, d)) for d in range(1, r + 1)]
+            dims = dimension_series(alg, r, "invariant")[1:]
             ok = all(d == 0 for d in dims[:-1]) and dims[-1] > 0
             cases.append({"type": f"{t}{n}", "lattice": "adjoint", "r": r,
                           "dims": dims, "ok": ok})

@@ -9,6 +9,7 @@ import pytest
 from liecoh import cli
 from liecoh.cli import main
 from liecoh.gl2 import gl2_algebra
+from liecoh.grgln import build_gr_un
 from liecoh.invalg import canonical_json
 
 
@@ -40,6 +41,18 @@ def test_invariants_run(tmp_path, capsys):
     assert code == 0
     assert env["results"]["oracle_match"] is True
     assert env["results"]["oracle_mismatch_degrees"] == []
+
+
+def test_invariants_oracle_flags_checked_before_computing(tmp_path, capsys):
+    spec = tmp_path / "u5.json"
+    spec.write_text(canonical_json(build_gr_un(5, 3, 1).algebra.to_json_dict()))
+    # degree 20 alone has 10,015,005 monomials: the series would trip the
+    # cap (exit 3) before the flags are rejected
+    for flt, top in (("all", "40"), ("invariant_nilpotent", "12")):
+        code = main(["invariants", "run", "--spec", str(spec), "--max-degree",
+                     top, "--filter", flt, "--oracle"])
+        assert code == 2
+        assert "--oracle applies" in capsys.readouterr().err
 
 
 def test_invariants_missing_file(capsys):

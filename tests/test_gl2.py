@@ -3,6 +3,7 @@ lowest non-nilpotent degree, square-free checks."""
 
 import pytest
 
+from liecoh import invalg
 from liecoh.errors import InputError
 from liecoh.gl2 import gl2_algebra, gl2_landmarks, sl2_algebra, sl2_landmarks
 from liecoh.invalg import EXTERIOR, POLYNOMIAL, dimension_series
@@ -168,3 +169,43 @@ def test_landmark_report_shape():
     # SL2 expectations cover only the first landmark
     assert set(srep["expected"]) == {
         "first_positive_degree", "first_dim", "witness"}
+
+
+def test_landmarks_large_p_frozen_in_one_walk(monkeypatch):
+    walks = []
+    walk = invalg._walk
+
+    def record(gens, lo, hi, *args, **kwargs):
+        walks.append((lo, hi))
+        return walk(gens, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(invalg, "_walk", record)
+    rep = gl2_landmarks(1021, 1)
+    # one walk over degrees 1..r(2p-2), the square-free check included
+    assert walks == [(1, 2040)]
+    assert rep["match"] is True
+    assert rep["spec_hash"] == "7bb1b1a956a3"
+    assert (rep["first_positive_degree"], rep["first_dim"]) == (2039, 1)
+    assert rep["witness"] == {"exps": {"x0": 1, "y0": 1019},
+                              "str": "x0*y0^1019"}
+    assert rep["lowest_nonnilpotent_degree"] == 2040
+    assert rep["nonnilpotent_witness"] == {"exps": {"y0": 1020},
+                                           "str": "y0^1020"}
+    assert rep["square_free_check"] is None
+
+    walks.clear()
+    rep = sl2_landmarks(1021, 1)
+    assert walks == [(1, 1020)]
+    assert rep["match"] is True
+    assert rep["spec_hash"] == "a281b160e972"
+    assert (rep["first_positive_degree"], rep["first_dim"]) == (1019, 1)
+    assert rep["witness"] == {"exps": {"x0": 1, "y0": 509},
+                              "str": "x0*y0^509"}
+    assert rep["lowest_nonnilpotent_degree"] == 1020
+    assert rep["nonnilpotent_witness"] == {"exps": {"y0": 510},
+                                           "str": "y0^510"}
+
+    # in characteristic 2 the walk stops at degree r: x_0 ... x_{r-1}
+    walks.clear()
+    assert gl2_landmarks(2, 12)["match"] is True
+    assert walks == [(1, 12)]

@@ -3,6 +3,7 @@ supports, detection kernels, theorem reporters, and matrix-level checks."""
 
 import pytest
 
+from liecoh import invalg
 from liecoh.errors import InputError
 from liecoh.ffq import Fq, FqMatrix, mat_pow
 from liecoh.grgln import (
@@ -138,6 +139,24 @@ def test_hook_detection_char2():
     assert rep["degree"] == 1
     assert rep["kernel_dim"] == 0
     assert rep["dim_at_degree"] == 6
+
+
+def test_hook_detection_walks_each_degree_once(monkeypatch):
+    windows = []
+    walk = invalg._walk
+
+    def record(gens, lo, hi, *args, **kwargs):
+        windows.append((lo, hi))
+        return walk(gens, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(invalg, "_walk", record)
+    for spec, degree in ((build_gr_un(3, 3, 1), None),
+                         (build_gr_un(4, 3, 2), 5)):
+        windows.clear()
+        rep = hook_detection(spec, degree)
+        walked = [d for lo, hi in windows for d in range(lo, hi + 1)]
+        assert sorted(walked) == list(range(rep["degree"] + 1))
+    assert rep["series"] == [1, 0, 0, 0, 0, 0]
 
 
 def test_essential_kernel_unique_witness():

@@ -19,7 +19,9 @@ from liecoh.invalg import (
     dimension_series,
     enumerate_monomials,
     invariant_monomials,
+    invariant_monomials_by_degree,
     invariant_monomials_oracle,
+    invariant_monomials_oracle_by_degree,
     monomial_json,
     monomial_weight,
     quillen_verify,
@@ -259,8 +261,9 @@ HOOK_SPECS = [(n, p, r, left, right)
 @given(st.one_of(
     st.builds(lambda seed: random_algebra_spec(random.Random(seed)),
               st.integers(0, 2 ** 32)),
-    st.sampled_from(HOOK_SPECS).map(lambda args: _hook_spec(*args))))
-def test_degree_aware_pruning_is_exact(alg):
+    st.sampled_from(HOOK_SPECS).map(lambda args: _hook_spec(*args))),
+    st.lists(st.integers(0, 8), min_size=2, max_size=2).map(sorted))
+def test_degree_aware_pruning_is_exact(alg, window):
     top = 10
     plain = [invariant_monomials(alg, d, prune=False) for d in range(top + 1)]
     for d in range(top + 1):
@@ -269,15 +272,12 @@ def test_degree_aware_pruning_is_exact(alg):
     assert dimension_series(alg, top, "invariant") == [len(ms) for ms in plain]
     assert dimension_series(alg, top, "invariant_nilpotent") == [
         sum(1 for m in ms if m.support() & exterior) for ms in plain]
-    # a window that starts above degree 0
-    for lo, hi in ((3, 7), (6, 10)):
-        found = invalg._walk(alg.generators, lo, hi,
-                             **invalg._residue_route(alg, lo, hi))
-        assert [_as_sorted(f) for f in found] == plain[lo:hi + 1]
-
-
-def _as_sorted(found):
-    return canonical_sort(Monomial(exps) for exps in found)
+    # windows that start above degree 0, and any lo <= hi <= 8
+    for lo, hi in ((3, 7), (6, 10), window):
+        assert invariant_monomials_by_degree(alg, lo, hi) == plain[lo:hi + 1]
+    lo, hi = window
+    assert invariant_monomials_by_degree(alg, lo, hi, prune=False) == \
+        plain[lo:hi + 1]
 
 
 def test_pruning_collapses_to_gcd_outside_the_table_budget(monkeypatch):
@@ -370,12 +370,28 @@ def eigenvalue_reference(alg, degree):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(0, 8))
-def test_oracle_matches_divisibility_and_reference(seed, degree):
+@given(st.integers(0, 2 ** 32), st.integers(0, 8), st.integers(0, 8))
+def test_oracle_matches_divisibility_and_reference(seed, degree, other):
     alg = random_algebra_spec(random.Random(seed))
     oracle = invariant_monomials_oracle(alg, degree)
     assert oracle == invariant_monomials(alg, degree)
     assert oracle == eigenvalue_reference(alg, degree)
+    # the range forms give the per-degree lists of any lo <= hi <= 8
+    lo, hi = sorted((degree, other))
+    per_degree = [invariant_monomials(alg, d) for d in range(lo, hi + 1)]
+    assert invariant_monomials_oracle_by_degree(alg, lo, hi) == per_degree
+    assert invariant_monomials_by_degree(alg, lo, hi) == per_degree
+    # the range guard is exact and names the lowest degree over the cap
+    counts = [len(enumerate_monomials(alg, d)) for d in range(lo, hi + 1)]
+    most = max(counts)
+    assert invariant_monomials_oracle_by_degree(
+        alg, lo, hi, max_count=most) == per_degree
+    if most:
+        with pytest.raises(ResourceGuardError) as exc:
+            invariant_monomials_oracle_by_degree(alg, lo, hi,
+                                                 max_count=most - 1)
+        assert f"{most} monomials in degree {lo + counts.index(most)}," \
+            in str(exc.value)
 
 
 def test_oracle_edge_cases():
@@ -388,6 +404,11 @@ def test_oracle_edge_cases():
     assert invariant_monomials_oracle(single, 4) == [mono(y=2)]
     assert invariant_monomials_oracle(single, 2) == []
     assert invariant_monomials_oracle(single, 0) == [Monomial(())]
+    for by_degree in (invariant_monomials_by_degree,
+                      invariant_monomials_oracle_by_degree):
+        for lo, hi in ((3, 2), (-1, 2)):
+            with pytest.raises(InputError):
+                by_degree(single, lo, hi)
     # every non-identity eigenvalue in one half, the other half all ones
     trivial = [GeneratorSpec(f"a{i}", EXTERIOR, 1, (0, 0)) for i in range(3)]
     acting = [GeneratorSpec("b0", EXTERIOR, 1, (1, 2)),
