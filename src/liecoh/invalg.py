@@ -49,6 +49,7 @@ exponent descending) so repeated runs are byte-identical.
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -206,9 +207,6 @@ class Monomial:
 
     def support(self) -> frozenset:
         return frozenset(i for i, _ in self.exps)
-
-    def degree(self, alg: AlgebraSpec) -> int:
-        return sum(e * alg.by_id(i).degree for i, e in self.exps)
 
     def sort_key(self):
         return tuple((i, -e) for i, e in self.exps)
@@ -608,18 +606,27 @@ def invariant_monomials_oracle_by_degree(
     # max(counts) monomials and neither walk trips.
     llo, lhi = min(a for _, a in pairs), max(a for _, a in pairs)
     rlo, rhi = min(d - a for d, a in pairs), max(d - a for d, a in pairs)
-    lgroups = _walk(left, llo, lhi, steps[:half], identity, group=True,
-                    max_count=max(counts))
-    rgroups = _walk(right, rlo, rhi, steps[half:], identity, group=True,
-                    max_count=max(counts))
-    found = {d: [] for d in degrees}
-    for d, a in pairs:
-        rstates = rgroups[d - a - rlo]
-        for s, lexps in lgroups[a - llo].items():
-            rexps = rstates.get(s)
-            if rexps:
-                found[d].extend(x + y for x in lexps for y in rexps)
-    return [_as_monomials(found[d]) for d in degrees]
+    # The walks and the join make a tuple per monomial and no reference
+    # cycles.  The cyclic collector is held off until they are done, so it
+    # never scans the groups while they live, however its counters stand.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lgroups = _walk(left, llo, lhi, steps[:half], identity, group=True,
+                        max_count=max(counts))
+        rgroups = _walk(right, rlo, rhi, steps[half:], identity, group=True,
+                        max_count=max(counts))
+        found = {d: [] for d in degrees}
+        for d, a in pairs:
+            rstates = rgroups[d - a - rlo]
+            for s, lexps in lgroups[a - llo].items():
+                rexps = rstates.get(s)
+                if rexps:
+                    found[d].extend(x + y for x in lexps for y in rexps)
+        return [_as_monomials(found[d]) for d in degrees]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,

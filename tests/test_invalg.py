@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -420,6 +421,41 @@ def test_oracle_edge_cases():
             oracle = invariant_monomials_oracle(alg, d)
             assert oracle == invariant_monomials(alg, d)
             assert oracle == eigenvalue_reference(alg, d)
+
+
+def test_oracle_holds_the_collector_off_and_restores_it():
+    # hook (8,7): the oracle's half walks make some 10^5 tuples in degree 9
+    spec = build_gr_un(8, 7, 1)
+    alg = spec.algebra.restrict(subgroup_support(spec, "hook", 1, 8).ids)
+    expected = invariant_monomials(alg, 9)
+    runs = []
+
+    def record(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    walk = invalg._walk
+
+    def counted_walk(*args, **kwargs):
+        before = len(runs)
+        out = walk(*args, **kwargs)
+        assert len(runs) == before, "the collector ran during a half walk"
+        return out
+
+    gc.callbacks.append(record)
+    try:
+        invalg._walk = counted_walk
+        assert invariant_monomials_oracle(alg, 9) == expected
+    finally:
+        invalg._walk = walk
+        gc.callbacks.remove(record)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert invariant_monomials_oracle(alg, 9) == expected
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_oracle_cap_exact_when_a_half_degree_has_no_partner():
