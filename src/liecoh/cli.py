@@ -219,7 +219,7 @@ def _run_check_quillen(args):
 
 
 def _run_check_exponent(args):
-    mode = "sample" if args.samples else "all"
+    mode = "all" if args.samples is None else "sample"
     rep = exponent_check(args.n, args.p, args.r, mode,
                          args.samples, args.seed)
     return "check_exponent", rep["params"], rep, rep["pass"]
@@ -375,7 +375,9 @@ def _run_verify_all(args):
         names = blob.get("criteria") if isinstance(blob, dict) else blob
         if not isinstance(names, list):
             raise InputError("grid file must hold a list of criterion names")
-    rep = run_grid(names)
+    def report_time(name, seconds):
+        print(f"{name} {seconds:.3f}", file=sys.stderr)
+    rep = run_grid(names, report_time if args.timings else None)
     params = {"criteria": names if names is not None else "all"}
     results = {"criteria": rep["criteria"]}
     return "verify_all", params, results, rep["pass"]
@@ -528,6 +530,8 @@ def _build_parser():
               help="run the verification grid (optionally a subset)")
     sp.add_argument("--grid", default=None, metavar="FILE",
                     help="JSON file naming the criteria to run")
+    sp.add_argument("--timings", action="store_true",
+                    help="print each criterion's seconds on stderr")
 
     return parser
 

@@ -14,12 +14,16 @@ Two canonical choices make every run reproducible:
   lexicographically smallest element of multiplicative order q - 1 under the
   same coefficient ordering.
 
-Products sum unreduced integer coefficients, then reduce mod p and mod the
-modulus once per field product or matrix entry.  `mat_pow(m, e)` takes
-bit_length(e) - 1 + popcount(e) - 1 matrix products for e >= 1.
+A field product sums unreduced integer coefficients, then reduces mod p and
+mod the modulus once.  A matrix entry is one int code, its r coefficients
+packed little-endian in slots of w = (n*r*(p-1)**2).bit_length() bits (for
+r = 1, the residue), so a sum of n code products never carries between slots
+(Kronecker substitution).  A product entry is that int sum, unpacked and
+reduced once by the field product's `_poly_rem` (for r = 1, one `% p`).
+`mat_pow(m, e)` takes bit_length(e) - 1 + popcount(e) - 1 products for e >= 1.
 
-All arithmetic is exact.  Field sizes are capped at q <= 2**20 and full
-enumerations of matrix groups at 10**6 elements; both caps fail loudly.
+All arithmetic is exact.  Field sizes are capped at q <= 2**20, matrix
+enumerations and samples at 10**6 matrices; the caps fail loudly.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InputError, ResourceGuardError
 
@@ -85,14 +90,15 @@ class PrimePower:
 
 def _poly_rem(a, b, p):
     """Remainder of a (any integer coefficients) modulo monic b, mod p."""
-    a = list(a)
     db = len(b) - 1
-    low = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            for j, bj in low:
-                a[i - db + j] -= c * bj
+    if len(a) > db:
+        a = list(a)
+        low = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] % p
+            if c:
+                for j, bj in low:
+                    a[i - db + j] -= c * bj
     return [x % p for x in a[:db]]
 
 
@@ -151,13 +157,6 @@ class Fq:
 
     def __repr__(self):
         return f"Fq({self.p}, {self.r})"
-
-    def elem(self, coeffs) -> "FqElement":
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) > self.r:
-            coeffs = tuple(_poly_rem(coeffs, self.modulus, self.p))
-        coeffs = coeffs + (0,) * (self.r - len(coeffs))
-        return FqElement(self, coeffs)
 
     def from_int(self, k: int) -> "FqElement":
         """Element number k, 0 <= k < q, little-endian base-p digits."""
@@ -286,76 +285,109 @@ def multiplicative_generator(field: Fq) -> FqElement:
 # matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FqMatrix:
-    field: Fq
-    rows: tuple[tuple[FqElement, ...], ...]
+def _slot_width(field: Fq, n: int) -> int:
+    return (n * field.r * (field.p - 1) ** 2).bit_length()
 
-    def __post_init__(self):
-        f = self.field
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n:
-                raise InputError("matrix must be square")
-            if any(e.field is not f and e.field != f for e in row):
-                raise InputError("matrix entries from a different field")
+
+def _pack(k: int, p: int, r: int, w: int) -> int:
+    """Code of element number k: its r base-p digits in w-bit slots."""
+    code = 0
+    for shift in range(0, r * w, w):
+        k, c = divmod(k, p)
+        code |= c << shift
+    return code
+
+
+class FqMatrix:
+    """Square matrix over F_q, each entry one int code; immutable by
+    convention.  `FqMatrix(field, rows)` packs rows of FqElements once, and
+    `entry` and `rows` unpack FqElements on demand."""
+
+    __slots__ = ("field", "codes")
+
+    def __init__(self, field: Fq, rows):
+        if any(e.field != field for row in rows for e in row):
+            raise InputError("matrix entries from a different field")
+        self.field = field
+        self.codes = FqMatrix.from_ints(
+            field, [[e.to_int() for e in row] for row in rows]).codes
+
+    @classmethod
+    def _of(cls, field: Fq, codes) -> "FqMatrix":
+        m = object.__new__(cls)
+        m.field, m.codes = field, codes
+        return m
 
     @classmethod
     def identity(cls, field: Fq, n: int) -> "FqMatrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, tuple(tuple(one if i == j else zero for j in range(n))
-                                for i in range(n)))
+        return cls._of(field, tuple(tuple(int(i == j) for j in range(n))
+                                    for i in range(n)))
 
     @classmethod
     def from_ints(cls, field: Fq, rows) -> "FqMatrix":
-        return cls(field, tuple(tuple(field.from_int(v % field.q) for v in row)
-                                for row in rows))
+        """Matrix of element numbers (see `Fq.from_int`), taken mod q."""
+        if any(len(row) != len(rows) for row in rows):
+            raise InputError("matrix must be square")
+        p, r, q, w = field.p, field.r, field.q, _slot_width(field, len(rows))
+        return cls._of(field, tuple(tuple(_pack(v % q, p, r, w) for v in row)
+                                    for row in rows))
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.codes)
 
     def entry(self, i: int, j: int) -> FqElement:
-        return self.rows[i][j]
+        code, w = self.codes[i][j], _slot_width(self.field, self.n)
+        return FqElement(self.field, tuple(
+            code >> s & (1 << w) - 1 for s in range(0, self.field.r * w, w)))
+
+    @property
+    def rows(self) -> tuple[tuple[FqElement, ...], ...]:
+        return tuple(tuple(self.entry(i, j) for j in range(self.n))
+                     for i in range(self.n))
+
+    def __eq__(self, other):
+        return isinstance(other, FqMatrix) and \
+            (self.field, self.codes) == (other.field, other.codes)
+
+    def __hash__(self):
+        return hash((self.field, self.codes))
+
+    def __repr__(self):
+        return f"FqMatrix({self.field!r}, {self.to_int_rows()})"
 
     def __mul__(self, other: "FqMatrix") -> "FqMatrix":
-        if not isinstance(other, FqMatrix) or other.field != self.field \
-                or other.n != self.n:
+        f, n = self.field, self.n
+        if not isinstance(other, FqMatrix) or other.n != n \
+                or other.field is not f and other.field != f:
             raise InputError("matrix product needs matching shapes and fields")
-        f = self.field
-        p, modulus, width = f.p, f.modulus, 2 * f.r - 1
+        p, cols = f.p, tuple(zip(*other.codes))
+        if f.r == 1:
+            return FqMatrix._of(f, tuple([
+                tuple([sum(map(mul, row, col)) % p for col in cols])
+                for row in self.codes]))
+        modulus, w = f.modulus, _slot_width(f, n)
+        mask = (1 << w) - 1
 
-        def terms(e):
-            return [(i, c) for i, c in enumerate(e.coeffs) if c]
+        def reduce(acc):
+            # acc's slots, at most 2r-1, hold the unreduced product polynomial
+            code = 0
+            for c in reversed(_poly_rem([acc >> s & mask for s in
+                                         range(0, acc.bit_length(), w)],
+                                        modulus, p)):
+                code = code << w | c
+            return code
 
-        # nonzero coefficients of each entry, read once per product
-        a_rows = [[terms(e) for e in row] for row in self.rows]
-        b_cols = list(zip(*([terms(e) for e in row] for row in other.rows)))
-        out = []
-        for a_row in a_rows:
-            out_row = []
-            for b_col in b_cols:
-                acc = [0] * width
-                for a, b in zip(a_row, b_col):
-                    for i, ai in a:
-                        for j, bj in b:
-                            acc[i + j] += ai * bj
-                out_row.append(FqElement(f, tuple(_poly_rem(acc, modulus, p))))
-            out.append(tuple(out_row))
-        return FqMatrix(f, tuple(out))
+        return FqMatrix._of(f, tuple([
+            tuple([reduce(sum(map(mul, row, col))) for col in cols])
+            for row in self.codes]))
 
     def to_int_rows(self) -> list[list[int]]:
         return [[e.to_int() for e in row] for row in self.rows]
 
     def is_unitriangular(self) -> bool:
-        one, zero = self.field.one(), self.field.zero()
-        for i in range(self.n):
-            if self.rows[i][i] != one:
-                return False
-            for j in range(i):
-                if self.rows[i][j] != zero:
-                    return False
-        return True
+        return all(row[i] == 1 and not any(row[:i])
+                   for i, row in enumerate(self.codes))
 
 
 def mat_pow(m: FqMatrix, e: int) -> FqMatrix:
@@ -377,39 +409,31 @@ def unitriangular_elements(n: int, field: Fq, mode: str = "all",
     """Upper unitriangular n x n matrices over the field.
 
     mode "all" enumerates the whole group in odometer order (the (0,1) entry
-    moves fastest, positions in row-major order); the group order is capped at
-    ENUMERATION_CAP.  mode "sample" draws `count` matrices from the seeded RNG;
-    repeats are possible, the stream is reproducible.
+    moves fastest, positions in row-major order).  mode "sample" draws `count`
+    matrices from the seeded RNG; repeats are possible, the stream is
+    reproducible.  Either count is capped at ENUMERATION_CAP.
     """
     if n < 1:
         raise InputError("matrix size must be at least 1")
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    q = field.q
-
-    def build(values):
-        rows = [[field.one() if i == j else field.zero() for j in range(n)]
-                for i in range(n)]
-        for (i, j), v in zip(positions, values):
-            rows[i][j] = v
-        return FqMatrix(field, tuple(tuple(row) for row in rows))
-
+    p, r, q, w = field.p, field.r, field.q, _slot_width(field, n)
     if mode == "all":
-        total = q ** len(positions)
-        if total > ENUMERATION_CAP:
-            raise ResourceGuardError(
-                f"group order {total} exceeds the enumeration cap {ENUMERATION_CAP}")
-        for k in range(total):
-            values = []
-            kk = k
-            for _ in positions:
-                values.append(field.from_int(kk % q))
-                kk //= q
-            yield build(values)
+        size = q ** len(positions)
+        draws = (ks[::-1] for ks in
+                 itertools.product(range(q), repeat=len(positions)))
     elif mode == "sample":
         if count is None or count < 1:
             raise InputError("sample mode needs a positive count")
-        rng = random.Random(seed)
-        for _ in range(count):
-            yield build([field.from_int(rng.randrange(q)) for _ in positions])
+        size, rng = count, random.Random(seed)
+        draws = ([rng.randrange(q) for _ in positions] for _ in range(count))
     else:
         raise InputError(f"unknown mode {mode!r}")
+    if size > ENUMERATION_CAP:
+        raise ResourceGuardError(
+            f"{size} unitriangular matrices (mode {mode}) for n = {n}, "
+            f"p = {p}, r = {r} exceed the enumeration cap {ENUMERATION_CAP}")
+    for ks in draws:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), k in zip(positions, ks):
+            rows[i][j] = _pack(k, p, r, w)
+        yield FqMatrix._of(field, tuple(map(tuple, rows)))

@@ -401,7 +401,7 @@ def regular_unipotent_check(m: FqMatrix) -> bool:
     nonzero (single Jordan block); InputError if not unitriangular."""
     if not m.is_unitriangular():
         raise InputError("matrix must be upper unitriangular")
-    return all(bool(m.entry(k, k + 1)) for k in range(m.n - 1))
+    return all(m.codes[k][k + 1] for k in range(m.n - 1))
 
 
 def commuting_regular_subgroup(n: int, p: int, r: int) -> dict:
@@ -423,14 +423,10 @@ def commuting_regular_subgroup(n: int, p: int, r: int) -> dict:
             f"regular subgroup check for n = {n}, p = {p}, r = {r} would "
             f"build {order} elements, over the cap {ENUMERATION_CAP}")
     field = Fq(p, r)
-    gens = []
-    for i in range(r):
-        lam = field.elem((0,) * i + (1,))
-        rows = tuple(tuple(field.one() if a == b
-                           else (lam if b == a + 1 else field.zero())
-                           for b in range(n))
-                     for a in range(n))
-        gens.append(FqMatrix(field, rows))
+    # I + t^i J, where t^i is element number p^i
+    gens = [FqMatrix.from_ints(field, [[int(a == b) + p ** i * (b == a + 1)
+                                        for b in range(n)] for a in range(n)])
+            for i in range(r)]
     ident = FqMatrix.identity(field, n)
     powers = [[mat_pow(g, c) for c in range(1, p)] for g in gens]
     elements = []

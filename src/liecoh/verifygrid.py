@@ -7,6 +7,7 @@ to identical bytes; time budgets live in the acceptance tests.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 from . import __version__
@@ -356,8 +357,9 @@ CRITERIA = [
 ]
 
 
-def run_grid(names=None) -> dict:
-    """Run the named checks (all by default, in order) and collect reports."""
+def run_grid(names=None, report_time=None) -> dict:
+    """Run the named checks (all by default, in order) and collect reports;
+    `report_time(name, seconds)`, if given, gets each check's wall time."""
     known = dict(CRITERIA)
     if names is None:
         selected = [name for name, _ in CRITERIA]
@@ -366,7 +368,12 @@ def run_grid(names=None) -> dict:
         unknown = [n for n in selected if n not in known]
         if unknown:
             raise InputError(f"unknown criteria {unknown}")
-    results = [known[name]() for name in selected]
+    results = []
+    for name in selected:
+        start = time.perf_counter()
+        results.append(known[name]())
+        if report_time is not None:
+            report_time(name, time.perf_counter() - start)
     return {
         "op": "verify_all",
         "tool_version": __version__,

@@ -110,6 +110,25 @@ def test_check_exponent_exit_codes(capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_check_exponent_sample_count_checked(capsys):
+    for samples in ("0", "-1"):
+        code = main(["check", "exponent", "--n", "3", "--p", "3", "--r", "1",
+                     "--samples", samples])
+        assert code == 2
+        assert "positive count" in capsys.readouterr().err
+
+    # without the cap this sample ran until it was killed
+    start = time.perf_counter()
+    code = main(["check", "exponent", "--n", "4", "--p", "5", "--r", "1",
+                 "--samples", "100000000"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 1.0
+    assert "100000000" in err and "n = 4, p = 5, r = 1" in err
+    assert "cap 1000000" in err
+
+
 def test_check_regular(capsys):
     code, env = run_json(capsys, ["check", "regular", "--n", "3",
                                   "--p", "5", "--r", "2"])
@@ -277,6 +296,21 @@ def test_verify_subset_determinism(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_verify_timings_go_to_stderr(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(["c01", "c09", "c14"]))
+    argv = ["verify", "all", "--grid", str(grid), "--format", "json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    assert plain.err == ""
+    lines = [line.split() for line in timed.err.splitlines()]
+    assert [name for name, _ in lines] == ["c01", "c09", "c14"]
+    assert all(float(seconds) >= 0 for _, seconds in lines)
 
 
 def test_out_file(tmp_path, capsys):

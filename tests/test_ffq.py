@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.ffq import (
+    ENUMERATION_CAP,
     Fq,
     FqMatrix,
     PrimePower,
@@ -291,6 +292,31 @@ PRODUCT_FIELDS = [Fq(p, r) for p, r in
                    (1021, 2))]
 
 
+@pytest.mark.parametrize("f", PRODUCT_FIELDS + [Fq(2, 20), Fq(1021, 1)],
+                         ids=repr)
+def test_matrix_product_fills_every_slot(f):
+    # every entry is q - 1 (all r coefficients p - 1), so each slot of a
+    # product entry's sum reaches n*r*(p-1)^2, the bound its width is set by
+    for n in range(1, 9):
+        x = FqMatrix.from_ints(f, [[f.q - 1] * n] * n)
+        assert x * x == entrywise_product(x, x)
+
+
+@pytest.mark.parametrize("f", [Fq(5, 1), Fq(3, 2), Fq(2, 8), Fq(2, 20)],
+                         ids=repr)
+def test_matrix_from_elements_equals_from_ints(f):
+    ints = [[(7919 * i + 104729 * j + 1) % f.q for j in range(3)]
+            for i in range(3)]
+    elements = tuple(tuple(f.from_int(v) for v in row) for row in ints)
+    a = FqMatrix.from_ints(f, ints)
+    b = FqMatrix(f, elements)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert b.rows == elements
+    assert b.to_int_rows() == ints
+    assert a != FqMatrix.identity(f, 3)
+
+
 @st.composite
 def field_matrices(draw):
     f = draw(st.sampled_from(PRODUCT_FIELDS))
@@ -325,12 +351,13 @@ def test_unitriangular_enumeration_counts():
     k2 = Fq(2, 1)
     mats = list(unitriangular_elements(2, k2))
     assert len(mats) == 2
-    k3 = Fq(3, 1)
-    mats = list(unitriangular_elements(3, k3))
-    assert len(mats) == 27
-    assert len(set(mats)) == 27
-    for m in mats:
-        assert m.is_unitriangular()
+    for n, f in [(3, Fq(3, 1)), (3, Fq(2, 2)), (4, Fq(2, 1)), (2, Fq(3, 3))]:
+        mats = list(unitriangular_elements(n, f))
+        order = f.q ** (n * (n - 1) // 2)
+        assert len(mats) == order
+        assert len(set(mats)) == order
+        for m in mats:
+            assert m.is_unitriangular()
 
 
 def test_unitriangular_enumeration_order():
@@ -361,6 +388,13 @@ def test_unitriangular_size_guard():
     k7 = Fq(7, 1)
     with pytest.raises(ResourceGuardError):
         list(unitriangular_elements(6, k7))
+    k5 = Fq(5, 1)
+    draws = unitriangular_elements(4, k5, mode="sample",
+                                   count=ENUMERATION_CAP + 1)
+    with pytest.raises(ResourceGuardError,
+                       match=f"{ENUMERATION_CAP + 1} .*n = 4, p = 5, r = 1 "
+                             f".*cap {ENUMERATION_CAP}"):
+        next(draws)
 
 
 def test_mixed_field_arithmetic_rejected():
@@ -368,3 +402,5 @@ def test_mixed_field_arithmetic_rejected():
     b = Fq(5, 1).from_int(2)
     with pytest.raises(InputError):
         _ = a + b
+    with pytest.raises(InputError):
+        FqMatrix(Fq(3, 1), ((a, b), (a, a)))

@@ -1,6 +1,9 @@
 """Upper-unitriangular specialization: the graded weight model, hook/edge
 supports, detection kernels, theorem reporters, and matrix-level checks."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from liecoh import invalg
@@ -351,3 +354,23 @@ def test_exponent_order_matches_matrix_power():
     m = FqMatrix.from_ints(f2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     assert mat_pow(m, 2) != FqMatrix.identity(f2, 3)
     assert mat_pow(m, 4) == FqMatrix.identity(f2, 3)
+
+
+def test_matrix_check_reports_frozen():
+    """The matrix checks' reports, witnesses and generators included, must
+    not move when the matrix representation or the sampler changes.  The
+    (4,3,1) and (3,2,3) samples have n > p, so their witnesses come from
+    the seeded draws."""
+    frozen = json.loads(
+        Path(__file__).with_name("frozen_matrix_reports.json").read_text())
+    reports = {"exponent_3_2_1": exponent_check(3, 2, 1),
+               "regular_3_3_6": commuting_regular_subgroup(3, 3, 6),
+               "regular_5_5_1": commuting_regular_subgroup(5, 5, 1)}
+    for s in (11, 29):
+        for n, p, r, count in [(4, 5, 1, 500), (2, 2, 20, 200),
+                               (4, 3, 1, 50), (3, 2, 3, 50)]:
+            reports[f"exponent_{n}_{p}_{r}_sample_{s}"] = \
+                exponent_check(n, p, r, "sample", count, s)
+    assert sorted(reports) == sorted(frozen)
+    for name, rep in reports.items():
+        assert invalg.canonical_json(rep) == invalg.canonical_json(frozen[name])
