@@ -197,9 +197,12 @@ def _run_invariants(args):
     if args.oracle and args.filter != "invariant":
         raise InputError("--oracle applies to the 'invariant' filter")
     alg = _load_algebra(args.spec)
-    series = dimension_series(alg, args.max_degree, args.filter)
+    stats = {}
+    series = dimension_series(alg, args.max_degree, args.filter, stats=stats)
     results = {"spec_hash": alg.spec_hash(), "filter": args.filter,
                "max_degree": args.max_degree, "series": series}
+    if args.stats:
+        results["stats"] = stats
     ok = True
     if args.oracle:
         mismatch = [d for d in range(args.max_degree + 1)
@@ -442,6 +445,8 @@ def _build_parser():
     flag_filter(sp)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the eigenvalue oracle")
+    sp.add_argument("--stats", action="store_true",
+                    help="attach the series walk's work counts")
 
     chk = top.add_parser("check", help="elementary verification checks") \
         .add_subparsers(dest="sub", required=True)

@@ -88,12 +88,17 @@ class PrimePower:
 # dense little-endian polynomial arithmetic over F_p
 # ---------------------------------------------------------------------------
 
-def _poly_rem(a, b, p):
-    """Remainder of a (any integer coefficients) modulo monic b, mod p."""
+def _low_terms(b) -> tuple:
+    """The nonzero terms (j, b_j) of monic b below its leading one."""
+    return tuple((j, bj) for j, bj in enumerate(b[:-1]) if bj)
+
+
+def _poly_rem(a, b, p, low):
+    """Remainder of a (any integer coefficients) modulo monic b, mod p;
+    `low` is `_low_terms(b)`."""
     db = len(b) - 1
     if len(a) > db:
         a = list(a)
-        low = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
         for i in range(len(a) - 1, db - 1, -1):
             c = a[i] % p
             if c:
@@ -107,7 +112,8 @@ def _is_irreducible(f, p) -> bool:
     deg = len(f) - 1
     for d in range(1, deg // 2 + 1):
         for lower in itertools.product(range(p), repeat=d):
-            if not any(_poly_rem(f, lower + (1,), p)):
+            g = lower + (1,)
+            if not any(_poly_rem(f, g, p, _low_terms(g))):
                 return False
     return True
 
@@ -147,6 +153,7 @@ class Fq:
             if not _is_irreducible(modulus, p):
                 raise InputError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
+        self._low = _low_terms(modulus)
 
     def __eq__(self, other):
         return (isinstance(other, Fq)
@@ -192,7 +199,7 @@ class Fq:
             if ai:
                 for k, bj in enumerate(b, i):
                     acc[k] += ai * bj
-        return tuple(_poly_rem(acc, self.modulus, self.p))
+        return tuple(_poly_rem(acc, self.modulus, self.p, self._low))
 
     def _pow(self, a, e):
         if e < 0:
@@ -366,7 +373,7 @@ class FqMatrix:
             return FqMatrix._of(f, tuple([
                 tuple([sum(map(mul, row, col)) % p for col in cols])
                 for row in self.codes]))
-        modulus, w = f.modulus, _slot_width(f, n)
+        modulus, low, w = f.modulus, f._low, _slot_width(f, n)
         mask = (1 << w) - 1
 
         def reduce(acc):
@@ -374,7 +381,7 @@ class FqMatrix:
             code = 0
             for c in reversed(_poly_rem([acc >> s & mask for s in
                                          range(0, acc.bit_length(), w)],
-                                        modulus, p)):
+                                        modulus, p, low)):
                 code = code << w | c
             return code
 

@@ -32,7 +32,11 @@ the generators j onward bring that coordinate back to 0 with a monomial of
 degree exactly t.  A branch is pruned when some coordinate's residue lies
 in none of the sets for the degrees that could still complete it to a
 requested degree.  The test is a necessary condition, so pruning never
-changes the result, and it can be switched off.
+changes the result, and it can be switched off.  The walker applies it
+before it pushes a child.  The divisibility route walks its own generator
+order (`_walk_order`), which closes torus coordinates early, so fewer stay
+open at once and the test prunes sooner; the spec, its hash and the oracle
+keep the given order.
 
 The oracle cannot prune without borrowing that logic, so it meets in the
 middle instead (the Horowitz-Sahni subset-sum split): it cuts the generator
@@ -284,7 +288,8 @@ def _tables(keys, make, budget) -> list:
 
 
 def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
-          allowed=None, keep=True, group=False, max_count=MONOMIAL_CAP):
+          allowed=None, keep=True, group=False, max_count=MONOMIAL_CAP,
+          stats=None):
     """Walk the monomials in the generators `gens` (a tuple of
     GeneratorSpec) of degree lo..hi depth first on an explicit stack.
 
@@ -297,17 +302,26 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     degree hi (None: no pruning), and `target` the accepted state (None:
     accept every monomial).  The walker only looks states up.
 
+    Pruning happens at push time: the root is pushed only if `allowed[0]`
+    passes its (state, rem), a child made with generator j only if
+    `allowed[j + 1]` does, and a popped node does not look its pair up
+    again; a node moves past generator j only while `allowed[j + 1]` passes
+    its own pair.  An accepted monomial always passes.
+
     Returns one entry per degree lo..hi: the accepted monomials as tuples of
     (generator id, exponent) pairs, or just their number without `keep`, or
     with `group` a mapping from each final state to the accepted monomials
     reaching it.  Reaching more than `max_count` monomials of one degree
-    raises ResourceGuardError.
+    raises ResourceGuardError.  A `stats` dict receives the walk's work:
+    `nodes` popped, children `pruned` at push and, per degree, the `leaves`
+    examined (the count the cap applies to).
     """
     if not 0 <= lo <= hi:
         raise InputError(f"degree range {lo}..{hi} is not 0 <= lo <= hi")
     steps = steps or [None] * len(gens)
-    factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, g.id)
-               for g, step in zip(gens, steps)]
+    after = [None] * len(gens) if allowed is None else [*allowed[1:], None]
+    factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, g.id, ok)
+               for g, step, ok in zip(gens, steps, after)]
     span, width = hi - lo, hi + 1
     # A node with rem degrees left tries generators j < stop[rem] only: the
     # rest cannot add a degree landing in lo..hi, as what generators j onward
@@ -325,10 +339,13 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     seen = [0] * (span + 1)
     found = [defaultdict(list) if group else [] if keep else 0
              for _ in range(span + 1)]
-    stack = [(0, hi, start, ())]
+    nodes = pruned = 0
+    ok = allowed[0] if allowed else None
+    stack = [(0, hi, start, ())] if ok is None or ok[start * width + hi] else []
     push, pop = stack.append, stack.pop
     while stack:
         k, rem, s, exps = pop()
+        nodes += 1
         if rem <= span:
             index = span - rem
             seen[index] += 1
@@ -343,11 +360,7 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
                 else:
                     found[index] += 1
         for j in range(k, stop[rem]):
-            if allowed is not None:
-                ok = allowed[j]
-                if ok is not None and not ok[s * width + rem]:
-                    break
-            d, cap, step, gid = factors[j]
+            d, cap, step, gid, ok = factors[j]
             top = rem // d
             if top > cap:
                 top = cap
@@ -357,7 +370,14 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
                 r -= d
                 if step is not None:
                     t = step[t]
-                push((j + 1, r, t, exps + ((gid, e),) if keep else None))
+                if ok is None or ok[t * width + r]:
+                    push((j + 1, r, t, exps + ((gid, e),) if keep else None))
+                else:
+                    pruned += 1
+            if ok is not None and not ok[s * width + rem]:
+                break
+    if stats is not None:
+        stats.update(nodes=nodes, pruned=pruned, leaves=seen)
     return found
 
 
@@ -423,9 +443,27 @@ def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
     return out
 
 
+def _walk_order(gens) -> tuple:
+    """The divisibility route's walk order, a permutation of `gens` (a
+    minimum-degree elimination order on the coordinate-generator incidence):
+    zero-weight generators first, then, repeatedly, the remaining generators
+    (in the given order) acting on the open coordinate that the fewest of
+    them act on, lowest index on ties.  On a (1,n) hook each (1,j) lands
+    next to (j,n); the full U_n model keeps its row-major order."""
+    order = [g for g in gens if not any(g.weight)]
+    rest = [g for g in gens if any(g.weight)]
+    while rest:
+        counts = [sum(map(bool, ws)) for ws in zip(*(g.weight for g in rest))]
+        c = min((n, c) for c, n in enumerate(counts) if n)[1]
+        order += [g for g in rest if g.weight[c]]
+        rest = [g for g in rest if not g.weight[c]]
+    return tuple(order)
+
+
 def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
-                   prune: bool = True) -> dict:
-    """Walker tables for the divisibility test over degrees lo..hi.
+                   prune: bool = True) -> tuple:
+    """The walk order (`_walk_order`) and walker tables for the
+    divisibility test over degrees lo..hi.
 
     The state is the weight residue vector packed into one integer, digit c
     in base moduli[c], so the monomial 1 and the accepted state are both 0.
@@ -436,7 +474,7 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
     and generator, from the walk's budget; a coordinate whose sets do not
     fit is checked against the gcd of the weights ahead, for all degrees.
     """
-    gens, moduli = alg.generators, alg.moduli
+    gens, moduli = _walk_order(alg.generators), alg.moduli
     places = [math.prod(moduli[:c]) for c in range(alg.torus_rank)]
     width = hi + 1
     budget = [_TABLE_BUDGET]
@@ -475,12 +513,12 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
                     check.append((place, m, rows))
         allowed = _tables([tuple(check) for check in checks], completable,
                           budget)
-    return {"steps": steps, "start": 0, "target": 0, "allowed": allowed}
+    return gens, {"steps": steps, "start": 0, "target": 0, "allowed": allowed}
 
 
 def invariant_monomials_by_degree(
         alg: AlgebraSpec, lo: int, hi: int, prune: bool = True,
-        max_count: int = MONOMIAL_CAP) -> list[list[Monomial]]:
+        max_count: int = MONOMIAL_CAP, stats=None) -> list[list[Monomial]]:
     """Per degree lo..hi, the monomials whose weight is zero everywhere.
 
     Invariance is the divisibility test: each weight coordinate must vanish
@@ -488,10 +526,11 @@ def invariant_monomials_by_degree(
     soon as some coordinate's residue lies outside the set of residues that
     the generators still ahead can return to 0 with a monomial whose degree
     lands the walk in lo..hi; this is exact, and switched off it degenerates
-    to the plain filter over the full enumeration.
+    to the plain filter over the full enumeration.  A `stats` dict receives
+    the walk's counts (see `_walk`).
     """
-    found = _walk(alg.generators, lo, hi, **_residue_route(alg, lo, hi, prune),
-                  max_count=max_count)
+    gens, tables = _residue_route(alg, lo, hi, prune)
+    found = _walk(gens, lo, hi, **tables, max_count=max_count, stats=stats)
     return [_as_monomials(monos) for monos in found]
 
 
@@ -645,13 +684,14 @@ FILTERS = ("all", "invariant", "invariant_nilpotent")
 
 
 def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
-                     max_count: int = MONOMIAL_CAP) -> list[int]:
+                     max_count: int = MONOMIAL_CAP, stats=None) -> list[int]:
     """dims[d] = number of monomials passing the filter in degree d <= D.
 
     Without an invariance filter the counts are the Hilbert series, and the
     cap trips exactly when some degree has more than `max_count` monomials.
     The invariant filters walk every degree in one pass; their cap applies
-    to the leaves a pruned walk examines in each degree alone.
+    to the leaves a pruned walk examines in each degree alone, and a
+    `stats` dict receives that walk's counts (see `_walk`).
     """
     if filter not in FILTERS:
         raise InputError(f"filter must be one of {FILTERS}")
@@ -665,9 +705,9 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
                                          f"more than the cap {max_count}")
         return dims
     nilpotent = filter == "invariant_nilpotent"
-    found = _walk(alg.generators, 0, max_degree,
-                  **_residue_route(alg, 0, max_degree),
-                  keep=nilpotent, max_count=max_count)
+    gens, tables = _residue_route(alg, 0, max_degree)
+    found = _walk(gens, 0, max_degree, **tables, keep=nilpotent,
+                  max_count=max_count, stats=stats)
     if not nilpotent:
         return found
     exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}

@@ -9,7 +9,7 @@ import pytest
 from liecoh import cli
 from liecoh.cli import main
 from liecoh.gl2 import gl2_algebra
-from liecoh.grgln import build_gr_un
+from liecoh.grgln import build_gr_un, subgroup_support
 from liecoh.invalg import canonical_json
 
 
@@ -41,6 +41,29 @@ def test_invariants_run(tmp_path, capsys):
     assert code == 0
     assert env["results"]["oracle_match"] is True
     assert env["results"]["oracle_mismatch_degrees"] == []
+
+
+def test_invariants_run_stats(tmp_path, capsys):
+    spec = tmp_path / "hook.json"
+    u6 = build_gr_un(6, 7, 1)
+    hook = subgroup_support(u6, "hook", 1, 6)
+    spec.write_text(canonical_json(u6.algebra.restrict(hook.ids).to_json_dict()))
+    argv = ["invariants", "run", "--spec", str(spec), "--max-degree", "11",
+            "--format", "json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--stats"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    # the counts ride in a block of their own; without --stats the report
+    # is the same bytes as before
+    stats = env["results"].pop("stats")
+    assert canonical_json(env) + "\n" == plain
+    assert env["results"]["series"] == [1] + [0] * 10 + [24]
+    assert stats == {"nodes": 165, "pruned": 511,
+                     "leaves": [1, 9, 9, 20, 24, 29, 23, 12, 4, 1, 9, 24]}
+    # --filter all reads the Hilbert series and walks nothing
+    assert main(argv + ["--filter", "all", "--stats"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["stats"] == {}
 
 
 def test_invariants_oracle_flags_checked_before_computing(tmp_path, capsys):

@@ -2,6 +2,7 @@
 supports, detection kernels, theorem reporters, and matrix-level checks."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,57 @@ def test_essential_kernel_large_p_hooks():
         assert rep["invariant_dim"] == invariant_dim
         assert rep["kernel_dim"] == 1
         assert rep["discrepancy"] is False
+
+
+def test_essential_kernel_walk_counts(monkeypatch):
+    # the walk in the spec's (i, j, k) order, pruning children only once
+    # popped, popped 73,698 nodes on (8,11) and 37,476 on (7,13)
+    walks = []
+    walk = invalg._walk
+
+    def record(gens, lo, hi, *args, **kwargs):
+        kwargs["stats"] = stats = {}
+        found = walk(gens, lo, hi, *args, **kwargs)
+        walks.append(stats)
+        return found
+
+    monkeypatch.setattr(invalg, "_walk", record)
+    for (n, p), before, want in (
+            ((8, 11), 73_698, {"nodes": 1074, "pruned": 7862, "leaves": [76]}),
+            ((7, 13), 37_476, {"nodes": 419, "pruned": 3892, "leaves": [42]})):
+        walks.clear()
+        assert essential_kernel(n, p)["kernel_dim"] == 1
+        assert walks == [want]
+        assert want["nodes"] < before
+
+
+def _closed_form_kernel(n, p):
+    exps = [(f"x[1,{j},0]", 1) for j in range(2, n + 1)]
+    exps += [(f"x[{i},{n},0]", 1) for i in range(2, n)]
+    if p > n:
+        exps.append((f"y[1,{n},0]", p - n))
+    return [monomial_json(Monomial(tuple(exps)))]
+
+
+def test_essential_kernel_every_hook_up_to_13():
+    # the whole range 2 <= n <= p that the GL_n(F_p) statement rests on;
+    # in the spec's order (12,13) alone ran past 60 s
+    frozen = {(11, 13): 530, (12, 13): 1044, (13, 13): 2070}
+    for p in (3, 5, 7, 11, 13):
+        for n in range(2, p + 1):
+            start = time.perf_counter()
+            rep = essential_kernel(n, p)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 10, f"({n},{p}) took {elapsed:.1f}s"
+            assert rep["degree"] == 2 * p - 3
+            if n == 3:
+                assert rep["caution"] is True
+                continue
+            assert rep["discrepancy"] is False
+            assert rep["kernel_dim"] == 1
+            assert rep["kernel_basis"] == _closed_form_kernel(n, p)
+            if (n, p) in frozen:
+                assert rep["invariant_dim"] == frozen[n, p]
 
 
 def test_essential_kernel_rank_one():

@@ -281,6 +281,66 @@ def test_degree_aware_pruning_is_exact(alg, window):
         plain[lo:hi + 1]
 
 
+@st.composite
+def weighted_specs(draw):
+    """Specs of rank 1..3 over small fields, exterior and polynomial
+    generators (polynomial only in characteristic 2), about half of them of
+    weight zero."""
+    p, r = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                 (5, 1), (7, 1), (13, 1)]))
+    qm1 = p ** r - 1
+    divisors = [d for d in range(1, qm1 + 1) if qm1 % d == 0]
+    rank = draw(st.integers(1, 3))
+    moduli = draw(st.lists(st.sampled_from(divisors), min_size=rank,
+                           max_size=rank))
+    gens = []
+    for i in range(draw(st.integers(0, 7))):
+        weight = (0,) * rank if draw(st.booleans()) else \
+            tuple(draw(st.integers(0, m - 1)) for m in moduli)
+        if p != 2 and draw(st.booleans()):
+            gens.append(GeneratorSpec(f"g{i}", EXTERIOR, 1, weight))
+        else:
+            gens.append(GeneratorSpec(f"g{i}", POLYNOMIAL, 1 if p == 2 else 2,
+                                      weight))
+    return AlgebraSpec.make(p, r, rank, gens, moduli)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_specs(),
+       st.lists(st.integers(0, 8), min_size=2, max_size=2).map(sorted))
+def test_walk_order_routes_agree(alg, window):
+    gens = alg.generators
+    order = invalg._walk_order(gens)
+    assert sorted(order, key=gens.index) == list(gens)
+    zero = [g for g in gens if not any(g.weight)]
+    assert list(order[:len(zero)]) == zero
+    lo, hi = window
+    found = invariant_monomials_by_degree(alg, lo, hi)
+    assert found == invariant_monomials_by_degree(alg, lo, hi, prune=False)
+    assert found == invariant_monomials_oracle_by_degree(alg, lo, hi)
+
+
+def test_walk_with_nothing_to_find_pops_nothing():
+    # degree 5 of the GL_2(F_3) model holds x0*y0^2 alone, of odd weight:
+    # the root fails the suffix test, so not even the root is pushed
+    stats = {}
+    assert invariant_monomials_by_degree(rank1_pair_algebra(3, 1), 5, 5,
+                                         stats=stats) == [[]]
+    assert stats == {"nodes": 0, "pruned": 0, "leaves": [0]}
+
+
+def test_walk_order_closes_coordinates_early():
+    # the full U_n model keeps its row-major order, twists included
+    for n, p, r in ((5, 7, 1), (4, 3, 2), (4, 2, 2)):
+        gens = build_gr_un(n, p, r).algebra.generators
+        assert invalg._walk_order(gens) == gens
+    # on the (1,5) hook each middle column is closed as soon as it opens
+    order = invalg._walk_order(_hook_spec(5, 7, 1, 1, 5).generators)
+    positions = [(1, 2), (2, 5), (1, 3), (3, 5), (1, 4), (1, 5), (4, 5)]
+    assert [g.id for g in order] == [f"{v}[{i},{j},0]" for i, j in positions
+                                     for v in "xy"]
+
+
 def test_pruning_collapses_to_gcd_outside_the_table_budget(monkeypatch):
     exact = []
     suffix_rows = invalg._suffix_rows
