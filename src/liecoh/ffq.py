@@ -3,7 +3,8 @@
 Elements are residues of F_p[t] modulo a fixed monic irreducible polynomial of
 degree r.  Coefficient vectors are little-endian: (c0, c1, ..., c_{r-1}) stands
 for c0 + c1*t + ... + c_{r-1}*t^{r-1}.  Polynomials use the same convention
-with the leading coefficient last.
+with the leading coefficient last.  The element number of that element is
+the int c0 + c1*p + ... + c_{r-1}*p^{r-1}, its base-p digits.
 
 Two canonical choices make every run reproducible:
 
@@ -14,12 +15,16 @@ Two canonical choices make every run reproducible:
   lexicographically smallest element of multiplicative order q - 1 under the
   same coefficient ordering.
 
-A field product sums unreduced integer coefficients, then reduces mod p and
-mod the modulus once.  A matrix entry is one int code, its r coefficients
-packed little-endian in slots of w = (n*r*(p-1)**2).bit_length() bits (for
-r = 1, the residue), so a sum of n code products never carries between slots
+Multiplication, powers and inverses act on element numbers (`Fq.mul`,
+`Fq.pow`, `Fq.inv`; `FqElement` operators delegate to them).  A product is
+one `% p` for r = 1, a carry-less shift-and-XOR product for p = 2 (where
+the number is the coefficient bit vector), and otherwise one int product
+of the two numbers' digits packed in slots too wide to carry, reduced once
+by `_poly_rem`.  A matrix entry is one int code, its r coefficients packed
+little-endian in slots of w = (n*r*(p-1)**2).bit_length() bits (for r = 1,
+the residue), so a sum of n code products never carries between slots
 (Kronecker substitution).  A product entry is that int sum, unpacked and
-reduced once by the field product's `_poly_rem` (for r = 1, one `% p`).
+reduced once by `_poly_rem` (for r = 1, one `% p`).
 `mat_pow(m, e)` takes bit_length(e) - 1 + popcount(e) - 1 products for e >= 1.
 
 All arithmetic is exact.  Field sizes are capped at q <= 2**20, matrix
@@ -154,6 +159,9 @@ class Fq:
                 raise InputError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._low = _low_terms(modulus)
+        # the slot width of one product; for p = 2, the modulus's bit vector
+        self._w = _slot_width(self, 1)
+        self._bits = sum(c << i for i, c in enumerate(modulus))
 
     def __eq__(self, other):
         return (isinstance(other, Fq)
@@ -186,45 +194,69 @@ class Fq:
         for coeffs in itertools.product(range(self.p), repeat=self.r):
             yield FqElement(self, coeffs)
 
-    # coefficient-tuple arithmetic; FqElement operators delegate here
+    # coefficient-tuple addition; FqElement operators delegate here
     def _add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def _neg(self, a):
         return tuple((-x) % self.p for x in a)
 
-    def _mul(self, a, b):
-        acc = [0] * (2 * self.r - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bj in enumerate(b, i):
-                    acc[k] += ai * bj
-        return tuple(_poly_rem(acc, self.modulus, self.p, self._low))
+    # multiplicative arithmetic on element numbers (see `from_int`)
+    def mul(self, a: int, b: int) -> int:
+        """Product of the elements numbered a and b."""
+        p, r = self.p, self.r
+        if r == 1:
+            return a * b % p
+        if p == 2:
+            # a number is its coefficient bit vector: carry-less product,
+            # then clear the bits above t^(r-1) with shifted moduli
+            acc = 0
+            while b:
+                if b & 1:
+                    acc ^= a
+                a <<= 1
+                b >>= 1
+            for i in range(acc.bit_length() - 1, r - 1, -1):
+                if acc >> i & 1:
+                    acc ^= self._bits << (i - r)
+            return acc
+        w = self._w
+        mask = (1 << w) - 1
+        acc = _pack(a, p, r, w) * _pack(b, p, r, w)
+        k = 0
+        for c in reversed(_poly_rem([acc >> s & mask for s in
+                                     range(0, acc.bit_length(), w)],
+                                    self.modulus, p, self._low)):
+            k = k * p + c
+        return k
 
-    def _pow(self, a, e):
+    def pow(self, a: int, e: int) -> int:
+        """Element number of a ** e; a negative e inverts a first."""
         if e < 0:
-            a = self._inv(a)
-            e = -e
-        result = self.one().coeffs
-        base = a
+            a, e = self.inv(a), -e
+        if self.r == 1:
+            return pow(a, e, self.p)
+        result = 1
         while e:
             if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
+                result = self.mul(result, a)
             e >>= 1
+            if e:
+                a = self.mul(a, a)
         return result
 
-    def _inv(self, a):
-        if not any(a):
+    def inv(self, a: int) -> int:
+        """Element number of 1 / a; zero raises ZeroDivisionError."""
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return self._pow(a, self.q - 2)
+        return self.pow(a, self.q - 2)
 
     def multiplicative_order(self, e: "FqElement") -> int:
         if e.is_zero():
             raise InputError("zero has no multiplicative order")
-        order = self.q - 1
+        k, order = e.to_int(), self.q - 1
         for ell in prime_factors(self.q - 1):
-            while order % ell == 0 and e ** (order // ell) == self.one():
+            while order % ell == 0 and self.pow(k, order // ell) == 1:
                 order //= ell
         return order
 
@@ -252,13 +284,14 @@ class FqElement:
 
     def __mul__(self, other):
         self._check(other)
-        return FqElement(self.field, self.field._mul(self.coeffs, other.coeffs))
+        f = self.field
+        return f.from_int(f.mul(self.to_int(), other.to_int()))
 
     def __pow__(self, e: int):
-        return FqElement(self.field, self.field._pow(self.coeffs, e))
+        return self.field.from_int(self.field.pow(self.to_int(), e))
 
     def inverse(self):
-        return FqElement(self.field, self.field._inv(self.coeffs))
+        return self.field.from_int(self.field.inv(self.to_int()))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -278,12 +311,11 @@ class FqElement:
 
 def multiplicative_generator(field: Fq) -> FqElement:
     """Lexicographically smallest element of multiplicative order q - 1."""
-    factors = prime_factors(field.q - 1)
-    one = field.one()
+    q = field.q
+    tests = [(q - 1) // ell for ell in prime_factors(q - 1)]
     for e in field.elements():
-        if e.is_zero():
-            continue
-        if all(e ** ((field.q - 1) // ell) != one for ell in factors):
+        k = e.to_int()
+        if k and all(field.pow(k, t) != 1 for t in tests):
             return e
     raise AssertionError("no generator found")  # unreachable
 

@@ -14,8 +14,9 @@ pass:
   divisibility by the modulus;
 * `invariant_monomials_oracle_by_degree` realizes the action literally: it
   picks, for each coordinate, a field element whose multiplicative order is
-  that coordinate's modulus, multiplies actual eigenvalues in F_q along the
-  monomial, and accepts when every product is 1.
+  that coordinate's modulus, multiplies actual eigenvalues in F_q (as
+  element numbers, `Fq.mul`) along the monomial, and accepts when every
+  product is 1.
 
 The two deliberately share no invariance logic, so each checks the other.
 
@@ -197,13 +198,15 @@ class Monomial:
     exps: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        entries = tuple(sorted((str(i), int(e)) for i, e in self.exps))
-        ids = [i for i, _ in entries]
-        if len(set(ids)) != len(ids):
-            raise InputError("repeated generator id in monomial")
-        if any(e < 1 for _, e in entries):
-            raise InputError("exponents must be positive")
-        object.__setattr__(self, "exps", entries)
+        object.__setattr__(self, "exps", _entries(
+            (str(i), int(e)) for i, e in self.exps))
+
+    @classmethod
+    def _of(cls, exps) -> "Monomial":
+        """Monomial of (str id, int exponent) pairs, taken without coercion."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exps", _entries(exps))
+        return m
 
     @classmethod
     def from_dict(cls, blob: dict) -> "Monomial":
@@ -222,6 +225,17 @@ class Monomial:
 
     def __str__(self):
         return self.format()
+
+
+def _entries(pairs) -> tuple:
+    """The (id, exponent) pairs sorted; no id may repeat, no exponent be 0."""
+    entries = tuple(sorted(pairs))
+    unique = dict(entries)
+    if len(unique) < len(entries):
+        raise InputError("repeated generator id in monomial")
+    if entries and min(unique.values()) < 1:
+        raise InputError("exponents must be positive")
+    return entries
 
 
 def monomial_json(m: Monomial) -> dict:
@@ -382,7 +396,9 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
 
 
 def _as_monomials(found) -> list[Monomial]:
-    return canonical_sort(Monomial(exps) for exps in found)
+    """Walker output as canonically sorted Monomials; walker ids are
+    GeneratorSpec ids, so entries are sorted and checked but not coerced."""
+    return canonical_sort(map(Monomial._of, found))
 
 
 def enumerate_monomials(alg: AlgebraSpec, degree: int,
@@ -573,14 +589,16 @@ def invariant_monomials_oracle_by_degree(
     list is cut in two halves.  Each half is walked once, over the degrees a
     whose partner degree `d - a` has monomials in the other half for some d
     in lo..hi, and its monomials are grouped by degree and by their state:
-    the vector of eigenvalue products, field elements by their integer codes
-    packed as base-q digits.  The right half multiplies by inverted
-    eigenvalues, so a left monomial and a right one multiply to 1 exactly
-    when their states are equal, and a hash join on the state pairs them in
-    each degree d.  Every product comes from an actual `FqElement`
-    multiplication, made on the first lookup of an (eigenvalue, element)
-    pair and kept in a table while the budget lasts; the field, its scalars
-    and the eigenvalues are set up once per call.
+    the vector of eigenvalue products, their element numbers packed as
+    base-q digits.  The right half multiplies by inverted eigenvalues, so a
+    left monomial and a right one multiply to 1 exactly when their states
+    are equal, and a hash join on the state pairs them in each degree d.
+    Scalars, eigenvalues and products are element numbers
+    (`Fq.from_int`).  Each eigenvalue is a field power of its scalar,
+    computed once per (scalar, weight) pair; every product is an actual
+    field multiplication, `Fq.mul`, made on the first lookup of an
+    (eigenvalue, element) pair and kept in a table while the budget lasts.
+    The field and its scalars are set up once per call.
 
     The number of monomials of each degree is known from the two halves'
     Hilbert series before anything is walked; when a degree has more than
@@ -605,17 +623,13 @@ def invariant_monomials_oracle_by_degree(
         return [[] for _ in degrees]
 
     field = Fq(alg.field.p, alg.field.r)
-    gen = multiplicative_generator(field)
     q = field.q
-    scalars = [gen ** ((q - 1) // m if q > 2 else 0) for m in alg.moduli]
-    inverted = [x.inverse() for x in scalars]
+    gen = multiplicative_generator(field).to_int()
+    scalars = [field.pow(gen, (q - 1) // m if q > 2 else 0)
+               for m in alg.moduli]
+    inverted = [field.inv(x) for x in scalars]
     places = [q ** c for c in range(alg.torus_rank)]
-    one = field.one().to_int()
     budget = [_TABLE_BUDGET]
-
-    def times(ev):
-        factor = field.from_int(ev)
-        return lambda v: (field.from_int(v) * factor).to_int()
 
     def act(moves):
         tables = [(place, products[ev]) for place, ev in moves]
@@ -627,18 +641,21 @@ def invariant_monomials_oracle_by_degree(
             return s
         return fill
 
+    @functools.cache
+    def eigenvalue(x, w):
+        return field.pow(x, w)
+
     def move(xs, weight):
-        eig = [(x ** w).to_int() for x, w in zip(xs, weight)]
-        return tuple((place, ev) for place, ev in zip(places, eig)
-                     if ev != one)
+        eig = [eigenvalue(x, w) for x, w in zip(xs, weight)]
+        return tuple((place, ev) for place, ev in zip(places, eig) if ev != 1)
 
     # (x^-1)^w = (x^w)^-1: the right half's eigenvalues come inverted
     moves = [move(scalars, g.weight) for g in left] \
         + [move(inverted, g.weight) for g in right]
-    evs = {ev for m in moves for _, ev in m}
-    products = {ev: _Table(times(ev), budget) for ev in evs}
+    products = {ev: _Table(functools.partial(field.mul, ev), budget)
+                for ev in {ev for m in moves for _, ev in m}}
     steps = _tables(moves, act, budget)
-    identity = one * sum(places)
+    identity = sum(places)
     # A half's degree inside its window that no pair uses has no monomials
     # in that half, or (lo = hi only) no more than its two neighbours
     # together, which pairs use; so no degree of either walk has more than
@@ -690,8 +707,9 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
     Without an invariance filter the counts are the Hilbert series, and the
     cap trips exactly when some degree has more than `max_count` monomials.
     The invariant filters walk every degree in one pass; their cap applies
-    to the leaves a pruned walk examines in each degree alone, and a
-    `stats` dict receives that walk's counts (see `_walk`).
+    to the leaves a pruned walk examines in each degree alone.  A `stats`
+    dict receives that walk's counts (see `_walk`) and the `cap`; without a
+    walk, 0 nodes, 0 pruned and the Hilbert series as `leaves`.
     """
     if filter not in FILTERS:
         raise InputError(f"filter must be one of {FILTERS}")
@@ -699,6 +717,8 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
         raise InputError("max_degree must be nonnegative")
     if filter == "all":
         dims = _hilbert(alg.generators, max_degree)
+        if stats is not None:
+            stats.update(nodes=0, pruned=0, leaves=dims, cap=max_count)
         for d, count in enumerate(dims):
             if count > max_count:
                 raise ResourceGuardError(f"{count} monomials in degree {d}, "
@@ -708,6 +728,8 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
     gens, tables = _residue_route(alg, 0, max_degree)
     found = _walk(gens, 0, max_degree, **tables, keep=nilpotent,
                   max_count=max_count, stats=stats)
+    if stats is not None:
+        stats["cap"] = max_count
     if not nilpotent:
         return found
     exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}

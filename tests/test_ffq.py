@@ -196,6 +196,61 @@ def test_pow_matches_repeated_multiplication():
     assert a ** (-2) == (a * a).inverse()
 
 
+def digits(k, p, r):
+    return tuple(k // p ** i % p for i in range(r))
+
+
+def poly_rem_naive(a, f, p):
+    """a modulo monic f over F_p, as deg f coefficients."""
+    r = len(f) - 1
+    a = list(a) + [0] * r
+    for i in range(len(a) - 1, r - 1, -1):
+        c = a[i] % p
+        for j, fj in enumerate(f):
+            a[i - r + j] = (a[i - r + j] - c * fj) % p
+    return tuple(c % p for c in a[:r])
+
+
+def test_number_arithmetic_matches_naive_reference():
+    # every field with q <= 3000: all pairs up to q = 64, else a sample
+    rng = random.Random(20261018)
+    cases = [(p, r) for p in range(2, 3001) if is_prime(p)
+             for r in range(1, 12) if p ** r <= 3000]
+    for p, r in cases:
+        f = Fq(p, r)
+
+        def ref_mul(a, b):
+            prod = poly_mul_naive(digits(a, p, r), digits(b, p, r), p)
+            rem = poly_rem_naive(prod, f.modulus, p)
+            return sum(c * p ** i for i, c in enumerate(rem))
+
+        def ref_pow(a, e):
+            acc = 1
+            while e:
+                if e & 1:
+                    acc = ref_mul(acc, a)
+                a, e = ref_mul(a, a), e >> 1
+            return acc
+
+        pairs = ([(a, b) for a in range(f.q) for b in range(f.q)]
+                 if f.q <= 64 else
+                 [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(30)])
+        for a, b in pairs:
+            assert f.mul(a, b) == ref_mul(a, b), (p, r, a, b)
+        for a in [1, f.q - 1] + [rng.randrange(1, f.q) for _ in range(3)]:
+            inv = f.inv(a)
+            assert ref_mul(a, inv) == 1, (p, r, a)
+            for e in (0, 1, 2, 3, f.q - 2, f.q - 1, f.q, 3 * f.q + 4):
+                assert f.pow(a, e) == ref_pow(a, e), (p, r, a, e)
+                assert f.pow(a, -e) == ref_pow(inv, e), (p, r, a, -e)
+        assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+        with pytest.raises(ZeroDivisionError):
+            f.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, -1)
+    assert len(cases) == 466
+
+
 def test_multiplicative_generator_frozen_values():
     assert multiplicative_generator(Fq(3, 1)).coeffs == (2,)
     assert multiplicative_generator(Fq(5, 1)).coeffs == (2,)
@@ -203,6 +258,12 @@ def test_multiplicative_generator_frozen_values():
     assert multiplicative_generator(Fq(2, 2)).coeffs == (0, 1)
     assert multiplicative_generator(Fq(3, 2)).coeffs == (1, 1)
     assert multiplicative_generator(Fq(2, 1)).coeffs == (1,)
+    # element numbers of the generator, as `field info` reports them
+    frozen = {(2, 3): 4, (2, 4): 4, (2, 8): 160, (2, 10): 256, (3, 3): 18,
+              (3, 6): 324, (5, 2): 16, (5, 3): 50, (7, 2): 15, (11, 2): 45,
+              (13, 2): 79, (2, 20): 524288}
+    for (p, r), k in frozen.items():
+        assert multiplicative_generator(Fq(p, r)).to_int() == k, (p, r)
 
 
 def test_multiplicative_generator_has_full_order():
@@ -220,14 +281,21 @@ def test_multiplicative_generator_has_full_order():
 
 
 def test_multiplicative_generator_is_lex_smallest():
-    k = Fq(3, 2)
-    g = multiplicative_generator(k)
-    for e in k.elements():
-        if e.coeffs >= g.coeffs:
-            break
-        if e.is_zero():
-            continue
-        assert k.multiplicative_order(e) < k.q - 1
+    # in F_8 and F_25 the smallest element number of full order (2 and 7)
+    # is not the lexicographically smallest coefficient vector (4 and 16)
+    for p, r, by_number in ((3, 2, 4), (2, 3, 2), (5, 2, 7)):
+        k = Fq(p, r)
+        g = multiplicative_generator(k)
+        for e in k.elements():
+            if e.coeffs >= g.coeffs:
+                break
+            if e.is_zero():
+                continue
+            assert k.multiplicative_order(e) < k.q - 1
+        assert k.multiplicative_order(g) == k.q - 1
+        assert by_number == next(
+            x for x in range(1, k.q)
+            if k.multiplicative_order(k.from_int(x)) == k.q - 1)
 
 
 # ---------------------------------------------------------------------------

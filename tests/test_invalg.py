@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.ffq import Fq, multiplicative_generator
 from liecoh import invalg
+from liecoh.gl2 import gl2_algebra, sl2_algebra
 from liecoh.grgln import build_gr_un, subgroup_support
 from liecoh.invalg import (
     EXTERIOR,
@@ -119,6 +120,18 @@ def test_monomial_normalization():
     assert Monomial.from_dict({"exps": {"x0": 1}}) == mono(x0=1)
     with pytest.raises(InputError):
         Monomial((("x0", 0),))
+
+
+def test_walker_output_is_sorted_and_checked():
+    # walker output skips the str/int coercion, not the two checks
+    got = invalg._as_monomials([(("y0", 2), ("x0", 1)), (("x0", 3),), ()])
+    want = [Monomial(()), mono(x0=3), mono(x0=1, y0=2)]
+    assert got == want
+    assert [hash(m) for m in got] == [hash(m) for m in want]
+    with pytest.raises(InputError, match="repeated generator id"):
+        invalg._as_monomials([(("x0", 1), ("y0", 1), ("x0", 2))])
+    with pytest.raises(InputError, match="positive"):
+        invalg._as_monomials([(("x0", 0),)])
 
 
 def test_json_round_trip_and_hash():
@@ -408,6 +421,21 @@ def test_oracle_object_path_large_field():
     alg = AlgebraSpec.make(5, 4, 1, gens, moduli=(4,))
     for d in range(7):
         assert invariant_monomials_oracle(alg, d) == invariant_monomials(alg, d)
+
+
+@pytest.mark.parametrize("alg", [gl2_algebra(5, 2), sl2_algebra(7, 2)],
+                         ids=["gl2(5,2)", "sl2(7,2)"])
+def test_oracle_odd_extension_fields(alg):
+    # odd p with r = 2 multiplies by the packed path, not by % p or by XOR.
+    # Degrees 1..8 hold no invariants here; the first ones are in degree
+    # 14 = r(2p-3) for gl2(5,2) and 10 for sl2(7,2), so the range goes on.
+    oracle = invariant_monomials_oracle_by_degree(alg, 1, 24)
+    assert oracle == invariant_monomials_by_degree(alg, 1, 24)
+    assert not any(oracle[:8])
+    found = [d for d, monos in enumerate(oracle, 1) if monos]
+    assert found[0] in (14, 10) and len(found) == 6
+    for d in found:
+        assert oracle[d - 1] == eigenvalue_reference(alg, d)
 
 
 def eigenvalue_reference(alg, degree):
