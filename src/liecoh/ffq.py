@@ -17,14 +17,13 @@ Two canonical choices make every run reproducible:
 
 Multiplication, powers and inverses act on element numbers (`Fq.mul`,
 `Fq.pow`, `Fq.inv`; `FqElement` operators delegate to them).  A product is
-one `% p` for r = 1, a carry-less shift-and-XOR product for p = 2 (where
-the number is the coefficient bit vector), and otherwise one int product
-of the two numbers' digits packed in slots too wide to carry, reduced once
-by `_poly_rem`.  A matrix entry is one int code, its r coefficients packed
-little-endian in slots of w = (n*r*(p-1)**2).bit_length() bits (for r = 1,
-the residue), so a sum of n code products never carries between slots
-(Kronecker substitution).  A product entry is that int sum, unpacked and
-reduced once by `_poly_rem` (for r = 1, one `% p`).
+one `% p` for r = 1, and otherwise one int product of the two numbers'
+digits packed in slots too wide to carry, reduced once by `_poly_rem`.
+A matrix entry is one int code, its r coefficients packed little-endian in
+slots of w = (n*r*(p-1)**2).bit_length() bits (for r = 1, the residue), so
+a sum of n code products never carries between slots (Kronecker
+substitution).  A product entry is that int sum, unpacked and reduced once
+by `_poly_rem` (for r = 1, one `% p`); `_reduce_slots` serves both.
 `mat_pow(m, e)` takes bit_length(e) - 1 + popcount(e) - 1 products for e >= 1.
 
 All arithmetic is exact.  Field sizes are capped at q <= 2**20, matrix
@@ -159,9 +158,8 @@ class Fq:
                 raise InputError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._low = _low_terms(modulus)
-        # the slot width of one product; for p = 2, the modulus's bit vector
+        # the slot width of one product of two element numbers
         self._w = _slot_width(self, 1)
-        self._bits = sum(c << i for i, c in enumerate(modulus))
 
     def __eq__(self, other):
         return (isinstance(other, Fq)
@@ -207,26 +205,10 @@ class Fq:
         p, r = self.p, self.r
         if r == 1:
             return a * b % p
-        if p == 2:
-            # a number is its coefficient bit vector: carry-less product,
-            # then clear the bits above t^(r-1) with shifted moduli
-            acc = 0
-            while b:
-                if b & 1:
-                    acc ^= a
-                a <<= 1
-                b >>= 1
-            for i in range(acc.bit_length() - 1, r - 1, -1):
-                if acc >> i & 1:
-                    acc ^= self._bits << (i - r)
-            return acc
         w = self._w
-        mask = (1 << w) - 1
-        acc = _pack(a, p, r, w) * _pack(b, p, r, w)
         k = 0
-        for c in reversed(_poly_rem([acc >> s & mask for s in
-                                     range(0, acc.bit_length(), w)],
-                                    self.modulus, p, self._low)):
+        for c in reversed(_reduce_slots(
+                self, _pack(a, p, r, w) * _pack(b, p, r, w), w)):
             k = k * p + c
         return k
 
@@ -337,6 +319,14 @@ def _pack(k: int, p: int, r: int, w: int) -> int:
     return code
 
 
+def _reduce_slots(field: Fq, acc: int, w: int) -> list[int]:
+    """Coefficients of the product whose unreduced polynomial (at most
+    2r - 1 terms) sits in acc's w-bit slots, reduced mod the modulus."""
+    mask = (1 << w) - 1
+    return _poly_rem([acc >> s & mask for s in range(0, acc.bit_length(), w)],
+                     field.modulus, field.p, field._low)
+
+
 class FqMatrix:
     """Square matrix over F_q, each entry one int code; immutable by
     convention.  `FqMatrix(field, rows)` packs rows of FqElements once, and
@@ -405,15 +395,11 @@ class FqMatrix:
             return FqMatrix._of(f, tuple([
                 tuple([sum(map(mul, row, col)) % p for col in cols])
                 for row in self.codes]))
-        modulus, low, w = f.modulus, f._low, _slot_width(f, n)
-        mask = (1 << w) - 1
+        w = _slot_width(f, n)
 
         def reduce(acc):
-            # acc's slots, at most 2r-1, hold the unreduced product polynomial
             code = 0
-            for c in reversed(_poly_rem([acc >> s & mask for s in
-                                         range(0, acc.bit_length(), w)],
-                                        modulus, p, low)):
+            for c in reversed(_reduce_slots(f, acc, w)):
                 code = code << w | c
             return code
 

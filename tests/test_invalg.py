@@ -426,7 +426,7 @@ def test_oracle_object_path_large_field():
 @pytest.mark.parametrize("alg", [gl2_algebra(5, 2), sl2_algebra(7, 2)],
                          ids=["gl2(5,2)", "sl2(7,2)"])
 def test_oracle_odd_extension_fields(alg):
-    # odd p with r = 2 multiplies by the packed path, not by % p or by XOR.
+    # odd p with r = 2 multiplies by the packed path, not by % p.
     # Degrees 1..8 hold no invariants here; the first ones are in degree
     # 14 = r(2p-3) for gl2(5,2) and 10 for sl2(7,2), so the range goes on.
     oracle = invariant_monomials_oracle_by_degree(alg, 1, 24)
