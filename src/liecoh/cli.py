@@ -319,10 +319,13 @@ def _run_rootsys_algebra(args):
     rs = _root_system(args)
     lat = _lattice(args, rs, "cocharacter")
     alg = lie_gr_algebra(rs, lat, args.p, args.r)
-    series = dimension_series(alg, args.max_degree, args.filter)
+    stats = {}
+    series = dimension_series(alg, args.max_degree, args.filter, stats=stats)
     results = {"lattice": lat.kind, "spec_hash": alg.spec_hash(),
                "generator_count": len(alg.generators),
                "filter": args.filter, "series": series}
+    if args.stats:
+        results["stats"] = stats
     params = {"type": args.type.upper(), "rank": args.rank, "p": args.p,
               "r": args.r, "max_degree": args.max_degree,
               "filter": args.filter, "lattice": args.lattice}
@@ -419,6 +422,10 @@ def _build_parser():
         sp.add_argument("--filter", choices=FILTERS, default="invariant",
                         help="which monomials to count (default invariant)")
 
+    def flag_stats(sp):
+        sp.add_argument("--stats", action="store_true",
+                        help="attach the series walk's work counts")
+
     def flag_lattice(sp):
         sp.add_argument("--lattice", default="adjoint",
                         help="adjoint | sc | path to a JSON basis file")
@@ -445,8 +452,7 @@ def _build_parser():
     flag_filter(sp)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against the eigenvalue oracle")
-    sp.add_argument("--stats", action="store_true",
-                    help="attach the series walk's work counts")
+    flag_stats(sp)
 
     chk = top.add_parser("check", help="elementary verification checks") \
         .add_subparsers(dest="sub", required=True)
@@ -504,7 +510,7 @@ def _build_parser():
               help="invariant series of the root-graded weight algebra")
     flag_rootsys(sp), flag_p(sp), flag_r(sp), flag_lattice(sp)
     sp.add_argument("--max-degree", type=int, required=True)
-    flag_filter(sp)
+    flag_filter(sp), flag_stats(sp)
 
     grun = top.add_parser("grun", help="graded unitriangular computations") \
         .add_subparsers(dest="sub", required=True)

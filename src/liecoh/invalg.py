@@ -39,13 +39,24 @@ order (`_walk_order`), which closes torus coordinates early, so fewer stay
 open at once and the test prunes sooner; the spec, its hash and the oracle
 keep the given order.
 
+The divisibility route also meets in the middle, one factor deep: it hands
+the walker a final-factor index, each factor (generator j, exponent e)
+filed under the residue state -e * weight_j and its degree.  A node finds
+the accepted monomials of the top degree that extend it by one factor
+with one lookup of its own state, instead of making, testing and pushing
+a child per generator ahead; walks without an index test each top-degree
+child when they make it.
+
 The oracle cannot prune without borrowing that logic, so it meets in the
 middle instead (the Horowitz-Sahni subset-sum split): it cuts the generator
 list in two, walks each half once with the walker grouping every monomial by
 its eigenvalue products, the right half's inverted, and hash-joins the two
 halves on equal products in each requested degree.  Monomial counts are
 capped per degree (default 10^7) and the cap fails loudly; the oracle knows
-the count from the two halves' Hilbert series before it walks.
+the count from the two halves' Hilbert series before it walks.  A walk
+counts every monomial it examines, in the degrees below the requested ones
+too, against its degree's cap, so a single-degree walk cannot run on
+unguarded through the degrees beneath it.
 
 All list outputs are sorted in a canonical order (generator id ascending,
 exponent descending) so repeated runs are byte-identical.
@@ -216,7 +227,7 @@ class Monomial:
         return frozenset(i for i, _ in self.exps)
 
     def sort_key(self):
-        return tuple((i, -e) for i, e in self.exps)
+        return tuple([(i, -e) for i, e in self.exps])
 
     def format(self) -> str:
         if not self.exps:
@@ -301,9 +312,55 @@ def _tables(keys, make, budget) -> list:
     return [shared.get(key) for key in keys]
 
 
+def _stops(gens, lo: int, hi: int, lookup: bool) -> list:
+    """stop[rem]: a node with rem degrees left makes children with the
+    generators j < stop[rem] only.  Generator j is kept when one of its
+    children lands in lo..hi or has a descendant there, by degree alone:
+    the child adds e * degree (1 <= e, once for an exterior generator) and
+    the generators past j add some degree they can form (`ahead`, a bitset).
+    With `lookup` the child must leave degrees to fill, since final factors
+    are looked up instead."""
+    span, full = hi - lo, (1 << (hi + 1)) - 1
+    stop = [0] * (hi + 1)
+    ahead, kept = 1, 0      # past the last generator: degree 0 only
+    for j in range(len(gens) - 1, -1, -1):
+        d = gens[j].degree
+        # degrees e * d alone, and e * d plus a positive degree ahead
+        alone, rest = 1 << d, (ahead & ~1) << d
+        if gens[j].parity == POLYNOMIAL:
+            shift = d
+            while shift < hi:
+                alone |= alone << shift
+                rest |= rest << shift
+                shift *= 2
+        alone &= full
+        rest &= full
+        ahead |= alone | rest
+        # rem is kept when some t of rest lies in rem - span..rem, or some t
+        # of alone in rem - span..rem - lookup: spread t over that window
+        lands = rest | alone if span >= lookup else 0
+        done = 0
+        while done < span - lookup:
+            more = min(done + 1, span - lookup - done)
+            lands |= lands << more
+            done += more
+        new = (lands << lookup | rest) & full & ~kept
+        kept |= new
+        while new:
+            low = new & -new
+            stop[low.bit_length() - 1] = j + 1
+            new ^= low
+    return stop
+
+
+def _over_cap(max_count: int, degree: int) -> ResourceGuardError:
+    return ResourceGuardError(f"more than {max_count} monomials examined "
+                              f"in degree {degree}")
+
+
 def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
-          allowed=None, keep=True, group=False, max_count=MONOMIAL_CAP,
-          stats=None):
+          allowed=None, last=None, keep=True, group=False,
+          max_count=MONOMIAL_CAP, stats=None):
     """Walk the monomials in the generators `gens` (a tuple of
     GeneratorSpec) of degree lo..hi depth first on an explicit stack.
 
@@ -322,13 +379,22 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     again; a node moves past generator j only while `allowed[j + 1]` passes
     its own pair.  An accepted monomial always passes.
 
+    A child of degree hi (a final child) is never pushed.  Without a
+    final-factor index it is tested when made.  With one, `last[s * (hi + 1)
+    + rem]` lists in walk order the factors (j, ((generator id, e),)) that
+    take state s to `target` with exactly rem degrees, and a node settles
+    its accepted final children from the entries with j at or past its
+    first generator: no final child is made, so none is tested or pruned.
+    A walk with an index does not `group`.
+
     Returns one entry per degree lo..hi: the accepted monomials as tuples of
     (generator id, exponent) pairs, or just their number without `keep`, or
     with `group` a mapping from each final state to the accepted monomials
-    reaching it.  Reaching more than `max_count` monomials of one degree
+    reaching it.  Every popped node and every tested or settled final child
+    counts against its degree's cap: more than `max_count` in one degree
     raises ResourceGuardError.  A `stats` dict receives the walk's work:
-    `nodes` popped, children `pruned` at push and, per degree, the `leaves`
-    examined (the count the cap applies to).
+    `nodes` popped, children `pruned` at push and, per degree lo..hi, the
+    `leaves` counted (in degree hi with an index, the accepted ones).
     """
     if not 0 <= lo <= hi:
         raise InputError(f"degree range {lo}..{hi} is not 0 <= lo <= hi")
@@ -337,20 +403,10 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, g.id, ok)
                for g, step, ok in zip(gens, steps, after)]
     span, width = hi - lo, hi + 1
-    # A node with rem degrees left tries generators j < stop[rem] only: the
-    # rest cannot add a degree landing in lo..hi, as what generators j onward
-    # can add (at most `reach`, a multiple of `dgcd`) shrinks as j grows.
-    stop = [0] * (hi + 1)
-    reach, dgcd = 0, 0
-    for j in range(len(gens) - 1, -1, -1):
-        reach += gens[j].degree if gens[j].parity == EXTERIOR else math.inf
-        dgcd = math.gcd(dgcd, gens[j].degree)
-        for rem in range(hi + 1):
-            need = rem - span if rem > span else 1
-            if not stop[rem] and reach >= need and rem - rem % dgcd >= need:
-                stop[rem] = j + 1
+    lookup = last is not None    # with an index, children leave rem >= 1
+    stop = _stops(gens, lo, hi, lookup)
 
-    seen = [0] * (span + 1)
+    seen = [0] * width           # per degree 0..hi
     found = [defaultdict(list) if group else [] if keep else 0
              for _ in range(span + 1)]
     nodes = pruned = 0
@@ -360,22 +416,28 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     while stack:
         k, rem, s, exps = pop()
         nodes += 1
-        if rem <= span:
-            index = span - rem
-            seen[index] += 1
-            if seen[index] > max_count:
-                raise ResourceGuardError(f"more than {max_count} monomials "
-                                         f"examined in degree {hi - rem}")
-            if target is None or s == target:
-                if group:
-                    found[index][s].append(exps)
-                elif keep:
-                    found[index].append(exps)
-                else:
-                    found[index] += 1
+        depth = hi - rem
+        seen[depth] += 1
+        if seen[depth] > max_count:
+            raise _over_cap(max_count, depth)
+        if rem <= span and (target is None or s == target):
+            if group:
+                found[span - rem][s].append(exps)
+            elif keep:
+                found[span - rem].append(exps)
+            else:
+                found[span - rem] += 1
+        if lookup:
+            for j, factor in last.get(s * width + rem, ()):
+                if j >= k:
+                    seen[hi] += 1
+                    if keep:
+                        found[span].append(exps + factor)
+                    else:
+                        found[span] += 1
         for j in range(k, stop[rem]):
             d, cap, step, gid, ok = factors[j]
-            top = rem // d
+            top = (rem - lookup) // d
             if top > cap:
                 top = cap
             t = s
@@ -384,14 +446,27 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
                 r -= d
                 if step is not None:
                     t = step[t]
-                if ok is None or ok[t * width + r]:
-                    push((j + 1, r, t, exps + ((gid, e),) if keep else None))
-                else:
-                    pruned += 1
+                if r:
+                    if ok is None or ok[t * width + r]:
+                        push((j + 1, r, t,
+                              exps + ((gid, e),) if keep else None))
+                    else:
+                        pruned += 1
+                    continue
+                seen[hi] += 1
+                if target is None or t == target:
+                    if group:
+                        found[span][t].append(exps + ((gid, e),))
+                    elif keep:
+                        found[span].append(exps + ((gid, e),))
+                    else:
+                        found[span] += 1
             if ok is not None and not ok[s * width + rem]:
                 break
+        if seen[hi] > max_count:
+            raise _over_cap(max_count, hi)
     if stats is not None:
-        stats.update(nodes=nodes, pruned=pruned, leaves=seen)
+        stats.update(nodes=nodes, pruned=pruned, leaves=seen[lo:])
     return found
 
 
@@ -452,6 +527,8 @@ def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
             ahead = sets[1:]
             if ahead.count(0) + ahead.count(full) == hi:
                 rows = None
+            elif lo == hi:
+                rows = tuple(sets)
             else:
                 rows = tuple(functools.reduce(operator.or_, sets[i:k], 0)
                              for i, k in windows)
@@ -489,6 +566,9 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
     sets of a coordinate take one table entry per 64 residues, per degree
     and generator, from the walk's budget; a coordinate whose sets do not
     fit is checked against the gcd of the weights ahead, for all degrees.
+    With pruning on, the tables include the final-factor index (`last` of
+    `_walk`): each (j, e) with e * degree_j <= hi filed under the packed
+    state -e * weight_j, the one state that factor takes exactly to 0.
     """
     gens, moduli = _walk_order(alg.generators), alg.moduli
     places = [math.prod(moduli[:c]) for c in range(alg.torus_rank)]
@@ -512,10 +592,10 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
             return True
         return fill
 
-    steps = _tables([tuple((place, m, w) for place, m, w
-                           in zip(places, moduli, g.weight) if w)
-                     for g in gens], add, budget)
-    allowed = None
+    moves = [tuple((place, m, w) for place, m, w
+                   in zip(places, moduli, g.weight) if w) for g in gens]
+    steps = _tables(moves, add, budget)
+    allowed = last = None
     if prune:
         checks = [[] for _ in gens]
         for c, (place, m) in enumerate(zip(places, moduli)):
@@ -529,7 +609,16 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
                     check.append((place, m, rows))
         allowed = _tables([tuple(check) for check in checks], completable,
                           budget)
-    return gens, {"steps": steps, "start": 0, "target": 0, "allowed": allowed}
+        last = {}
+        for j, (g, move) in enumerate(zip(gens, moves)):
+            d = g.degree
+            top = hi // d if g.parity == POLYNOMIAL else min(1, hi // d)
+            for e in range(1, top + 1):
+                key = sum(-e * w % m * place for place, m, w in move)
+                last.setdefault(key * width + e * d, []).append(
+                    (j, ((g.id, e),)))
+    return gens, {"steps": steps, "start": 0, "target": 0, "allowed": allowed,
+                  "last": last}
 
 
 def invariant_monomials_by_degree(
@@ -656,12 +745,11 @@ def invariant_monomials_oracle_by_degree(
                 for ev in {ev for m in moves for _, ev in m}}
     steps = _tables(moves, act, budget)
     identity = sum(places)
-    # A half's degree inside its window that no pair uses has no monomials
-    # in that half, or (lo = hi only) no more than its two neighbours
-    # together, which pairs use; so no degree of either walk has more than
-    # max(counts) monomials and neither walk trips.
     llo, lhi = min(a for _, a in pairs), max(a for _, a in pairs)
     rlo, rhi = min(d - a for d, a in pairs), max(d - a for d, a in pairs)
+    # a half walk meets each monomial of a degree at most once, so with the
+    # half's largest Hilbert count up to its top degree as cap it never trips
+    cap = max(lcount[:lhi + 1] + rcount[:rhi + 1])
     # The walks and the join make a tuple per monomial and no reference
     # cycles.  The cyclic collector is held off until they are done, so it
     # never scans the groups while they live, however its counters stand.
@@ -669,9 +757,9 @@ def invariant_monomials_oracle_by_degree(
     gc.disable()
     try:
         lgroups = _walk(left, llo, lhi, steps[:half], identity, group=True,
-                        max_count=max(counts))
+                        max_count=cap)
         rgroups = _walk(right, rlo, rhi, steps[half:], identity, group=True,
-                        max_count=max(counts))
+                        max_count=cap)
         found = {d: [] for d in degrees}
         for d, a in pairs:
             rstates = rgroups[d - a - rlo]
@@ -707,7 +795,7 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
     Without an invariance filter the counts are the Hilbert series, and the
     cap trips exactly when some degree has more than `max_count` monomials.
     The invariant filters walk every degree in one pass; their cap applies
-    to the leaves a pruned walk examines in each degree alone.  A `stats`
+    to the monomials a pruned walk examines in each degree alone.  A `stats`
     dict receives that walk's counts (see `_walk`) and the `cap`; without a
     walk, 0 nodes, 0 pruned and the Hilbert series as `leaves`.
     """

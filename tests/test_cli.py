@@ -59,7 +59,7 @@ def test_invariants_run_stats(tmp_path, capsys):
     stats = env["results"].pop("stats")
     assert canonical_json(env) + "\n" == plain
     assert env["results"]["series"] == [1] + [0] * 10 + [24]
-    assert stats == {"nodes": 165, "pruned": 511,
+    assert stats == {"nodes": 141, "pruned": 444,
                      "leaves": [1, 9, 9, 20, 24, 29, 23, 12, 4, 1, 9, 24],
                      "cap": 10 ** 7}
     # --filter all reads the Hilbert series and walks nothing; its plain
@@ -262,6 +262,21 @@ def test_rootsys_algebra_deep_generator_list(capsys):
     assert code == 0
     assert env["results"]["generator_count"] == 1200
     assert env["results"]["series"] == [1, 0]
+
+
+def test_rootsys_algebra_stats(capsys):
+    argv = ["rootsys", "algebra", "--type", "E", "--rank", "8", "--p", "3",
+            "--r", "1", "--max-degree", "3", "--format", "json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--stats"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    stats = env["results"].pop("stats")
+    assert canonical_json(env) + "\n" == plain
+    assert env["results"]["series"] == [1, 0, 0, 1240]
+    # degree 3 counts the leaves found by final-factor lookup
+    assert stats == {"nodes": 2415, "pruned": 7,
+                     "leaves": [1, 120, 2294, 1240], "cap": 10 ** 7}
 
 
 def test_grun_build(capsys):

@@ -10,6 +10,8 @@ from liecoh.ffq import Fq, multiplicative_generator
 from liecoh import invalg
 from liecoh.gl2 import gl2_algebra, sl2_algebra
 from liecoh.grgln import build_gr_un, subgroup_support
+from liecoh.rootsys import build_root_system, cocharacter_lattice, \
+    lie_gr_algebra
 from liecoh.invalg import (
     EXTERIOR,
     POLYNOMIAL,
@@ -340,6 +342,84 @@ def test_walk_with_nothing_to_find_pops_nothing():
     assert invariant_monomials_by_degree(rank1_pair_algebra(3, 1), 5, 5,
                                          stats=stats) == [[]]
     assert stats == {"nodes": 0, "pruned": 0, "leaves": [0]}
+
+
+def _e8_algebra():
+    rs = build_root_system([("E", 8)])
+    return lie_gr_algebra(rs, cocharacter_lattice(rs, "adjoint"), 3, 1)
+
+
+def test_final_factor_lookup_e8():
+    # 240 generators, modulus 2 in eight coordinates: every suffix set past
+    # degree 0 is full, so nothing prunes; the degree-3 leaves are looked
+    # up, 1,240 of them, where stepping every generator made 109,844
+    alg = _e8_algebra()
+    found = invariant_monomials_by_degree(alg, 1, 3)
+    assert [len(ms) for ms in found] == [0, 0, 1240]
+    assert found == invariant_monomials_by_degree(alg, 1, 3, prune=False)
+    assert found == invariant_monomials_oracle_by_degree(alg, 1, 3)
+    stats = {}
+    invariant_monomials_by_degree(alg, 3, 3, stats=stats)
+    assert stats == {"nodes": 2413, "pruned": 8, "leaves": [1240]}
+
+
+def test_interior_nodes_count_against_the_cap():
+    # the single-degree E8 walk pops 1, 120 and 2,292 nodes in degrees 0, 1
+    # and 2, and settles 1,240 leaves in degree 3
+    alg = _e8_algebra()
+    with pytest.raises(ResourceGuardError, match="in degree 2$"):
+        invariant_monomials(alg, 3, max_count=2291)
+    assert len(invariant_monomials(alg, 3, max_count=2292)) == 1240
+
+
+def test_final_factor_lookup_char2_exponents():
+    # degree-1 polynomial generators: a final factor y^e closes e degrees
+    # at once, and equal weights share a lookup entry
+    for r, moduli, weights in ((2, (3,), [(1,), (1,), (2,)]),
+                               (3, (7, 7), [(1, 3), (2, 0), (4, 5), (2, 0)]),
+                               (4, (15,), [(5,), (3,), (0,), (12,)])):
+        gens = [GeneratorSpec(f"y{i}", POLYNOMIAL, 1, w)
+                for i, w in enumerate(weights)]
+        alg = AlgebraSpec.make(2, r, len(moduli), gens, moduli)
+        found = invariant_monomials_by_degree(alg, 1, 9)
+        assert found == invariant_monomials_by_degree(alg, 1, 9, prune=False)
+        assert found == invariant_monomials_oracle_by_degree(alg, 1, 9)
+        order = [g.id for g in invalg._walk_order(alg.generators)]
+        finals = [dict(m.exps)[max(m.support(), key=order.index)]
+                  for ms in found for m in ms]
+        assert max(finals) >= 2
+
+
+def test_stops_keep_exactly_the_generators_with_a_use():
+    # stop[rem] - 1 is the last generator with a child (non-final with an
+    # index) from which some degree in lo..hi is reachable, by degree alone
+    def brute(gens, lo, hi, lookup):
+        ahead = [set() for _ in gens] + [{0}]
+        for j in range(len(gens) - 1, -1, -1):
+            d, cap = gens[j].degree, 1 if gens[j].parity == EXTERIOR else hi
+            ahead[j] = {b + e * d for b in ahead[j + 1]
+                        for e in range(cap + 1) if b + e * d <= hi}
+        stop = [0] * (hi + 1)
+        for rem in range(hi + 1):
+            for j, g in enumerate(gens):
+                cap = 1 if g.parity == EXTERIOR else hi
+                for e in range(1, cap + 1):
+                    r = rem - e * g.degree
+                    if r >= lookup and any(r - (hi - lo) <= b <= r
+                                          for b in ahead[j + 1]):
+                        stop[rem] = j + 1
+        return stop
+
+    rng = random.Random(3)
+    for _ in range(400):
+        gens = [GeneratorSpec(f"g{i}", *rng.choice(
+                    [(EXTERIOR, 1), (POLYNOMIAL, 1), (POLYNOMIAL, 2)]), (0,))
+                for i in range(rng.randint(0, 6))]
+        hi = rng.randint(0, 12)
+        lo = rng.randint(0, hi)
+        for lookup in (False, True):
+            assert invalg._stops(gens, lo, hi, lookup) == \
+                brute(gens, lo, hi, lookup)
 
 
 def test_walk_order_closes_coordinates_early():
