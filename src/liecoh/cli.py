@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InputError, ResourceGuardError
-from .ffq import Fq, multiplicative_generator
+from .ffq import Fq, prime_power
 from .gl2 import gl2_algebra, gl2_landmarks, sl2_algebra, sl2_landmarks
 from .grgln import (
     build_gr_un,
@@ -152,6 +152,13 @@ def _add_output_flags(sp):
                     help="write the report to a file instead of stdout")
 
 
+def _read_json(path, what):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
 def _root_system(args):
     return build_root_system([(args.type, args.rank)])
 
@@ -162,21 +169,14 @@ def _lattice(args, rs, side):
     kind = args.lattice
     if kind in ("adjoint", "sc"):
         return builder(rs, kind)
-    try:
-        blob = json.loads(Path(kind).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read lattice file {kind!r}: {exc}") from exc
+    blob = _read_json(kind, "lattice")
     if not isinstance(blob, dict) or "basis" not in blob:
         raise InputError("lattice file must be a JSON object with a 'basis'")
     return builder(rs, "custom", basis=blob["basis"])
 
 
 def _load_algebra(path):
-    try:
-        blob = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read spec file {path!r}: {exc}") from exc
-    return AlgebraSpec.from_json_dict(blob)
+    return AlgebraSpec.from_json_dict(_read_json(path, "spec"))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def _run_field_info(args):
     results = {
         "q": field.q,
         "modulus": list(field.modulus),
-        "multiplicative_generator": multiplicative_generator(field).to_int(),
+        "multiplicative_generator": field.generator,
     }
     return "field_info", {"p": args.p, "r": args.r}, results, True
 
@@ -302,7 +302,7 @@ def _run_rootsys_divisibility(args):
 def _run_rootsys_action_index(args):
     rs = _root_system(args)
     lat = _lattice(args, rs, "character")
-    q = args.p ** args.r
+    q = prime_power(args.p, args.r)
     roots = []
     for root in rs.positive_roots:
         roots.append({"root": list(root.coords),
@@ -373,11 +373,7 @@ def _run_theorem_borel2(args):
 def _run_verify_all(args):
     names = None
     if args.grid:
-        try:
-            blob = json.loads(Path(args.grid).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(
-                f"cannot read grid file {args.grid!r}: {exc}") from exc
+        blob = _read_json(args.grid, "grid")
         names = blob.get("criteria") if isinstance(blob, dict) else blob
         if not isinstance(names, list):
             raise InputError("grid file must hold a list of criterion names")

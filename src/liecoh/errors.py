@@ -13,3 +13,11 @@ class InputError(ValueError):
 
 class ResourceGuardError(RuntimeError):
     """An enumeration or field-size cap was exceeded."""
+
+
+def require_int(value, what: str):
+    """The value itself when its type is int (a bool is not); InputError
+    naming `what` otherwise."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -15,10 +15,12 @@ Two canonical choices make every run reproducible:
   lexicographically smallest element of multiplicative order q - 1 under the
   same coefficient ordering.
 
-Multiplication, powers and inverses act on element numbers (`Fq.mul`,
-`Fq.pow`, `Fq.inv`; `FqElement` operators delegate to them).  A product is
-one `% p` for r = 1, and otherwise one int product of the two numbers'
-digits packed in slots too wide to carry, reduced once by `_poly_rem`.
+`Fq` is the one field type, and an algebra spec carries its own.  Elements
+leave this module only as element numbers: in and out of `Fq.mul`, `Fq.pow`,
+`Fq.inv`, `multiplicative_generator` and `FqMatrix`.  (`FqElement` is a
+naive coefficient-tuple reference over them.)  A product is one `% p` for
+r = 1, and otherwise one int product of the two numbers' digits packed in
+slots too wide to carry, reduced once by `_poly_rem`.
 A matrix entry is one int code, its r coefficients packed little-endian in
 slots of w = (n*r*(p-1)**2).bit_length() bits (for r = 1, the residue), so
 a sum of n code products never carries between slots (Kronecker
@@ -32,12 +34,13 @@ enumerations and samples at 10**6 matrices; the caps fail loudly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import InputError, ResourceGuardError
+from .errors import InputError, ResourceGuardError, require_int
 
 Q_CAP = 2 ** 20
 ENUMERATION_CAP = 10 ** 6
@@ -69,23 +72,20 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    p: int
-    r: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InputError(f"p = {self.p} is not prime")
-        if self.r < 1:
-            raise InputError(f"r = {self.r} must be positive")
-        if self.p ** self.r > Q_CAP:
-            raise ResourceGuardError(
-                f"q = {self.p}^{self.r} exceeds the field size cap {Q_CAP}")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.r
+def prime_power(p: int, r: int) -> int:
+    """q = p^r, once p is checked to be a prime int, r an int >= 1 and q at
+    most the field size cap Q_CAP."""
+    require_int(p, "p")
+    require_int(r, "r")
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not prime")
+    if r < 1:
+        raise InputError(f"r = {r} must be positive")
+    # p^r >= 2^r, so an r past the cap's bit length needs no power computed
+    if r >= Q_CAP.bit_length() or p ** r > Q_CAP:
+        raise ResourceGuardError(
+            f"q = {p}^{r} exceeds the field size cap {Q_CAP}")
+    return p ** r
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
 
     For r = 1 this is the polynomial t itself, (0, 1).
     """
-    PrimePower(p, r)
+    prime_power(p, r)
     for c0 in range(p) if r == 1 else range(1, p):
         for rest in itertools.product(range(p), repeat=r - 1):
             f = (c0,) + rest + (1,)
@@ -144,10 +144,9 @@ class Fq:
     """Field context F_p[t] / (modulus), with canonical modulus by default."""
 
     def __init__(self, p: int, r: int, modulus=None):
-        self.pp = PrimePower(p, r)
+        self.q = prime_power(p, r)
         self.p = p
         self.r = r
-        self.q = self.pp.q
         if modulus is None:
             modulus = find_irreducible(p, r)
         else:
@@ -170,6 +169,11 @@ class Fq:
 
     def __repr__(self):
         return f"Fq({self.p}, {self.r})"
+
+    @functools.cached_property
+    def generator(self) -> int:
+        """`multiplicative_generator` of this field, found on first use."""
+        return multiplicative_generator(self)
 
     def from_int(self, k: int) -> "FqElement":
         """Element number k, 0 <= k < q, little-endian base-p digits."""
@@ -206,11 +210,7 @@ class Fq:
         if r == 1:
             return a * b % p
         w = self._w
-        k = 0
-        for c in reversed(_reduce_slots(
-                self, _pack(a, p, r, w) * _pack(b, p, r, w), w)):
-            k = k * p + c
-        return k
+        return _number(self, _pack(a, p, r, w) * _pack(b, p, r, w), w)
 
     def pow(self, a: int, e: int) -> int:
         """Element number of a ** e; a negative e inverts a first."""
@@ -233,10 +233,10 @@ class Fq:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.q - 2)
 
-    def multiplicative_order(self, e: "FqElement") -> int:
-        if e.is_zero():
+    def multiplicative_order(self, k: int) -> int:
+        if not k:
             raise InputError("zero has no multiplicative order")
-        k, order = e.to_int(), self.q - 1
+        order = self.q - 1
         for ell in prime_factors(self.q - 1):
             while order % ell == 0 and self.pow(k, order // ell) == 1:
                 order //= ell
@@ -291,14 +291,15 @@ class FqElement:
         return f"FqElement{self.coeffs}"
 
 
-def multiplicative_generator(field: Fq) -> FqElement:
-    """Lexicographically smallest element of multiplicative order q - 1."""
-    q = field.q
-    tests = [(q - 1) // ell for ell in prime_factors(q - 1)]
-    for e in field.elements():
-        k = e.to_int()
-        if k and all(field.pow(k, t) != 1 for t in tests):
-            return e
+def multiplicative_generator(field: Fq) -> int:
+    """Element number of the lexicographically smallest element of
+    multiplicative order q - 1, coefficient vectors compared from c0."""
+    for coeffs in itertools.product(range(field.p), repeat=field.r):
+        k = 0
+        for c in reversed(coeffs):
+            k = k * field.p + c
+        if k and field.multiplicative_order(k) == field.q - 1:
+            return k
     raise AssertionError("no generator found")  # unreachable
 
 
@@ -319,6 +320,14 @@ def _pack(k: int, p: int, r: int, w: int) -> int:
     return code
 
 
+def _number(field: Fq, acc: int, w: int) -> int:
+    """Element number of `_reduce_slots(field, acc, w)`."""
+    k = 0
+    for c in reversed(_reduce_slots(field, acc, w)):
+        k = k * field.p + c
+    return k
+
+
 def _reduce_slots(field: Fq, acc: int, w: int) -> list[int]:
     """Coefficients of the product whose unreduced polynomial (at most
     2r - 1 terms) sits in acc's w-bit slots, reduced mod the modulus."""
@@ -329,17 +338,10 @@ def _reduce_slots(field: Fq, acc: int, w: int) -> list[int]:
 
 class FqMatrix:
     """Square matrix over F_q, each entry one int code; immutable by
-    convention.  `FqMatrix(field, rows)` packs rows of FqElements once, and
-    `entry` and `rows` unpack FqElements on demand."""
+    convention.  Built from element numbers (`from_ints`, `identity`) and
+    read back as element numbers (`to_int_rows`)."""
 
     __slots__ = ("field", "codes")
-
-    def __init__(self, field: Fq, rows):
-        if any(e.field != field for row in rows for e in row):
-            raise InputError("matrix entries from a different field")
-        self.field = field
-        self.codes = FqMatrix.from_ints(
-            field, [[e.to_int() for e in row] for row in rows]).codes
 
     @classmethod
     def _of(cls, field: Fq, codes) -> "FqMatrix":
@@ -364,16 +366,6 @@ class FqMatrix:
     @property
     def n(self) -> int:
         return len(self.codes)
-
-    def entry(self, i: int, j: int) -> FqElement:
-        code, w = self.codes[i][j], _slot_width(self.field, self.n)
-        return FqElement(self.field, tuple(
-            code >> s & (1 << w) - 1 for s in range(0, self.field.r * w, w)))
-
-    @property
-    def rows(self) -> tuple[tuple[FqElement, ...], ...]:
-        return tuple(tuple(self.entry(i, j) for j in range(self.n))
-                     for i in range(self.n))
 
     def __eq__(self, other):
         return isinstance(other, FqMatrix) and \
@@ -408,7 +400,8 @@ class FqMatrix:
             for row in self.codes]))
 
     def to_int_rows(self) -> list[list[int]]:
-        return [[e.to_int() for e in row] for row in self.rows]
+        f, w = self.field, _slot_width(self.field, self.n)
+        return [[_number(f, code, w) for code in row] for row in self.codes]
 
     def is_unitriangular(self) -> bool:
         return all(row[i] == 1 and not any(row[:i])

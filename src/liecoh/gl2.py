@@ -13,6 +13,7 @@ silently patched.
 """
 
 from .errors import InputError
+from .ffq import prime_power
 from .invalg import (
     EXTERIOR,
     POLYNOMIAL,
@@ -24,7 +25,7 @@ from .invalg import (
 )
 
 
-def _rank_one_algebra(p, r, modulus):
+def _rank_one_algebra(p, r, moduli=None):
     gens = []
     if p == 2:
         for k in range(r):
@@ -34,14 +35,14 @@ def _rank_one_algebra(p, r, modulus):
             gens.append(GeneratorSpec(f"x{k}", EXTERIOR, 1, (p ** k,)))
         for k in range(r):
             gens.append(GeneratorSpec(f"y{k}", POLYNOMIAL, 2, (p ** k,)))
-    return AlgebraSpec.make(p, r, 1, gens, (modulus,))
+    return AlgebraSpec.make(p, r, 1, gens, moduli)
 
 
 def gl2_algebra(p, r) -> AlgebraSpec:
     """Weighted algebra whose invariants give the rank-one dimensions with
     the full group of units acting."""
-    q = p ** r
-    return _rank_one_algebra(p, r, q - 1 if q > 2 else 1)
+    prime_power(p, r)     # before any generator is built
+    return _rank_one_algebra(p, r)
 
 
 def sl2_algebra(p, r) -> AlgebraSpec:
@@ -51,7 +52,7 @@ def sl2_algebra(p, r) -> AlgebraSpec:
     """
     if p == 2:
         raise InputError("the squares-of-units variant needs p odd")
-    return _rank_one_algebra(p, r, (p ** r - 1) // 2)
+    return _rank_one_algebra(p, r, ((prime_power(p, r) - 1) // 2,))
 
 
 def _expected_monomial(r, xexp, yexp):

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceGuardError
-from .ffq import ENUMERATION_CAP, Fq, FqMatrix, PrimePower, is_prime, \
-    mat_pow, unitriangular_elements
+from .ffq import ENUMERATION_CAP, Fq, FqMatrix, is_prime, mat_pow, \
+    prime_power, unitriangular_elements
 from .gl2 import gl2_landmarks
 from .invalg import (
     EXTERIOR,
@@ -43,10 +43,13 @@ from .invalg import (
 
 @dataclass(frozen=True)
 class GrUnSpec:
-    """The graded model of U_n(F_q): matrix size, field, weighted algebra."""
+    """The graded model of U_n(F_q): matrix size and weighted algebra."""
     n: int
-    field: PrimePower
     algebra: AlgebraSpec
+
+    @property
+    def field(self) -> Fq:
+        return self.algebra.field
 
 
 def build_gr_un(n: int, p: int, r: int) -> GrUnSpec:
@@ -54,6 +57,7 @@ def build_gr_un(n: int, p: int, r: int) -> GrUnSpec:
     pair per position (i, j), i < j, and twist k, ordered by (i, j, k)."""
     if n < 2:
         raise InputError("matrix size must be at least 2")
+    prime_power(p, r)     # before any generator is built
     gens = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -69,8 +73,7 @@ def build_gr_un(n: int, p: int, r: int) -> GrUnSpec:
                                               1, tuple(w)))
                     gens.append(GeneratorSpec(f"y[{i},{j},{k}]", POLYNOMIAL,
                                               2, tuple(w)))
-    alg = AlgebraSpec.make(p, r, n, gens)
-    return GrUnSpec(n, alg.field, alg)
+    return GrUnSpec(n, AlgebraSpec.make(p, r, n, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +84,7 @@ def build_gr_un(n: int, p: int, r: int) -> GrUnSpec:
 class SubgroupSupport:
     """Named set of generator ids spanning a subgroup's graded image."""
     name: str
-    generator_ids: frozenset
-
-    @property
-    def ids(self):
-        return self.generator_ids
+    ids: frozenset
 
 
 def _position_ids(spec: GrUnSpec, i: int, j: int):
@@ -111,7 +110,7 @@ def subgroup_support(spec: GrUnSpec, kind: str, *indices) -> SubgroupSupport:
     column m from row l down — the elements fixing everything outside the
     (l, m) hook.  kind "edge" (one index i, 1 < i < n): the full (1, n) hook
     with positions (1, i) and (i, n) removed.  kind "root" (two indices):
-    a single position.  kind "superdiag" (one index k): position (k, k+1).
+    a single position.
     """
     n = spec.n
 
@@ -141,14 +140,6 @@ def subgroup_support(spec: GrUnSpec, kind: str, *indices) -> SubgroupSupport:
         check(i, j)
         positions = {(i, j)}
         name = f"root({i},{j})"
-    elif kind == "superdiag":
-        if len(indices) != 1:
-            raise InputError("superdiag support takes one index")
-        (k,) = indices
-        if not 1 <= k <= n - 1:
-            raise InputError(f"superdiagonal index must satisfy 1 <= k < {n}")
-        positions = {(k, k + 1)}
-        name = f"superdiag({k})"
     else:
         raise InputError(f"unknown support kind {kind!r}")
     ids = frozenset(gid for (i, j) in sorted(positions)
@@ -268,7 +259,7 @@ def theorem_lowest_gl(n: int, p: int, r: int) -> dict:
     Covered parameter ranges: characteristic 2 (any r) and odd p with r = 1;
     odd p with r > 1 is out of scope and rejected.
     """
-    PrimePower(p, r)
+    prime_power(p, r)
     if n < 2:
         raise InputError("matrix size must be at least 2")
     if p != 2 and r != 1:
@@ -352,7 +343,6 @@ def theorem_borel_char2(n: int, r: int) -> dict:
     dimension n - 1 in degree r, one line per superdiagonal position."""
     if n < 2:
         raise InputError("matrix size must be at least 2")
-    PrimePower(2, r)
     spec = build_gr_un(n, 2, r)
     hd = hook_detection(spec)
     ingredients = [_computed(
@@ -363,7 +353,7 @@ def theorem_borel_char2(n: int, r: int) -> dict:
          "kernel_dim": hd["kernel_dim"]})]
     sd_dims = []
     for k in range(1, n):
-        sub = subgroup_support(spec, "superdiag", k)
+        sub = subgroup_support(spec, "root", k, k + 1)
         sd_dims.append(dimension_series(spec.algebra.restrict(sub.ids),
                                         r, "invariant")[r])
     ingredients.append(_computed(
@@ -415,7 +405,7 @@ def commuting_regular_subgroup(n: int, p: int, r: int) -> dict:
     """
     if n < 2:
         raise InputError("matrix size must be at least 2")
-    order = PrimePower(p, r).q
+    order = prime_power(p, r)
     if n > p:
         raise InputError("regular unipotents of order p need n <= p")
     if order > ENUMERATION_CAP:

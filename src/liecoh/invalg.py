@@ -73,8 +73,8 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .errors import InputError, ResourceGuardError
-from .ffq import Fq, PrimePower, multiplicative_generator
+from .errors import InputError, ResourceGuardError, require_int
+from .ffq import Fq, prime_power
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
@@ -95,21 +95,25 @@ class GeneratorSpec:
             raise InputError("generator id must be a nonempty string")
         if self.parity not in (EXTERIOR, POLYNOMIAL):
             raise InputError(f"unknown parity {self.parity!r}")
-        object.__setattr__(self, "weight", tuple(int(w) for w in self.weight))
+        weight = tuple(self.weight)
+        if not all(type(v) is int for v in (self.degree, *weight)):
+            raise InputError(f"generator {self.id!r}: degree and weight "
+                             "entries must be integers")
+        object.__setattr__(self, "weight", weight)
 
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    field: PrimePower
+    field: Fq
     torus_rank: int
     moduli: tuple[int, ...]
-    char2_mode: bool
     generators: tuple[GeneratorSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
+        object.__setattr__(self, "moduli", tuple(
+            require_int(m, "modulus") for m in self.moduli))
         object.__setattr__(self, "generators", tuple(self.generators))
-        if self.torus_rank < 1:
+        if require_int(self.torus_rank, "torus rank") < 1:
             raise InputError("torus rank must be at least 1")
         if len(self.moduli) != self.torus_rank:
             raise InputError("need one modulus per torus coordinate")
@@ -117,10 +121,9 @@ class AlgebraSpec:
         for m in self.moduli:
             if m < 1 or (qm1 % m if qm1 else m != 1):
                 raise InputError(f"modulus {m} does not divide q-1 = {qm1}")
-        if self.char2_mode != (self.field.p == 2):
-            raise InputError("char2_mode must hold exactly when p = 2")
         seen = set()
         reduced = []
+        char2 = self.char2_mode
         for g in self.generators:
             if g.id in seen:
                 raise InputError(f"duplicate generator id {g.id!r}")
@@ -128,12 +131,12 @@ class AlgebraSpec:
             if len(g.weight) != self.torus_rank:
                 raise InputError(f"generator {g.id!r}: weight length mismatch")
             if g.parity == EXTERIOR:
-                if self.char2_mode:
+                if char2:
                     raise InputError("no exterior generators in char-2 mode")
                 if g.degree != 1:
                     raise InputError("exterior generators have degree 1")
             else:
-                want = 1 if self.char2_mode else 2
+                want = 1 if char2 else 2
                 if g.degree != want:
                     raise InputError(
                         f"polynomial generators have degree {want} here")
@@ -143,12 +146,16 @@ class AlgebraSpec:
 
     @classmethod
     def make(cls, p, r, torus_rank, generators, moduli=None):
-        field = PrimePower(p, r)
+        field = Fq(p, r)
         if moduli is None:
             moduli = (field.q - 1,) * torus_rank if field.q > 2 \
                 else (1,) * torus_rank
         return cls(field=field, torus_rank=torus_rank, moduli=tuple(moduli),
-                   char2_mode=(p == 2), generators=tuple(generators))
+                   generators=tuple(generators))
+
+    @property
+    def char2_mode(self) -> bool:
+        return self.field.p == 2
 
     @property
     def ids(self):
@@ -167,8 +174,7 @@ class AlgebraSpec:
         if unknown:
             raise InputError(f"unknown generator ids {sorted(unknown)}")
         gens = tuple(g for g in self.generators if g.id in keep)
-        return AlgebraSpec(self.field, self.torus_rank, self.moduli,
-                           self.char2_mode, gens)
+        return AlgebraSpec(self.field, self.torus_rank, self.moduli, gens)
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,10 +195,13 @@ class AlgebraSpec:
                 GeneratorSpec(g["id"], g["parity"], g["degree"],
                               tuple(g["weight"]), g.get("tag", ""))
                 for g in blob["generators"])
-            return cls(PrimePower(blob["field"]["p"], blob["field"]["r"]),
-                       blob["torus_rank"], tuple(blob["moduli"]),
-                       blob["char2_mode"], gens)
-        except (KeyError, TypeError) as exc:
+            field = Fq(blob["field"]["p"], blob["field"]["r"])
+            if blob["char2_mode"] is not (field.p == 2):
+                raise InputError("char2_mode must hold exactly when p = 2")
+            return cls(field, blob["torus_rank"], tuple(blob["moduli"]), gens)
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed algebra spec: {exc}") from exc
 
     def spec_hash(self) -> str:
@@ -682,12 +691,13 @@ def invariant_monomials_oracle_by_degree(
     base-q digits.  The right half multiplies by inverted eigenvalues, so a
     left monomial and a right one multiply to 1 exactly when their states
     are equal, and a hash join on the state pairs them in each degree d.
-    Scalars, eigenvalues and products are element numbers
-    (`Fq.from_int`).  Each eigenvalue is a field power of its scalar,
-    computed once per (scalar, weight) pair; every product is an actual
-    field multiplication, `Fq.mul`, made on the first lookup of an
-    (eigenvalue, element) pair and kept in a table while the budget lasts.
-    The field and its scalars are set up once per call.
+    Scalars, eigenvalues and products are element numbers of the spec's
+    own field, `alg.field`, whose generator is found once per field object.
+    Each eigenvalue is a field power of its scalar, computed once per
+    (scalar, weight) pair; every product is an actual field multiplication,
+    `Fq.mul`, made on the first lookup of an (eigenvalue, element) pair and
+    kept in a table while the budget lasts.  The scalars are set up once
+    per call.
 
     The number of monomials of each degree is known from the two halves'
     Hilbert series before anything is walked; when a degree has more than
@@ -711,10 +721,9 @@ def invariant_monomials_oracle_by_degree(
     if not pairs:
         return [[] for _ in degrees]
 
-    field = Fq(alg.field.p, alg.field.r)
+    field = alg.field
     q = field.q
-    gen = multiplicative_generator(field).to_int()
-    scalars = [field.pow(gen, (q - 1) // m if q > 2 else 0)
+    scalars = [field.pow(field.generator, (q - 1) // m if q > 2 else 0)
                for m in alg.moduli]
     inverted = [field.inv(x) for x in scalars]
     places = [q ** c for c in range(alg.torus_rank)]
@@ -866,8 +875,7 @@ def quillen_verify(p: int, r: int) -> dict:
     There are C(r(p-1) + r, r) such tuples with sum <= r(p-1), counting the
     zero tuple; above QUILLEN_CAP the check is refused before it starts.
     """
-    pp = PrimePower(p, r)
-    modulus = pp.q - 1
+    modulus = prime_power(p, r) - 1
     bound = r * (p - 1)
     total = math.comb(bound + r, r)
     if total > QUILLEN_CAP:
@@ -916,9 +924,8 @@ def random_algebra_spec(rng) -> AlgebraSpec:
     """Seeded random spec for cross-checking the two invariance routes."""
     p, r = rng.choice([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
                        (5, 1), (7, 1), (11, 1), (13, 1)])
-    q = p ** r
     rank = rng.randint(1, 3)
-    qm1 = q - 1
+    qm1 = p ** r - 1
     divisors = [d for d in range(1, qm1 + 1) if qm1 % d == 0] or [1]
     moduli = tuple(rng.choice(divisors) for _ in range(rank))
     gens = []

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .errors import InputError
-from .ffq import is_prime, prime_factors
+from .errors import InputError, require_int
+from .ffq import is_prime, prime_factors, prime_power
 from .invalg import EXTERIOR, POLYNOMIAL, AlgebraSpec, GeneratorSpec
 
 LONG = "long"
@@ -239,7 +239,11 @@ def _normalize_kind(kind):
 def _custom_basis(rs, basis):
     if basis is None:
         raise InputError("custom lattice needs an explicit basis")
-    rows = tuple(tuple(int(v) for v in row) for row in basis)
+    if not isinstance(basis, (list, tuple)) \
+            or not all(isinstance(row, (list, tuple)) for row in basis):
+        raise InputError("lattice basis must be a list of rows")
+    rows = tuple(tuple(require_int(v, "lattice basis entry") for v in row)
+                 for row in basis)
     if len(rows) != rs.simple_count or any(len(r) != rs.simple_count
                                            for r in rows):
         raise InputError("lattice basis must be square of full rank size")
@@ -428,9 +432,8 @@ def lie_gr_algebra(rs: RootSystem, lattice: LatticeSpec, p: int,
     """Weighted algebra with one generator pair per positive root and twist:
     the torus coordinate i acts on the root-alpha, twist-k generators with
     weight p^k * <alpha, basis row i>, read modulo q-1."""
-    q = p ** r
+    prime_power(p, r)     # before any generator is built
     rank = rs.simple_count
-    modulus = q - 1 if q > 2 else 1
     base = []
     for root in rs.positive_roots:
         base.append(tuple(
@@ -449,4 +452,4 @@ def lie_gr_algebra(rs: RootSystem, lattice: LatticeSpec, p: int,
                     f"x[{ridx},{k}]", EXTERIOR, 1, weight, tag))
                 gens.append(GeneratorSpec(
                     f"y[{ridx},{k}]", POLYNOMIAL, 2, weight, tag))
-    return AlgebraSpec.make(p, r, rank, gens, (modulus,) * rank)
+    return AlgebraSpec.make(p, r, rank, gens)

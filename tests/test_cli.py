@@ -93,6 +93,41 @@ def test_invariants_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# each edit of a well-formed gl2(3,1) spec file: (path into the blob, value)
+BAD_SPEC_EDITS = {
+    "p_float": (("field", "p"), 3.0),
+    "r_float": (("field", "r"), 1.0),
+    "r_bool": (("field", "r"), True),
+    "torus_rank_float": (("torus_rank",), 1.0),
+    "modulus_float": (("moduli", 0), 2.5),
+    "weight_float": (("generators", 0, "weight", 0), 1.7),
+    "weight_string": (("generators", 0, "weight", 0), "x"),
+    "degree_float": (("generators", 1, "degree"), 2.0),
+    "degree_and_weight_float": (("generators", 0), {
+        "id": "x0", "parity": "exterior", "degree": 1.0, "weight": [1.7]}),
+    "char2_mode_int": (("char2_mode",), 0),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_SPEC_EDITS.values(), ids=BAD_SPEC_EDITS)
+def test_invariants_run_rejects_non_integer_spec(tmp_path, capsys, edit):
+    blob = gl2_algebra(3, 1).to_json_dict()
+    path, value = edit
+    target = blob
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(blob))
+    for flags in (["--filter", "all"], ["--filter", "invariant", "--oracle"],
+                  ["--filter", "invariant_nilpotent"]):
+        code = main(["invariants", "run", "--spec", str(spec),
+                     "--max-degree", "4"] + flags)
+        err = capsys.readouterr().err
+        assert code == 2, (flags, err)
+        assert err.startswith("error: ")
+
+
 def test_check_quillen(capsys):
     code, env = run_json(capsys, ["check", "quillen", "--p", "3", "--r", "1"])
     assert code == 0
@@ -246,6 +281,28 @@ def test_rootsys_divisibility_and_index(capsys):
     assert env["results"]["distinct_indices"] == [1]
 
 
+def test_rootsys_action_index_checks_the_field(capsys):
+    # p and r are checked as for every other --p: prime, r >= 1, q capped
+    for p, r, want in (("4", "1", 2), ("3", "0", 2), ("1", "2", 2),
+                       ("2", "21", 3)):
+        code = main(["rootsys", "action-index", "--type", "A", "--rank", "2",
+                     "--p", p, "--r", r])
+        assert code == want, (p, r)
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("basis", [[[1, "a"], [0, 1]], [[1.5, 0], [0, 1]],
+                                   [[True, 0], [0, 1]], 5, [[1, 0], 1]],
+                         ids=["string", "float", "bool", "int", "row_int"])
+def test_rootsys_lattice_file_rejects_non_integers(tmp_path, capsys, basis):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"basis": basis}))
+    code = main(["rootsys", "bound", "--type", "A", "--rank", "2", "--r", "2",
+                 "--lattice", str(lattice)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_rootsys_algebra(capsys):
     code, env = run_json(capsys, ["rootsys", "algebra", "--type", "A",
                                   "--rank", "2", "--p", "2", "--r", "2",
@@ -373,6 +430,20 @@ def test_bad_input_exit_two(capsys):
     assert main(["gl2", "landmarks", "--p", "4", "--r", "1"]) == 2
     assert main(["rootsys", "info", "--type", "H", "--rank", "2"]) == 2
     assert main(["grun", "essential", "--n", "4", "--p", "2"]) == 2
+
+
+def test_field_checked_before_generators_are_built(capsys):
+    # r = 10**6 would otherwise build 10**6 generators per root or position,
+    # with weights up to p^r, before the field size cap is looked at
+    big = ["--r", "1000000"]
+    for argv in (["gl2", "landmarks", "--p", "3"] + big,
+                 ["sl2", "landmarks", "--p", "3"] + big,
+                 ["grun", "build", "--n", "3", "--p", "3"] + big,
+                 ["theorem", "borel2", "--n", "3"] + big,
+                 ["rootsys", "algebra", "--type", "A", "--rank", "2", "--p",
+                  "3", "--max-degree", "1"] + big):
+        assert main(argv) == 3, argv
+        assert "exceeds the field size cap" in capsys.readouterr().err
 
 
 def test_missing_flag_usage_error():

@@ -9,11 +9,11 @@ from liecoh.ffq import (
     ENUMERATION_CAP,
     Fq,
     FqMatrix,
-    PrimePower,
     find_irreducible,
     is_prime,
     mat_pow,
     multiplicative_generator,
+    prime_power,
     unitriangular_elements,
 )
 
@@ -58,13 +58,22 @@ def reducible_by_product(f, p):
 # ---------------------------------------------------------------------------
 
 def test_prime_power_validation():
-    assert PrimePower(3, 2).q == 9
-    with pytest.raises(InputError):
-        PrimePower(4, 1)
-    with pytest.raises(InputError):
-        PrimePower(3, 0)
+    assert prime_power(3, 2) == 9
+    assert prime_power(2, 20) == 2 ** 20
+    with pytest.raises(InputError, match="p = 4 is not prime"):
+        prime_power(4, 1)
+    with pytest.raises(InputError, match="r = 0 must be positive"):
+        prime_power(3, 0)
     with pytest.raises(ResourceGuardError):
-        PrimePower(2, 21)
+        prime_power(2, 21)
+    with pytest.raises(ResourceGuardError):
+        prime_power(3, 10 ** 9)
+    # is_prime(2.0) holds, so a float must be refused before it is asked
+    for p, r in ((2.0, 1), (2, 1.0), (True, 1), (3, True), ("3", 1)):
+        with pytest.raises(InputError, match="must be an integer"):
+            prime_power(p, r)
+        with pytest.raises(InputError, match="must be an integer"):
+            Fq(p, r)
 
 
 def test_find_irreducible_frozen_values():
@@ -252,24 +261,27 @@ def test_number_arithmetic_matches_naive_reference():
 
 
 def test_multiplicative_generator_frozen_values():
-    assert multiplicative_generator(Fq(3, 1)).coeffs == (2,)
-    assert multiplicative_generator(Fq(5, 1)).coeffs == (2,)
-    assert multiplicative_generator(Fq(7, 1)).coeffs == (3,)
-    assert multiplicative_generator(Fq(2, 2)).coeffs == (0, 1)
-    assert multiplicative_generator(Fq(3, 2)).coeffs == (1, 1)
-    assert multiplicative_generator(Fq(2, 1)).coeffs == (1,)
+    # F_4: coefficients (0, 1), the element t; F_9: (1, 1), 1 + t
+    assert multiplicative_generator(Fq(3, 1)) == 2
+    assert multiplicative_generator(Fq(5, 1)) == 2
+    assert multiplicative_generator(Fq(7, 1)) == 3
+    assert multiplicative_generator(Fq(2, 2)) == 2
+    assert multiplicative_generator(Fq(3, 2)) == 4
+    assert multiplicative_generator(Fq(2, 1)) == 1
     # element numbers of the generator, as `field info` reports them
     frozen = {(2, 3): 4, (2, 4): 4, (2, 8): 160, (2, 10): 256, (3, 3): 18,
               (3, 6): 324, (5, 2): 16, (5, 3): 50, (7, 2): 15, (11, 2): 45,
               (13, 2): 79, (2, 20): 524288}
     for (p, r), k in frozen.items():
-        assert multiplicative_generator(Fq(p, r)).to_int() == k, (p, r)
+        field = Fq(p, r)
+        assert multiplicative_generator(field) == k, (p, r)
+        assert field.generator == k, (p, r)
 
 
 def test_multiplicative_generator_has_full_order():
     for p, r in ((2, 2), (3, 2), (5, 1), (7, 1), (2, 4), (3, 3), (13, 1)):
         k = Fq(p, r)
-        g = multiplicative_generator(k)
+        g = k.from_int(multiplicative_generator(k))
         n = k.q - 1
         acc = k.one()
         seen = set()
@@ -287,15 +299,17 @@ def test_multiplicative_generator_is_lex_smallest():
         k = Fq(p, r)
         g = multiplicative_generator(k)
         for e in k.elements():
-            if e.coeffs >= g.coeffs:
+            if e.coeffs >= k.from_int(g).coeffs:
                 break
             if e.is_zero():
                 continue
-            assert k.multiplicative_order(e) < k.q - 1
+            assert k.multiplicative_order(e.to_int()) < k.q - 1
         assert k.multiplicative_order(g) == k.q - 1
         assert by_number == next(
             x for x in range(1, k.q)
-            if k.multiplicative_order(k.from_int(x)) == k.q - 1)
+            if k.multiplicative_order(x) == k.q - 1)
+    with pytest.raises(InputError):
+        Fq(5, 1).multiplicative_order(0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +357,18 @@ def test_mat_pow_product_count(monkeypatch):
 def entrywise_product(x, y):
     """Matrix product from FqElement * and + alone."""
     f, n = x.field, x.n
+    xs, ys = ([[f.from_int(v) for v in row] for row in m.to_int_rows()]
+              for m in (x, y))
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             acc = f.zero()
             for k in range(n):
-                acc = acc + x.entry(i, k) * y.entry(k, j)
-            row.append(acc)
-        rows.append(tuple(row))
-    return FqMatrix(f, tuple(rows))
+                acc = acc + xs[i][k] * ys[k][j]
+            row.append(acc.to_int())
+        rows.append(row)
+    return FqMatrix.from_ints(f, rows)
 
 
 PRODUCT_FIELDS = [Fq(p, r) for p, r in
@@ -375,13 +391,14 @@ def test_matrix_product_fills_every_slot(f):
 def test_matrix_from_elements_equals_from_ints(f):
     ints = [[(7919 * i + 104729 * j + 1) % f.q for j in range(3)]
             for i in range(3)]
-    elements = tuple(tuple(f.from_int(v) for v in row) for row in ints)
     a = FqMatrix.from_ints(f, ints)
-    b = FqMatrix(f, elements)
+    # entries are taken mod q, so a second build from shifted numbers
+    b = FqMatrix.from_ints(f, [[v + f.q for v in row] for row in ints])
     assert a == b
     assert hash(a) == hash(b)
-    assert b.rows == elements
     assert b.to_int_rows() == ints
+    assert [[f.from_int(v).to_int() for v in row]
+            for row in a.to_int_rows()] == ints
     assert a != FqMatrix.identity(f, 3)
 
 
@@ -432,8 +449,8 @@ def test_unitriangular_enumeration_order():
     # odometer order: position (0,1) moves fastest, then (0,2), then (1,2)
     k2 = Fq(2, 1)
     mats = list(unitriangular_elements(3, k2))
-    sig = [tuple(e.to_int() for e in (m.entry(0, 1), m.entry(0, 2), m.entry(1, 2)))
-           for m in mats]
+    sig = [(rows[0][1], rows[0][2], rows[1][2])
+           for rows in (m.to_int_rows() for m in mats)]
     assert sig[0] == (0, 0, 0)
     assert sig[1] == (1, 0, 0)
     assert sig[2] == (0, 1, 0)
@@ -471,4 +488,4 @@ def test_mixed_field_arithmetic_rejected():
     with pytest.raises(InputError):
         _ = a + b
     with pytest.raises(InputError):
-        FqMatrix(Fq(3, 1), ((a, b), (a, a)))
+        _ = FqMatrix.identity(Fq(3, 1), 2) * FqMatrix.identity(Fq(5, 1), 2)

@@ -94,7 +94,7 @@ def test_subgroup_supports():
 
     root = subgroup_support(spec4, "root", 1, 2)
     assert root.ids == {"x[1,2,0]", "y[1,2,0]"}
-    sup = subgroup_support(spec4, "superdiag", 2)
+    sup = subgroup_support(spec4, "root", 2, 3)
     assert sup.ids == {"x[2,3,0]", "y[2,3,0]"}
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.ffq import Fq, multiplicative_generator
-from liecoh import invalg
+from liecoh import ffq, invalg
 from liecoh.gl2 import gl2_algebra, sl2_algebra
 from liecoh.grgln import build_gr_un, subgroup_support
 from liecoh.rootsys import build_root_system, cocharacter_lattice, \
@@ -151,6 +151,7 @@ def test_restrict_keeps_order_and_context():
     sub = alg.restrict(["x12", "y12", "x23"])
     assert [g.id for g in sub.generators] == ["x12", "y12", "x23"]
     assert sub.torus_rank == 3 and sub.moduli == alg.moduli
+    assert sub.field is alg.field
     with pytest.raises(InputError):
         alg.restrict(["nope"])
 
@@ -518,11 +519,29 @@ def test_oracle_odd_extension_fields(alg):
         assert oracle[d - 1] == eigenvalue_reference(alg, d)
 
 
+def test_oracle_reuses_the_spec_field(monkeypatch):
+    # the spec carries its field: no oracle call searches for a modulus,
+    # and the generator is found once for the field object
+    alg = gl2_algebra(5, 2)
+    calls = {"multiplicative_generator": 0, "find_irreducible": 0}
+    for name in calls:
+        def counting(*args, real=getattr(ffq, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        for module in (ffq, invalg):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    for d in range(1, 9):
+        assert invariant_monomials_oracle(alg, d) == []
+    assert invariant_monomials_oracle_by_degree(alg, 1, 8) == [[]] * 8
+    assert calls == {"multiplicative_generator": 1, "find_irreducible": 0}
+
+
 def eigenvalue_reference(alg, degree):
     """Every monomial of the degree whose eigenvalues, multiplied out one
     factor at a time in F_q, give 1 in every torus coordinate."""
     field = Fq(alg.field.p, alg.field.r)
-    gen = multiplicative_generator(field)
+    gen = field.from_int(multiplicative_generator(field))
     q = field.q
     scalars = [gen ** ((q - 1) // m if q > 2 else 0) for m in alg.moduli]
     keep = []
