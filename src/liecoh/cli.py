@@ -61,15 +61,19 @@ from .verifygrid import run_grid
 # report plumbing
 # ---------------------------------------------------------------------------
 
-def _envelope(op, params, results, ok):
+def _envelope(args, results, ok, params=None):
+    """One command's report: op is its words joined by "_", and params its
+    declared flags other than output flags, unless the handler gave its own."""
+    if params is None:
+        params = {dest: getattr(args, dest) for dest in args.param_dests}
     env = {
         "tool_version": __version__,
-        "op": op,
+        "op": f"{args.command}_{args.sub}".replace("-", "_"),
         "params": params,
         "results": results,
         "pass": bool(ok),
     }
-    if isinstance(results, dict) and "ingredients" in results:
+    if "ingredients" in results:
         env["ingredients"] = results["ingredients"]
     return env
 
@@ -93,16 +97,13 @@ def _render_table(env) -> str:
             lines.append(f"{crit['criterion']}  {word}  {crit['label']}")
         lines.append(f"pass  {env['pass']}")
         return "\n".join(lines) + "\n"
-    if isinstance(results, dict):
-        for k, v in results.items():
-            if k == "series" and isinstance(v, list):
-                series = v
-                continue
-            if k in ("op", "params"):
-                continue  # already shown from the envelope
-            rows.append((k, v))
-    else:
-        rows.append(("results", results))
+    for k, v in results.items():
+        if k == "series" and isinstance(v, list):
+            series = v
+            continue
+        if k in ("op", "params"):
+            continue  # already shown from the envelope
+        rows.append((k, v))
     rows.append(("pass", env["pass"]))
     width = max(len(k) for k, _ in rows)
     lines = []
@@ -121,16 +122,13 @@ def emit_report(env, fmt: str, out_path=None) -> None:
     if fmt == "json":
         text = canonical_json(env) + "\n"
     elif fmt == "csv":
-        series = env["results"].get("series") \
-            if isinstance(env["results"], dict) else None
+        series = env["results"].get("series")
         if series is None:
             raise InputError("csv output needs a report with a series")
         text = "\n".join(["degree,dim"]
                          + [f"{d},{v}" for d, v in enumerate(series)]) + "\n"
-    elif fmt == "table":
-        text = _render_table(env)
     else:
-        raise InputError(f"unknown format {fmt!r}")
+        text = _render_table(env)
     if out_path:
         try:
             Path(out_path).write_text(text)
@@ -145,13 +143,6 @@ def emit_report(env, fmt: str, out_path=None) -> None:
 # shared argument helpers
 # ---------------------------------------------------------------------------
 
-def _add_output_flags(sp):
-    sp.add_argument("--format", choices=("table", "json", "csv"),
-                    default="table", help="output format (default table)")
-    sp.add_argument("--out", default=None, metavar="PATH",
-                    help="write the report to a file instead of stdout")
-
-
 def _read_json(path, what):
     try:
         return json.loads(Path(path).read_text())
@@ -163,9 +154,7 @@ def _root_system(args):
     return build_root_system([(args.type, args.rank)])
 
 
-def _lattice(args, rs, side):
-    builder = cocharacter_lattice if side == "cocharacter" \
-        else character_lattice
+def _lattice(args, rs, builder):
     kind = args.lattice
     if kind in ("adjoint", "sc"):
         return builder(rs, kind)
@@ -175,12 +164,14 @@ def _lattice(args, rs, side):
     return builder(rs, "custom", basis=blob["basis"])
 
 
-def _load_algebra(path):
-    return AlgebraSpec.from_json_dict(_read_json(path, "spec"))
+def _roots_with(rs, key, value):
+    """One entry per positive root, carrying `value(root)` under `key`."""
+    return [{"root": list(root.coords), "length": root.length_class,
+             key: value(root)} for root in rs.positive_roots]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (op, params, results, ok)
+# subcommand handlers: each returns (results, ok) or (results, ok, params)
 # ---------------------------------------------------------------------------
 
 def _run_field_info(args):
@@ -190,13 +181,13 @@ def _run_field_info(args):
         "modulus": list(field.modulus),
         "multiplicative_generator": field.generator,
     }
-    return "field_info", {"p": args.p, "r": args.r}, results, True
+    return results, True
 
 
 def _run_invariants(args):
     if args.oracle and args.filter != "invariant":
         raise InputError("--oracle applies to the 'invariant' filter")
-    alg = _load_algebra(args.spec)
+    alg = AlgebraSpec.from_json_dict(_read_json(args.spec, "spec"))
     stats = {}
     series = dimension_series(alg, args.max_degree, args.filter, stats=stats)
     results = {"spec_hash": alg.spec_hash(), "filter": args.filter,
@@ -211,43 +202,38 @@ def _run_invariants(args):
         results["oracle_mismatch_degrees"] = mismatch
         results["oracle_match"] = not mismatch
         ok = not mismatch
-    params = {"spec": args.spec, "max_degree": args.max_degree,
-              "filter": args.filter, "oracle": bool(args.oracle)}
-    return "invariants_run", params, results, ok
+    return results, ok
 
 
 def _run_check_quillen(args):
     rep = quillen_verify(args.p, args.r)
-    return "check_quillen", {"p": args.p, "r": args.r}, rep, rep["pass"]
+    return rep, rep["pass"]
 
 
 def _run_check_exponent(args):
     mode = "all" if args.samples is None else "sample"
-    rep = exponent_check(args.n, args.p, args.r, mode,
-                         args.samples, args.seed)
-    return "check_exponent", rep["params"], rep, rep["pass"]
+    rep = exponent_check(args.n, args.p, args.r, mode, args.samples, args.seed)
+    return rep, rep["pass"], rep["params"]
 
 
 def _run_check_regular(args):
     rep = commuting_regular_subgroup(args.n, args.p, args.r)
-    return "check_regular", rep["params"], rep, rep["pass"]
+    return rep, rep["pass"]
 
 
-def _run_landmarks(args, which):
-    rep = gl2_landmarks(args.p, args.r) if which == "gl2" \
-        else sl2_landmarks(args.p, args.r)
-    return f"{which}_landmarks", {"p": args.p, "r": args.r}, rep, rep["match"]
+def _run_landmarks(args):
+    landmarks = gl2_landmarks if args.command == "gl2" else sl2_landmarks
+    rep = landmarks(args.p, args.r)
+    return rep, rep["match"]
 
 
-def _run_rank_one_series(args, which):
-    alg = gl2_algebra(args.p, args.r) if which == "gl2" \
-        else sl2_algebra(args.p, args.r)
+def _run_rank_one_series(args):
+    algebra = gl2_algebra if args.command == "gl2" else sl2_algebra
+    alg = algebra(args.p, args.r)
     series = dimension_series(alg, args.max_degree, args.filter)
     results = {"spec_hash": alg.spec_hash(), "filter": args.filter,
                "series": series}
-    params = {"p": args.p, "r": args.r, "max_degree": args.max_degree,
-              "filter": args.filter}
-    return f"{which}_series", params, results, True
+    return results, True
 
 
 def _run_rootsys_info(args):
@@ -265,13 +251,12 @@ def _run_rootsys_info(args):
         "highest_root": list(max(rs.positive_roots,
                                  key=lambda root: root.height).coords),
     }
-    params = {"type": args.type.upper(), "rank": args.rank}
-    return "rootsys_info", params, results, True
+    return results, True
 
 
 def _run_rootsys_bound(args):
     rs = _root_system(args)
-    lat = _lattice(args, rs, "cocharacter")
+    lat = _lattice(args, rs, cocharacter_lattice)
     bound = char2_vanishing_bound(rs, lat, args.r)
     results = {
         "lattice": lat.kind,
@@ -279,45 +264,33 @@ def _run_rootsys_bound(args):
         "r": args.r,
         "bound": _fraction_json(bound),
     }
-    params = {"type": args.type.upper(), "rank": args.rank, "r": args.r,
-              "lattice": args.lattice}
-    return "rootsys_bound", params, results, True
+    return results, True
 
 
 def _run_rootsys_divisibility(args):
     rs = _root_system(args)
-    lat = _lattice(args, rs, "character")
-    roots = []
-    for root in rs.positive_roots:
-        roots.append({"root": list(root.coords),
-                      "length": root.length_class,
-                      "divisible": root_divisibility(rs, lat, root, args.n)})
+    lat = _lattice(args, rs, character_lattice)
+    roots = _roots_with(rs, "divisible",
+                        lambda root: root_divisibility(rs, lat, root, args.n))
     results = {"lattice": lat.kind, "divisor": args.n, "roots": roots,
                "count_divisible": sum(r["divisible"] for r in roots)}
-    params = {"type": args.type.upper(), "rank": args.rank, "n": args.n,
-              "lattice": args.lattice}
-    return "rootsys_divisibility", params, results, True
+    return results, True
 
 
 def _run_rootsys_action_index(args):
     rs = _root_system(args)
-    lat = _lattice(args, rs, "character")
+    lat = _lattice(args, rs, character_lattice)
     q = prime_power(args.p, args.r)
-    roots = []
-    for root in rs.positive_roots:
-        roots.append({"root": list(root.coords),
-                      "length": root.length_class,
-                      "index": root_action_index(rs, lat, root, q)})
+    roots = _roots_with(rs, "index",
+                        lambda root: root_action_index(rs, lat, root, q))
     results = {"lattice": lat.kind, "q": q, "roots": roots,
                "distinct_indices": sorted({r["index"] for r in roots})}
-    params = {"type": args.type.upper(), "rank": args.rank, "p": args.p,
-              "r": args.r, "lattice": args.lattice}
-    return "rootsys_action_index", params, results, True
+    return results, True
 
 
 def _run_rootsys_algebra(args):
     rs = _root_system(args)
-    lat = _lattice(args, rs, "cocharacter")
+    lat = _lattice(args, rs, cocharacter_lattice)
     alg = lie_gr_algebra(rs, lat, args.p, args.r)
     stats = {}
     series = dimension_series(alg, args.max_degree, args.filter, stats=stats)
@@ -326,10 +299,7 @@ def _run_rootsys_algebra(args):
                "filter": args.filter, "series": series}
     if args.stats:
         results["stats"] = stats
-    params = {"type": args.type.upper(), "rank": args.rank, "p": args.p,
-              "r": args.r, "max_degree": args.max_degree,
-              "filter": args.filter, "lattice": args.lattice}
-    return "rootsys_algebra", params, results, True
+    return results, True
 
 
 def _run_grun_build(args):
@@ -341,33 +311,28 @@ def _run_grun_build(args):
         "max_elementary_rank": max_rank(args.n, args.r),
         "chern_coefficient": chern_coefficient(args.n, args.p),
     }
-    params = {"n": args.n, "p": args.p, "r": args.r}
-    return "grun_build", params, results, True
+    return results, True
 
 
 def _run_grun_detect(args):
     spec = build_gr_un(args.n, args.p, args.r)
     rep = hook_detection(spec, degree=args.degree)
-    params = {"n": args.n, "p": args.p, "r": args.r, "degree": rep["degree"]}
-    return "grun_detect", params, rep, rep["pass"]
+    return rep, rep["pass"], {**rep["params"], "degree": rep["degree"]}
 
 
 def _run_grun_essential(args):
     rep = essential_kernel(args.n, args.p)
-    params = {"n": args.n, "p": args.p}
-    return "grun_essential", params, rep, not rep["discrepancy"]
+    return rep, not rep["discrepancy"]
 
 
 def _run_theorem_lowest_gl(args):
     rep = theorem_lowest_gl(args.n, args.p, args.r)
-    params = {"n": args.n, "p": args.p, "r": args.r}
-    return "theorem_lowest_gl", params, rep, not rep["discrepancy"]
+    return rep, not rep["discrepancy"]
 
 
 def _run_theorem_borel2(args):
     rep = theorem_borel_char2(args.n, args.r)
-    params = {"n": args.n, "r": args.r}
-    return "theorem_borel2", params, rep, not rep["discrepancy"]
+    return rep, not rep["discrepancy"]
 
 
 def _run_verify_all(args):
@@ -381,13 +346,121 @@ def _run_verify_all(args):
         print(f"{name} {seconds:.3f}", file=sys.stderr)
     rep = run_grid(names, report_time if args.timings else None)
     params = {"criteria": names if names is not None else "all"}
-    results = {"criteria": rep["criteria"]}
-    return "verify_all", params, results, rep["pass"]
+    return {"criteria": rep["criteria"]}, rep["pass"], params
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command and flag tables
 # ---------------------------------------------------------------------------
+
+# each flag's argparse keywords
+FLAGS = {
+    "--format": dict(choices=("table", "json", "csv"), default="table",
+                     help="output format (default table)"),
+    "--out": dict(metavar="PATH",
+                  help="write the report to a file instead of stdout"),
+    "--p": dict(type=int, required=True, help="field characteristic (prime)"),
+    "--r": dict(type=int, required=True, help="field degree, q = p^r"),
+    "--n": dict(type=int, required=True, help="matrix size n"),
+    "--type": dict(type=str.upper, required=True,
+                   help="component type: A B C D E F G"),
+    "--rank": dict(type=int, required=True, help="component rank"),
+    "--lattice": dict(default="adjoint",
+                      help="adjoint | sc | path to a JSON basis file"),
+    "--spec": dict(required=True, metavar="FILE", help="JSON algebra spec"),
+    "--max-degree": dict(type=int, required=True),
+    "--filter": dict(choices=FILTERS, default="invariant",
+                     help="which monomials to count (default invariant)"),
+    "--oracle": dict(action="store_true",
+                     help="cross-check against the eigenvalue oracle"),
+    "--stats": dict(action="store_true",
+                    help="attach the series walk's work counts"),
+    "--samples": dict(type=int,
+                      help="sample this many matrices instead of enumerating"),
+    "--seed": dict(type=int, default=0),
+    "--degree": dict(type=int, help="override the default degree r(2p-3)"),
+    "--grid": dict(metavar="FILE",
+                   help="JSON file naming the criteria to run"),
+    "--timings": dict(action="store_true",
+                      help="print each criterion's seconds on stderr"),
+}
+
+# flags that shape the output, not the computation: never in a report's params
+OUTPUT_FLAGS = ("--format", "--out", "--stats", "--grid", "--timings")
+
+# group -> (help, {command -> (handler, flags in params order, help)}); a
+# flag given as (flag, help) replaces that flag's help on one command
+COMMANDS = {
+    "field": ("finite field facts", {
+        "info": (_run_field_info, ("--p", "--r"),
+                 "modulus polynomial and multiplicative generator"),
+    }),
+    "invariants": ("invariant dimension series", {
+        "run": (_run_invariants,
+                ("--spec", "--max-degree", "--filter", "--oracle", "--stats"),
+                "dimension series of an algebra spec file"),
+    }),
+    "check": ("elementary verification checks", {
+        "quillen": (_run_check_quillen, ("--p", "--r"),
+                    "digit-sum divisibility bound, exhaustive"),
+        "exponent": (_run_check_exponent,
+                     ("--n", "--p", "--r", "--samples", "--seed"),
+                     "does every unitriangular matrix have order dividing p"),
+        "regular": (_run_check_regular, ("--n", "--p", "--r"),
+                    "commuting subgroup of regular unipotent elements"),
+    }),
+    "gl2": ("rank-one landmarks, full unit group", {
+        "landmarks": (_run_landmarks, ("--p", "--r"),
+                      "first landmark degrees and witnesses"),
+        "series": (_run_rank_one_series,
+                   ("--p", "--r", "--max-degree", "--filter"),
+                   "invariant dimension series"),
+    }),
+    "sl2": ("rank-one landmarks, squares of units", {
+        "landmarks": (_run_landmarks, ("--p", "--r"),
+                      "first landmark degree and witness"),
+        "series": (_run_rank_one_series,
+                   ("--p", "--r", "--max-degree", "--filter"),
+                   "invariant dimension series"),
+    }),
+    "rootsys": ("root-system combinatorics", {
+        "info": (_run_rootsys_info, ("--type", "--rank"),
+                 "roots, Coxeter number, witnesses, bad primes"),
+        "bound": (_run_rootsys_bound, ("--type", "--rank", "--r", "--lattice"),
+                  "characteristic-2 vanishing bound r/gcd(e, 2^r - 1)"),
+        "divisibility": (_run_rootsys_divisibility,
+                         ("--type", "--rank", ("--n", "divisor"), "--lattice"),
+                         "divisibility of each root in a character lattice"),
+        "action-index": (_run_rootsys_action_index,
+                         ("--type", "--rank", "--p", "--r", "--lattice"),
+                         "index of each root character on the F_q torus "
+                         "points"),
+        "algebra": (_run_rootsys_algebra,
+                    ("--type", "--rank", "--p", "--r", "--max-degree",
+                     "--filter", "--lattice", "--stats"),
+                    "invariant series of the root-graded weight algebra"),
+    }),
+    "grun": ("graded unitriangular computations", {
+        "build": (_run_grun_build, ("--n", "--p", "--r"),
+                  "build the weight model and report its shape"),
+        "detect": (_run_grun_detect, ("--n", "--p", "--r", "--degree"),
+                   "vanishing series and detection kernel"),
+        "essential": (_run_grun_essential, ("--n", "--p"),
+                      "hook invariants killed by every edge subgroup (r = 1)"),
+    }),
+    "theorem": ("theorem reporters", {
+        "lowest-gl": (_run_theorem_lowest_gl, ("--n", "--p", "--r"),
+                      "first cohomology landmark for the general linear "
+                      "group"),
+        "borel2": (_run_theorem_borel2, ("--n", "--r"),
+                   "first cohomology landmark for the Borel subgroup, p = 2"),
+    }),
+    "verify": ("acceptance verification grid", {
+        "all": (_run_verify_all, ("--grid", "--timings"),
+                "run the verification grid (optionally a subset)"),
+    }),
+}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -396,159 +469,26 @@ def _build_parser():
                     "combinatorics, and unipotent matrix checks.")
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="command", required=True)
-
-    def leaf(group, name, handler, **kwargs):
-        sp = group.add_parser(name, **kwargs)
-        sp.set_defaults(handler=handler)
-        _add_output_flags(sp)
-        return sp
-
-    def flag_p(sp):
-        sp.add_argument("--p", type=int, required=True,
-                        help="field characteristic (prime)")
-
-    def flag_r(sp):
-        sp.add_argument("--r", type=int, required=True,
-                        help="field degree, q = p^r")
-
-    def flag_n(sp, help="matrix size n"):
-        sp.add_argument("--n", type=int, required=True, help=help)
-
-    def flag_filter(sp):
-        sp.add_argument("--filter", choices=FILTERS, default="invariant",
-                        help="which monomials to count (default invariant)")
-
-    def flag_stats(sp):
-        sp.add_argument("--stats", action="store_true",
-                        help="attach the series walk's work counts")
-
-    def flag_lattice(sp):
-        sp.add_argument("--lattice", default="adjoint",
-                        help="adjoint | sc | path to a JSON basis file")
-
-    def flag_rootsys(sp):
-        sp.add_argument("--type", required=True,
-                        help="component type: A B C D E F G")
-        sp.add_argument("--rank", type=int, required=True,
-                        help="component rank")
-
-    field = top.add_parser("field", help="finite field facts") \
-        .add_subparsers(dest="sub", required=True)
-    sp = leaf(field, "info", _run_field_info,
-              help="modulus polynomial and multiplicative generator")
-    flag_p(sp), flag_r(sp)
-
-    inv = top.add_parser("invariants", help="invariant dimension series") \
-        .add_subparsers(dest="sub", required=True)
-    sp = leaf(inv, "run", _run_invariants,
-              help="dimension series of an algebra spec file")
-    sp.add_argument("--spec", required=True, metavar="FILE",
-                    help="JSON algebra spec")
-    sp.add_argument("--max-degree", type=int, required=True)
-    flag_filter(sp)
-    sp.add_argument("--oracle", action="store_true",
-                    help="cross-check against the eigenvalue oracle")
-    flag_stats(sp)
-
-    chk = top.add_parser("check", help="elementary verification checks") \
-        .add_subparsers(dest="sub", required=True)
-    sp = leaf(chk, "quillen", _run_check_quillen,
-              help="digit-sum divisibility bound, exhaustive")
-    flag_p(sp), flag_r(sp)
-    sp = leaf(chk, "exponent", _run_check_exponent,
-              help="does every unitriangular matrix have order dividing p")
-    flag_n(sp), flag_p(sp), flag_r(sp)
-    sp.add_argument("--samples", type=int, default=None,
-                    help="sample this many matrices instead of enumerating")
-    sp.add_argument("--seed", type=int, default=0)
-    sp = leaf(chk, "regular", _run_check_regular,
-              help="commuting subgroup of regular unipotent elements")
-    flag_n(sp), flag_p(sp), flag_r(sp)
-
-    gl2 = top.add_parser("gl2", help="rank-one landmarks, full unit group") \
-        .add_subparsers(dest="sub", required=True)
-    sp = leaf(gl2, "landmarks", lambda a: _run_landmarks(a, "gl2"),
-              help="first landmark degrees and witnesses")
-    flag_p(sp), flag_r(sp)
-    sp = leaf(gl2, "series", lambda a: _run_rank_one_series(a, "gl2"),
-              help="invariant dimension series")
-    flag_p(sp), flag_r(sp)
-    sp.add_argument("--max-degree", type=int, required=True)
-    flag_filter(sp)
-
-    sl2 = top.add_parser("sl2", help="rank-one landmarks, squares of units") \
-        .add_subparsers(dest="sub", required=True)
-    sp = leaf(sl2, "landmarks", lambda a: _run_landmarks(a, "sl2"),
-              help="first landmark degree and witness")
-    flag_p(sp), flag_r(sp)
-    sp = leaf(sl2, "series", lambda a: _run_rank_one_series(a, "sl2"),
-              help="invariant dimension series")
-    flag_p(sp), flag_r(sp)
-    sp.add_argument("--max-degree", type=int, required=True)
-    flag_filter(sp)
-
-    rsys = top.add_parser("rootsys", help="root-system combinatorics") \
-        .add_subparsers(dest="sub", required=True)
-    sp = leaf(rsys, "info", _run_rootsys_info,
-              help="roots, Coxeter number, witnesses, bad primes")
-    flag_rootsys(sp)
-    sp = leaf(rsys, "bound", _run_rootsys_bound,
-              help="characteristic-2 vanishing bound r/gcd(e, 2^r - 1)")
-    flag_rootsys(sp), flag_r(sp), flag_lattice(sp)
-    sp = leaf(rsys, "divisibility", _run_rootsys_divisibility,
-              help="divisibility of each root in a character lattice")
-    flag_rootsys(sp), flag_lattice(sp)
-    sp.add_argument("--n", type=int, required=True, help="divisor")
-    sp = leaf(rsys, "action-index", _run_rootsys_action_index,
-              help="index of each root character on the F_q torus points")
-    flag_rootsys(sp), flag_p(sp), flag_r(sp), flag_lattice(sp)
-    sp = leaf(rsys, "algebra", _run_rootsys_algebra,
-              help="invariant series of the root-graded weight algebra")
-    flag_rootsys(sp), flag_p(sp), flag_r(sp), flag_lattice(sp)
-    sp.add_argument("--max-degree", type=int, required=True)
-    flag_filter(sp), flag_stats(sp)
-
-    grun = top.add_parser("grun", help="graded unitriangular computations") \
-        .add_subparsers(dest="sub", required=True)
-    sp = leaf(grun, "build", _run_grun_build,
-              help="build the weight model and report its shape")
-    flag_n(sp), flag_p(sp), flag_r(sp)
-    sp = leaf(grun, "detect", _run_grun_detect,
-              help="vanishing series and detection kernel")
-    flag_n(sp), flag_p(sp), flag_r(sp)
-    sp.add_argument("--degree", type=int, default=None,
-                    help="override the default degree r(2p-3)")
-    sp = leaf(grun, "essential", _run_grun_essential,
-              help="hook invariants killed by every edge subgroup (r = 1)")
-    flag_n(sp), flag_p(sp)
-
-    thm = top.add_parser("theorem", help="theorem reporters") \
-        .add_subparsers(dest="sub", required=True)
-    sp = leaf(thm, "lowest-gl", _run_theorem_lowest_gl,
-              help="first cohomology landmark for the general linear group")
-    flag_n(sp), flag_p(sp), flag_r(sp)
-    sp = leaf(thm, "borel2", _run_theorem_borel2,
-              help="first cohomology landmark for the Borel subgroup, p = 2")
-    flag_n(sp), flag_r(sp)
-
-    ver = top.add_parser("verify", help="acceptance verification grid") \
-        .add_subparsers(dest="sub", required=True)
-    sp = leaf(ver, "all", _run_verify_all,
-              help="run the verification grid (optionally a subset)")
-    sp.add_argument("--grid", default=None, metavar="FILE",
-                    help="JSON file naming the criteria to run")
-    sp.add_argument("--timings", action="store_true",
-                    help="print each criterion's seconds on stderr")
-
+    for group, (group_help, commands) in COMMANDS.items():
+        sub = top.add_parser(group, help=group_help) \
+            .add_subparsers(dest="sub", required=True)
+        for name, (handler, flags, command_help) in commands.items():
+            sp = sub.add_parser(name, help=command_help)
+            dests = []
+            for flag in ("--format", "--out") + flags:
+                flag, kwargs = (flag, FLAGS[flag]) if isinstance(flag, str) \
+                    else (flag[0], {**FLAGS[flag[0]], "help": flag[1]})
+                action = sp.add_argument(flag, **kwargs)
+                if flag not in OUTPUT_FLAGS:
+                    dests.append(action.dest)
+            sp.set_defaults(handler=handler, param_dests=dests)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        op, params, results, ok = args.handler(args)
-        env = _envelope(op, params, results, ok)
+        env = _envelope(args, *args.handler(args))
         emit_report(env, args.format, args.out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -559,7 +499,7 @@ def main(argv=None) -> int:
     except Exception as exc:    # a bug: report it, never as "check failed"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    return 0 if ok else 1
+    return 0 if env["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -74,15 +74,16 @@ def prime_factors(n: int) -> list[int]:
 
 def prime_power(p: int, r: int) -> int:
     """q = p^r, once p is checked to be a prime int, r an int >= 1 and q at
-    most the field size cap Q_CAP."""
+    most the field size cap Q_CAP.  A p above the cap is refused by the cap,
+    prime or not, before trial division would take sqrt(p) steps."""
     require_int(p, "p")
     require_int(r, "r")
-    if not is_prime(p):
+    if p <= Q_CAP and not is_prime(p):
         raise InputError(f"p = {p} is not prime")
     if r < 1:
         raise InputError(f"r = {r} must be positive")
     # p^r >= 2^r, so an r past the cap's bit length needs no power computed
-    if r >= Q_CAP.bit_length() or p ** r > Q_CAP:
+    if p > Q_CAP or r >= Q_CAP.bit_length() or p ** r > Q_CAP:
         raise ResourceGuardError(
             f"q = {p}^{r} exceeds the field size cap {Q_CAP}")
     return p ** r
@@ -141,31 +142,24 @@ def find_irreducible(p: int, r: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class Fq:
-    """Field context F_p[t] / (modulus), with canonical modulus by default."""
+    """Field context F_p[t] / (modulus), with the canonical modulus
+    `find_irreducible(p, r)`."""
 
-    def __init__(self, p: int, r: int, modulus=None):
+    def __init__(self, p: int, r: int):
         self.q = prime_power(p, r)
         self.p = p
         self.r = r
-        if modulus is None:
-            modulus = find_irreducible(p, r)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != r + 1 or modulus[-1] != 1:
-                raise InputError("modulus must be monic of degree r")
-            if not _is_irreducible(modulus, p):
-                raise InputError(f"modulus {modulus} is reducible over F_{p}")
-        self.modulus = modulus
-        self._low = _low_terms(modulus)
+        self.modulus = find_irreducible(p, r)
+        self._low = _low_terms(self.modulus)
         # the slot width of one product of two element numbers
         self._w = _slot_width(self, 1)
 
+    # the modulus is the canonical one, so (p, r) names the field
     def __eq__(self, other):
-        return (isinstance(other, Fq)
-                and (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus))
+        return isinstance(other, Fq) and (self.p, self.r) == (other.p, other.r)
 
     def __hash__(self):
-        return hash((self.p, self.r, self.modulus))
+        return hash((self.p, self.r))
 
     def __repr__(self):
         return f"Fq({self.p}, {self.r})"

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceGuardError
-from .ffq import ENUMERATION_CAP, Fq, FqMatrix, is_prime, mat_pow, \
-    prime_power, unitriangular_elements
+from .ffq import ENUMERATION_CAP, Fq, FqMatrix, mat_pow, prime_power, \
+    unitriangular_elements
 from .gl2 import gl2_landmarks
 from .invalg import (
     EXTERIOR,
@@ -179,7 +179,7 @@ def hook_detection(spec: GrUnSpec, degree=None, family=None) -> dict:
     return {
         "op": "hook_detection",
         "params": {"n": spec.n, "p": p, "r": r},
-        "spec_hash": alg.spec_hash(),
+        "spec_hash": det["spec_hash"],
         "degree": degree,
         "series": series,
         "vanishing_ok": vanishing_ok,
@@ -205,9 +205,9 @@ def essential_kernel(n: int, p: int) -> dict:
     """
     if n < 2:
         raise InputError("matrix size must be at least 2")
-    if p == 2 or not is_prime(p):
+    if p == 2:
         raise InputError("essential kernel needs an odd prime")
-    spec = build_gr_un(n, p, 1)
+    spec = build_gr_un(n, p, 1)     # checks p through prime_power
     hook = subgroup_support(spec, "hook", 1, n)
     alg = spec.algebra.restrict(hook.ids)
     degree = 2 * p - 3
@@ -225,7 +225,7 @@ def essential_kernel(n: int, p: int) -> dict:
     return {
         "op": "essential_kernel",
         "params": {"n": n, "p": p, "r": 1},
-        "spec_hash": alg.spec_hash(),
+        "spec_hash": det["spec_hash"],
         "degree": degree,
         "invariant_dim": det["invariant_dim"],
         "kernel_dim": det["kernel_dim"],
@@ -495,8 +495,7 @@ def chern_coefficient(n: int, p: int) -> int:
     always reduces to 1."""
     if n < 2:
         raise InputError("matrix size must be at least 2")
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    prime_power(p, 1)
     return (-_lucas_binom(p ** (n - 1) - 1, 1, p)) % p
 
 

@@ -64,6 +64,7 @@ exponent descending) so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import copy
 import functools
 import gc
 import hashlib
@@ -71,7 +72,7 @@ import json
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InputError, ResourceGuardError, require_int
 from .ffq import Fq, prime_power
@@ -119,7 +120,7 @@ class AlgebraSpec:
             raise InputError("need one modulus per torus coordinate")
         qm1 = self.field.q - 1
         for m in self.moduli:
-            if m < 1 or (qm1 % m if qm1 else m != 1):
+            if m < 1 or qm1 % m:
                 raise InputError(f"modulus {m} does not divide q-1 = {qm1}")
         seen = set()
         reduced = []
@@ -140,16 +141,18 @@ class AlgebraSpec:
                 if g.degree != want:
                     raise InputError(
                         f"polynomial generators have degree {want} here")
-            reduced.append(replace(
-                g, weight=tuple(w % m for w, m in zip(g.weight, self.moduli))))
+            weight = tuple(w % m for w, m in zip(g.weight, self.moduli))
+            if weight != g.weight:      # a copy that is not validated again
+                g = copy.copy(g)
+                object.__setattr__(g, "weight", weight)
+            reduced.append(g)
         object.__setattr__(self, "generators", tuple(reduced))
 
     @classmethod
     def make(cls, p, r, torus_rank, generators, moduli=None):
         field = Fq(p, r)
         if moduli is None:
-            moduli = (field.q - 1,) * torus_rank if field.q > 2 \
-                else (1,) * torus_rank
+            moduli = (field.q - 1,) * torus_rank
         return cls(field=field, torus_rank=torus_rank, moduli=tuple(moduli),
                    generators=tuple(generators))
 
@@ -723,8 +726,7 @@ def invariant_monomials_oracle_by_degree(
 
     field = alg.field
     q = field.q
-    scalars = [field.pow(field.generator, (q - 1) // m if q > 2 else 0)
-               for m in alg.moduli]
+    scalars = [field.pow(field.generator, (q - 1) // m) for m in alg.moduli]
     inverted = [field.inv(x) for x in scalars]
     places = [q ** c for c in range(alg.torus_rank)]
     budget = [_TABLE_BUDGET]
@@ -853,8 +855,11 @@ def detection_kernel(alg: AlgebraSpec, degree: int, family,
             raise InputError(f"unknown generator ids {sorted(unknown)}")
         id_sets.append(ids)
     inv = invariant_monomials(alg, degree, max_count=max_count)
-    kernel = [m for m in inv
-              if not any(m.support() <= ids for ids in id_sets)]
+    kernel = []
+    for m in inv:
+        support = m.support()
+        if not any(support <= ids for ids in id_sets):
+            kernel.append(m)
     return {
         "spec_hash": alg.spec_hash(),
         "degree": degree,
@@ -899,7 +904,7 @@ def quillen_verify(p: int, r: int) -> dict:
             continue
         checked += 1
         value = sum(ak * p ** k for k, ak in enumerate(a))
-        divisible = (modulus == 0) or value % modulus == 0
+        divisible = value % modulus == 0
         if s < bound and divisible:
             failures.append({"tuple": list(a), "value": value})
         if s == bound:

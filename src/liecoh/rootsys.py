@@ -167,10 +167,6 @@ def build_root_system(components) -> RootSystem:
                       tuple(roots), total, tuple(ranges))
 
 
-def heights(rs: RootSystem):
-    return [r.height for r in rs.positive_roots]
-
-
 def highest_roots(rs: RootSystem):
     """The unique maximal-height root of each component."""
     out = []
@@ -221,10 +217,6 @@ class LatticeSpec:
     kind: str            # adjoint | simply_connected | custom
     side: str            # character | cocharacter
     basis: tuple[tuple[int, ...], ...]
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "side": self.side,
-                "basis": [list(row) for row in self.basis]}
 
 
 def _normalize_kind(kind):

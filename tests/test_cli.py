@@ -1,8 +1,11 @@
 """End-to-end command-line tests: exit codes, JSON/CSV/table output,
 determinism, and error mapping."""
 
+import hashlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -148,9 +151,9 @@ def test_check_quillen_guard_trips_before_enumerating(capsys):
 
 
 def test_unexpected_exception_exit_four(monkeypatch, capsys):
-    def broken(args):
+    def broken(p, r):
         raise RuntimeError("boom")
-    monkeypatch.setattr(cli, "_run_check_quillen", broken)
+    monkeypatch.setattr(cli, "quillen_verify", broken)
     code = main(["check", "quillen", "--p", "3", "--r", "1"])
     captured = capsys.readouterr()
     assert code == 4
@@ -458,3 +461,60 @@ def test_table_format(capsys):
     assert code == 0
     assert "first_positive_degree" in out
     assert "pass" in out
+
+
+def test_huge_p_trips_the_field_cap_at_once(capsys):
+    # trial division would take ~10^10 steps on this prime before the cap
+    for argv in (["field", "info", "--p", "100000000000000000039", "--r", "1"],
+                 ["grun", "essential", "--n", "4",
+                  "--p", "100000000000000000039"],
+                 ["field", "info", "--p", str(2 ** 21), "--r", "1"]):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        assert code == 3, argv
+        assert elapsed < 1.0
+        assert "exceeds the field size cap" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+FROZEN_REPORTS = Path(__file__).with_name("frozen_cli_reports.json")
+
+
+def readme_command_lines():
+    """The `liecoh ...` lines of the README's Command line block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line]
+
+
+def test_readme_shows_every_command():
+    shown = {tuple(shlex.split(line)[1:3]) for line in readme_command_lines()}
+    assert shown == {(group, name) for group, (_, commands)
+                     in cli.COMMANDS.items() for name in commands}
+
+
+def test_readme_reports_frozen(tmp_path, monkeypatch, capsys):
+    # Every README command line in table and json format, and in csv when
+    # the report has a series: exit code and sha256 of stdout, frozen from
+    # the reports the hand-built parser and params dicts emitted.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "algebra.json").write_text(
+        canonical_json(gl2_algebra(3, 1).to_json_dict()))
+    got = {}
+    for line in readme_command_lines():
+        argv = shlex.split(line)[1:]
+        if "--format" in argv:
+            at = argv.index("--format")
+            del argv[at:at + 2]
+        for fmt in ("table", "json", "csv"):
+            if fmt == "csv" and "series" not in report["results"]:
+                continue
+            code = main(argv + ["--format", fmt])
+            out = capsys.readouterr().out
+            if fmt == "json":
+                report = json.loads(out)
+            key = " ".join(argv + ["--format", fmt])
+            got[key] = [code, hashlib.sha256(out.encode()).hexdigest()]
+    assert got == json.loads(FROZEN_REPORTS.read_text())

@@ -130,17 +130,6 @@ def test_find_irreducible_matches_brute_force_up_to_3000():
         assert find_irreducible(p, r) == lex_smallest_irreducible(p, r), (p, r)
 
 
-def test_explicit_modulus_is_checked():
-    assert Fq(2, 2, modulus=(1, 1, 1)).modulus == (1, 1, 1)
-    assert Fq(3, 2, modulus=(4, 0, 1)).modulus == (1, 0, 1)
-    with pytest.raises(InputError):
-        Fq(2, 2, modulus=(1, 0, 1))         # (t + 1)^2
-    with pytest.raises(InputError):
-        Fq(3, 2, modulus=(0, 1, 1))         # t (t + 1)
-    with pytest.raises(InputError):
-        Fq(2, 3, modulus=(1, 1, 0, 2))      # not monic of degree 3
-
-
 # ---------------------------------------------------------------------------
 # field arithmetic
 # ---------------------------------------------------------------------------

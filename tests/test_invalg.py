@@ -156,6 +156,22 @@ def test_restrict_keeps_order_and_context():
         alg.restrict(["nope"])
 
 
+def test_each_generator_is_validated_once(monkeypatch):
+    calls = []
+    validate = GeneratorSpec.__post_init__
+    monkeypatch.setattr(GeneratorSpec, "__post_init__",
+                        lambda g: calls.append(g.id) or validate(g))
+    rs = build_root_system([("E", 8)])
+    alg = lie_gr_algebra(rs, cocharacter_lattice(rs, "adjoint"), 3, 1)
+    assert len(alg.generators) == 240
+    assert len(calls) == 240
+    sub = alg.restrict(alg.ids[:100])
+    assert len(calls) == 240
+    # the reduced weights, and so the hashes, are what they were
+    assert (alg.spec_hash(), sub.spec_hash()) == ("56cd0cf0258a",
+                                                  "aabdb1ab72e0")
+
+
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------
