@@ -12,6 +12,7 @@ verification check failed or a discrepancy flag is set; 2 invalid input;
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -133,8 +134,7 @@ def emit_report(env, fmt: str, out_path=None) -> None:
         try:
             Path(out_path).write_text(text)
         except OSError as exc:
-            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -462,6 +462,7 @@ COMMANDS = {
 }
 
 
+@functools.cache     # built on first use, once per process, never at import
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="liecoh",
@@ -481,7 +482,7 @@ def _build_parser():
                 action = sp.add_argument(flag, **kwargs)
                 if flag not in OUTPUT_FLAGS:
                     dests.append(action.dest)
-            sp.set_defaults(handler=handler, param_dests=dests)
+            sp.set_defaults(handler=handler, param_dests=tuple(dests))
     return parser
 
 

@@ -17,6 +17,7 @@ integer bases for intermediate isogeny types.
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import math
 
 from .errors import InputError, require_int
@@ -47,6 +48,10 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     simple_count: int
     ranges: tuple[tuple[int, int], ...]  # simple-index span per component
+
+    @functools.cached_property
+    def _positive_coords(self) -> frozenset:
+        return frozenset(r.coords for r in self.positive_roots)
 
     def component_roots(self, ci: int):
         return [r for r in self.positive_roots if r.component == ci]
@@ -218,6 +223,25 @@ class LatticeSpec:
     side: str            # character | cocharacter
     basis: tuple[tuple[int, ...], ...]
 
+    @functools.cached_property
+    def coordinate_map(self):
+        """(m, d) with m / d the inverse of the transposed basis, found on
+        first use: a vector's coordinates in this basis are m . v / d."""
+        n = len(self.basis)
+        aug = [[Fraction(row[i]) for row in self.basis]
+               + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+        for col in range(n):
+            piv = next((i for i in range(col, n) if aug[i][col]), None)
+            if piv is None:
+                raise InputError("lattice basis is singular")
+            pivot = aug[piv]
+            aug[piv], aug[col] = aug[col], [v / pivot[col] for v in pivot]
+            for i, row in enumerate(aug):
+                if i != col:
+                    aug[i] = [v - row[col] * w for v, w in zip(row, aug[col])]
+        d = math.lcm(*(v.denominator for row in aug for v in row[n:]))
+        return tuple(tuple(int(v * d) for v in row[n:]) for row in aug), d
+
 
 def _normalize_kind(kind):
     k = str(kind).lower()
@@ -340,47 +364,22 @@ def cofundamental_exponent(rs: RootSystem, lattice: LatticeSpec) -> int:
     return factors[-1]
 
 
-def _root_coords(rs: RootSystem, root):
-    coords = tuple(int(c) for c in getattr(root, "coords", root))
-    if len(coords) != rs.simple_count:
-        raise InputError("root coordinate length mismatch")
-    plus = {r.coords for r in rs.positive_roots}
-    if coords not in plus and tuple(-c for c in coords) not in plus:
-        raise InputError(f"{coords} is not a root of this system")
-    return coords
-
-
-def _solve_exact(rows, rhs):
-    """Solve (rows)^T x = rhs exactly over the rationals."""
-    n = len(rhs)
-    aug = [[Fraction(rows[j][i]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise InputError("lattice basis is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def _root_lattice_coords(rs: RootSystem, lattice: LatticeSpec, root):
     """Coordinates of the root in the given lattice basis (integer), via its
     fundamental-weight vector cartan . c."""
-    coords = _root_coords(rs, root)
-    n = rs.simple_count
-    fw = [sum(rs.cartan[i][s] * coords[s] for s in range(n))
-          for i in range(n)]
-    x = _solve_exact(lattice.basis, fw)
-    if any(v.denominator != 1 for v in x):
-        raise InputError(
-            f"root {coords} is not in the given lattice (coords {x})")
-    return [int(v) for v in x]
+    coords = tuple(int(c) for c in getattr(root, "coords", root))
+    if len(coords) != rs.simple_count:
+        raise InputError("root coordinate length mismatch")
+    plus = rs._positive_coords
+    if coords not in plus and tuple(-c for c in coords) not in plus:
+        raise InputError(f"{coords} is not a root of this system")
+    fw = [sum(a * c for a, c in zip(row, coords)) for row in rs.cartan]
+    m, d = lattice.coordinate_map
+    x = [sum(a * b for a, b in zip(row, fw)) for row in m]
+    if any(v % d for v in x):
+        raise InputError(f"root {coords} is not in the given lattice "
+                         f"(coords {[Fraction(v, d) for v in x]})")
+    return [v // d for v in x]
 
 
 def root_divisibility(rs: RootSystem, char_lattice: LatticeSpec, root,

@@ -306,6 +306,21 @@ def test_rootsys_lattice_file_rejects_non_integers(tmp_path, capsys, basis):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_rootsys_root_outside_custom_lattice(tmp_path, capsys):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"basis": [[2, 0], [0, 2]]}))
+    for argv in (["rootsys", "divisibility", "--n", "2"],
+                 ["rootsys", "action-index", "--p", "3", "--r", "1"]):
+        code = main(argv + ["--type", "A", "--rank", "2",
+                            "--lattice", str(lattice)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: root (0, 1) is not in the given lattice "
+            "(coords [Fraction(-1, 2), Fraction(1, 1)])\n")
+
+
 def test_rootsys_algebra(capsys):
     code, env = run_json(capsys, ["rootsys", "algebra", "--type", "A",
                                   "--rank", "2", "--p", "2", "--r", "2",
@@ -447,6 +462,42 @@ def test_field_checked_before_generators_are_built(capsys):
                   "3", "--max-degree", "1"] + big):
         assert main(argv) == 3, argv
         assert "exceeds the field size cap" in capsys.readouterr().err
+
+
+def test_unwritable_out_path_exits_two(capsys):
+    code = main(["field", "info", "--p", "3", "--r", "1",
+                 "--out", "/nonexistent/dir/x"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write /nonexistent/dir/x: ")
+
+
+def test_parser_is_built_once_and_holds_no_run_state(tmp_path, capsys):
+    spec = tmp_path / "alg.json"
+    spec.write_text(canonical_json(gl2_algebra(3, 1).to_json_dict()))
+    stats_run = ["invariants", "run", "--spec", str(spec), "--max-degree",
+                 "4", "--stats", "--format", "json"]
+    algebra = ["rootsys", "algebra", "--type", "A", "--rank", "2", "--p",
+               "3", "--r", "1", "--max-degree", "3", "--format", "json"]
+    cli._build_parser.cache_clear()
+    assert main(algebra) == 0
+    fresh = capsys.readouterr().out
+    cli._build_parser.cache_clear()
+    outs = []
+    for argv in (stats_run, algebra, stats_run):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert outs[2] == outs[0]
+    assert outs[1] == fresh
+    first, second = json.loads(outs[0]), json.loads(outs[1])
+    assert "stats" in first["results"]
+    assert "stats" not in second["results"]
+    assert second["params"] == {"type": "A", "rank": 2, "p": 3, "r": 1,
+                                "max_degree": 3, "filter": "invariant",
+                                "lattice": "adjoint"}
 
 
 def test_missing_flag_usage_error():

@@ -9,6 +9,7 @@ import pytest
 from liecoh.errors import InputError
 from liecoh.invalg import EXTERIOR, POLYNOMIAL, dimension_series
 from liecoh.rootsys import (
+    _root_lattice_coords,
     bad_primes,
     build_root_system,
     char2_vanishing_bound,
@@ -227,6 +228,57 @@ def test_root_divisibility_weight_lattice():
     lat = character_lattice(rs, "simply_connected")
     for root in rs.positive_roots:
         assert not root_divisibility(rs, lat, root, 2), root
+
+
+def fraction_solve(rows, rhs):
+    """Reference: solve (rows)^T x = rhs by Gauss-Jordan over Fractions."""
+    n = len(rhs)
+    aug = [[Fraction(rows[j][i]) for j in range(n)] + [Fraction(rhs[i])]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(n):
+            if i != col:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    return [row[n] for row in aug]
+
+
+LATTICE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                 ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5),
+                 ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("t,n", LATTICE_TYPES,
+                         ids=[f"{t}{n}" for t, n in LATTICE_TYPES])
+def test_lattice_coords_match_a_fraction_solve(t, n):
+    rs = build_root_system([(t, n)])
+    for side in (character_lattice, cocharacter_lattice):
+        for kind in ("adjoint", "sc"):
+            lat = side(rs, kind)
+            for root in rs.positive_roots:
+                fw = [sum(rs.cartan[i][s] * root.coords[s] for s in range(n))
+                      for i in range(n)]
+                want = fraction_solve(lat.basis, fw)
+                if all(v.denominator == 1 for v in want):
+                    assert _root_lattice_coords(rs, lat, root) == want
+                    continue
+                # off the lattice: the same message, exact coordinates
+                with pytest.raises(InputError) as exc:
+                    _root_lattice_coords(rs, lat, root)
+                assert str(exc.value) == (
+                    f"root {root.coords} is not in the given lattice "
+                    f"(coords {want})")
+
+
+def test_singular_lattice_rejected_for_root_coords():
+    rs = build_root_system([("A", 2)])
+    lat = character_lattice(rs, "custom", basis=[[1, 1], [1, 1]])
+    for _ in range(2):      # a failed map is not cached as a result
+        with pytest.raises(InputError, match="lattice basis is singular"):
+            root_divisibility(rs, lat, rs.positive_roots[0], 2)
 
 
 def test_root_not_in_lattice_reported():
