@@ -10,7 +10,10 @@ Two canonical choices make every run reproducible:
 
 * the modulus is the lexicographically smallest monic irreducible polynomial
   of degree r, comparing coefficient vectors (c0, ..., c_{r-1}) from the left;
-  for r >= 2 the search starts at c0 = 1, since t divides every c0 = 0 case;
+  for r >= 2 the search starts at c0 = 1, since t divides every c0 = 0 case,
+  and each candidate f gets Ben-Or's exact test, gcd(f, t^(p^d) - t) = 1
+  for d = 1 .. r // 2 (M. Ben-Or, Probabilistic algorithms in finite
+  fields, FOCS 1981);
 * the distinguished generator of the multiplicative group is the
   lexicographically smallest element of multiplicative order q - 1 under the
   same coefficient ordering.
@@ -24,8 +27,11 @@ slots too wide to carry, reduced once by `_poly_rem`.
 A matrix entry is one int code, its r coefficients packed little-endian in
 slots of w = (n*r*(p-1)**2).bit_length() bits (for r = 1, the residue), so
 a sum of n code products never carries between slots (Kronecker
-substitution).  A product entry is that int sum, unpacked and reduced once
-by `_poly_rem` (for r = 1, one `% p`); `_reduce_slots` serves both.
+substitution).  A product entry is that int sum, unpacked and reduced by
+`_poly_rem` (for r = 1, one `% p`); `_reduce_slots` serves both.  For
+r >= 2 each field reduces a given sum once: one memo per slot width maps
+the sum to its reduced code, all of them bounded by `_REDUCE_BUDGET`
+entries, since unitriangular products repeat a few sums (mostly 0 and 1).
 `mat_pow(m, e)` takes bit_length(e) - 1 + popcount(e) - 1 products for e >= 1.
 
 All arithmetic is exact.  Field sizes are capped at q <= 2**20, matrix
@@ -44,6 +50,26 @@ from .errors import InputError, ResourceGuardError, require_int
 
 Q_CAP = 2 ** 20
 ENUMERATION_CAP = 10 ** 6
+# Entries the reduction memos of one field may store, at most about 5 MB
+# (measured for 8 x 8 matrices over F_2^20); later misses are reduced and
+# not stored.
+_REDUCE_BUDGET = 1 << 15
+
+
+class _Table(dict):
+    """Mapping filled by `fill(key)` on first lookup; values are stored while
+    the shared `budget` (a one-item list) lasts."""
+
+    def __init__(self, fill, budget):
+        super().__init__()
+        self.fill, self.budget = fill, budget
+
+    def __missing__(self, key):
+        value = self.fill(key)
+        if self.budget[0] > 0:
+            self.budget[0] -= 1
+            self[key] = value
+        return value
 
 
 def is_prime(n: int) -> bool:
@@ -112,14 +138,44 @@ def _poly_rem(a, b, p, low):
     return [x % p for x in a[:db]]
 
 
+def _mulmod(a, b, f, p, low):
+    """a * b modulo monic f over F_p, for a and b of degree below deg f."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _poly_rem(prod, f, p, low)
+
+
+def _coprime(a, b, p) -> bool:
+    """True when the polynomials a and b over F_p have gcd 1 (Euclid, each
+    divisor made monic first); a must not be zero."""
+    while any(b):
+        b = b[:max(i for i, c in enumerate(b) if c) + 1]
+        lead = pow(b[-1], -1, p)
+        b = [c * lead % p for c in b]
+        a, b = b, _poly_rem(a, b, p, _low_terms(b))
+    return len(a) == 1
+
+
 def _is_irreducible(f, p) -> bool:
-    """True when no monic polynomial of degree 1 .. deg // 2 divides f."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            g = lower + (1,)
-            if not any(_poly_rem(f, g, p, _low_terms(g))):
-                return False
+    """Ben-Or's test: monic f of degree r is irreducible over F_p exactly
+    when gcd(f, t^(p^d) - t) = 1 for every d = 1 .. r // 2."""
+    r, low = len(f) - 1, _low_terms(f)
+    h = [0, 1] + [0] * (r - 2)      # t mod f; r >= 2 whenever the loop runs
+    for _ in range(r // 2):
+        # h = h^p mod f, by repeated squaring
+        acc, base, e = None, h, p
+        while e:
+            if e & 1:
+                acc = base if acc is None else _mulmod(acc, base, f, p, low)
+            e >>= 1
+            if e:
+                base = _mulmod(base, base, f, p, low)
+        h = acc
+        if not _coprime(f, [h[0], h[1] - 1] + h[2:], p):
+            return False
     return True
 
 
@@ -153,6 +209,8 @@ class Fq:
         self._low = _low_terms(self.modulus)
         # the slot width of one product of two element numbers
         self._w = _slot_width(self, 1)
+        # slot width -> reduction memo of the matrix product, one budget
+        self._memos, self._budget = {}, [_REDUCE_BUDGET]
 
     # the modulus is the canonical one, so (p, r) names the field
     def __eq__(self, other):
@@ -226,6 +284,16 @@ class Fq:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.q - 2)
+
+    def _memo(self, w: int) -> _Table:
+        """Memo from an unreduced product entry in w-bit slots to its
+        reduced code (see `FqMatrix.__mul__`)."""
+        memo = self._memos.get(w)
+        if memo is None:
+            memo = self._memos[w] = _Table(functools.partial(
+                _reduced_code, w, self.modulus, self.p, self._low),
+                self._budget)
+        return memo
 
     def multiplicative_order(self, k: int) -> int:
         if not k:
@@ -315,19 +383,31 @@ def _pack(k: int, p: int, r: int, w: int) -> int:
 
 
 def _number(field: Fq, acc: int, w: int) -> int:
-    """Element number of `_reduce_slots(field, acc, w)`."""
+    """Element number of the product whose unreduced polynomial sits in
+    acc's w-bit slots."""
     k = 0
-    for c in reversed(_reduce_slots(field, acc, w)):
+    for c in reversed(_reduce_slots(acc, w, field.modulus, field.p,
+                                    field._low)):
         k = k * field.p + c
     return k
 
 
-def _reduce_slots(field: Fq, acc: int, w: int) -> list[int]:
+def _reduce_slots(acc: int, w: int, modulus, p: int, low) -> list[int]:
     """Coefficients of the product whose unreduced polynomial (at most
     2r - 1 terms) sits in acc's w-bit slots, reduced mod the modulus."""
     mask = (1 << w) - 1
     return _poly_rem([acc >> s & mask for s in range(0, acc.bit_length(), w)],
-                     field.modulus, field.p, field._low)
+                     modulus, p, low)
+
+
+def _reduced_code(w: int, modulus, p: int, low, acc: int) -> int:
+    """Code of the product entry whose unreduced sum sits in acc's w-bit
+    slots.  It takes the field's parts, not the field, so the memo that
+    calls it holds no reference back to its field."""
+    code = 0
+    for c in reversed(_reduce_slots(acc, w, modulus, p, low)):
+        code = code << w | c
+    return code
 
 
 class FqMatrix:
@@ -381,16 +461,9 @@ class FqMatrix:
             return FqMatrix._of(f, tuple([
                 tuple([sum(map(mul, row, col)) % p for col in cols])
                 for row in self.codes]))
-        w = _slot_width(f, n)
-
-        def reduce(acc):
-            code = 0
-            for c in reversed(_reduce_slots(f, acc, w)):
-                code = code << w | c
-            return code
-
+        memo = f._memo(_slot_width(f, n))
         return FqMatrix._of(f, tuple([
-            tuple([reduce(sum(map(mul, row, col))) for col in cols])
+            tuple([memo[sum(map(mul, row, col))] for col in cols])
             for row in self.codes]))
 
     def to_int_rows(self) -> list[list[int]]:

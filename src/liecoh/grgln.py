@@ -419,15 +419,17 @@ def commuting_regular_subgroup(n: int, p: int, r: int) -> dict:
             for i in range(r)]
     ident = FqMatrix.identity(field, n)
     powers = [[mat_pow(g, c) for c in range(1, p)] for g in gens]
-    elements = []
-    for cs in itertools.product(range(p), repeat=r):
-        factors = [pw[c - 1] for pw, c in zip(powers, cs) if c]
-        m = factors[0] if factors else ident
-        for f in factors[1:]:
-            m = m * f
-        elements.append(m)
+    # g_0^c_0 ... g_(r-1)^c_(r-1) in itertools.product order (c_(r-1)
+    # fastest), one generator per level: each element is its prefix times
+    # one power, multiplied left to right, and c = 0 keeps the prefix
+    elements = [ident]
+    for pw in powers:
+        elements = [m for pre in elements
+                    for m in (pre, *(f if pre is ident else pre * f
+                                     for f in pw))]
     commuting = all(a * b == b * a for a, b in itertools.combinations(gens, 2))
-    exponent_p = all(g != ident and mat_pow(g, p) == ident for g in gens)
+    exponent_p = all(g != ident and pw[-1] * g == ident
+                     for g, pw in zip(gens, powers))
     distinct = len(set(elements)) == order
     nontrivial = [m for m in elements if m != ident]
     all_regular = all(regular_unipotent_check(m) for m in nontrivial)

@@ -75,7 +75,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceGuardError, require_int
-from .ffq import Fq, prime_power
+from .ffq import Fq, _Table, prime_power
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
@@ -296,22 +296,6 @@ def monomial_weight(alg: AlgebraSpec, m: Monomial) -> tuple[int, ...]:
 # however many distinct states a walk reaches.  The divisibility route's
 # suffix residue sets are charged against it too, one entry per 64 residues.
 _TABLE_BUDGET = 1 << 17
-
-
-class _Table(dict):
-    """Mapping filled by `fill(key)` on first lookup; values are stored while
-    the walk's shared `budget` (a one-item list) lasts."""
-
-    def __init__(self, fill, budget):
-        super().__init__()
-        self.fill, self.budget = fill, budget
-
-    def __missing__(self, key):
-        value = self.fill(key)
-        if self.budget[0] > 0:
-            self.budget[0] -= 1
-            self[key] = value
-        return value
 
 
 def _tables(keys, make, budget) -> list:

@@ -242,6 +242,15 @@ class LatticeSpec:
         d = math.lcm(*(v.denominator for row in aug for v in row[n:]))
         return tuple(tuple(int(v * d) for v in row[n:]) for row in aug), d
 
+    @functools.cached_property
+    def exponent(self) -> int:
+        """Largest invariant factor of the basis, found on first use (see
+        `cofundamental_exponent`)."""
+        factors = smith_invariant_factors(self.basis)
+        if not factors or factors[-1] == 0:
+            raise InputError("lattice basis is singular")
+        return factors[-1]
+
 
 def _normalize_kind(kind):
     k = str(kind).lower()
@@ -358,10 +367,7 @@ def smith_invariant_factors(mat):
 def cofundamental_exponent(rs: RootSystem, lattice: LatticeSpec) -> int:
     """Exponent (largest invariant factor) of the quotient of the full
     fundamental-side lattice by the span of the given basis."""
-    factors = smith_invariant_factors(lattice.basis)
-    if not factors or factors[-1] == 0:
-        raise InputError("lattice basis is singular")
-    return factors[-1]
+    return lattice.exponent
 
 
 def _root_lattice_coords(rs: RootSystem, lattice: LatticeSpec, root):

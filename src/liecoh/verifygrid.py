@@ -259,13 +259,14 @@ def c11():
                       ("D", 5, 4)]
     for t, n, expect in exponent_table:
         rs = build_root_system([(t, n)])
-        e_adj = cofundamental_exponent(rs, cocharacter_lattice(rs, "adjoint"))
-        e_sc = cofundamental_exponent(rs, cocharacter_lattice(rs, "sc"))
+        adj = cocharacter_lattice(rs, "adjoint")
+        sc = cocharacter_lattice(rs, "sc")
+        e_adj = cofundamental_exponent(rs, adj)
+        e_sc = cofundamental_exponent(rs, sc)
         bounds_ok = all(
-            char2_vanishing_bound(rs, cocharacter_lattice(rs, "sc"), r)
+            char2_vanishing_bound(rs, sc, r)
             == Fraction(r, math.gcd(expect, 2 ** r - 1))
-            and char2_vanishing_bound(rs, cocharacter_lattice(rs, "adjoint"),
-                                      r) == Fraction(r, 1)
+            and char2_vanishing_bound(rs, adj, r) == Fraction(r, 1)
             for r in (1, 2, 3))
         ok = e_adj == 1 and e_sc == expect and bounds_ok
         cases.append({"type": f"{t}{n}", "adjoint_exponent": e_adj,

@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecoh import ffq
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.ffq import (
     ENUMERATION_CAP,
@@ -74,6 +77,23 @@ def test_prime_power_validation():
             prime_power(p, r)
         with pytest.raises(InputError, match="must be an integer"):
             Fq(p, r)
+
+
+def is_irreducible_by_trial_division(f, p):
+    """True when no monic polynomial of degree 1 .. deg // 2 divides f."""
+    deg = len(f) - 1
+    return all(any(poly_rem_naive(f, g, p))
+               for d in range(1, deg // 2 + 1) for g in all_monic(p, d))
+
+
+def test_irreducibility_test_matches_trial_division():
+    # every monic polynomial of degree 1 .. 6 over F_2 and 1 .. 4 over F_3
+    # and F_5, reducible or not
+    for p, top in ((2, 6), (3, 4), (5, 4)):
+        for deg in range(1, top + 1):
+            for f in all_monic(p, deg):
+                assert ffq._is_irreducible(f, p) == \
+                    is_irreducible_by_trial_division(f, p), (p, f)
 
 
 def test_find_irreducible_frozen_values():
@@ -419,6 +439,61 @@ def test_mat_pow_matches_repeated_product(pair, e):
     for _ in range(e):
         acc = acc * x
     assert mat_pow(x, e) == acc
+
+
+MEMO_FIELDS = ((5, 2), (3, 6), (2, 20))
+
+
+@pytest.mark.parametrize("budget", [0, None], ids=["no_memo", "memo"])
+def test_reduction_memo_is_transparent(budget):
+    # products over fresh fields, once storing no reduction and once with
+    # the default budget, equal the entrywise reference
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(ffq, "_REDUCE_BUDGET", budget)
+        fields = [Fq(p, r) for p, r in MEMO_FIELDS]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        f = data.draw(st.sampled_from(fields))
+        n = data.draw(st.integers(1, 4))
+        entries = st.lists(st.lists(st.integers(0, f.q - 1), min_size=n,
+                                    max_size=n), min_size=n, max_size=n)
+        x, y = (FqMatrix.from_ints(f, data.draw(entries)) for _ in "xy")
+        assert x * y == entrywise_product(x, y)
+        assert mat_pow(x, 3) == \
+            entrywise_product(entrywise_product(x, x), x)
+        if budget == 0:
+            assert not any(f._memos.values())
+
+    check()
+
+
+def test_reduction_memo_stays_within_budget(monkeypatch):
+    monkeypatch.setattr(ffq, "_REDUCE_BUDGET", 40)
+    f = Fq(3, 6)
+    # n = 2, 3 and 6 give three slot widths, 6, 7 and 8 bits
+    draws = [m for n in (2, 3, 6) for m in unitriangular_elements(
+        n, f, "sample", 30, seed=n)]
+    for m in draws:
+        assert mat_pow(m, 3) == \
+            entrywise_product(entrywise_product(m, m), m)
+    stored = [len(memo) for memo in f._memos.values()]
+    assert len(stored) == 3 and sum(stored) == 40
+    # a fresh field stores nothing until it multiplies
+    assert not Fq(3, 6)._memos
+    # the memos hold no reference back to their field, so reference
+    # counting alone frees it, with the cyclic collector off
+    ref = weakref.ref(f)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del f, draws, m
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_unitriangular_enumeration_counts():

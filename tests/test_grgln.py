@@ -1,6 +1,7 @@
 """Upper-unitriangular specialization: the graded weight model, hook/edge
 supports, detection kernels, theorem reporters, and matrix-level checks."""
 
+import itertools
 import json
 import time
 from pathlib import Path
@@ -363,6 +364,63 @@ def test_commuting_regular_subgroup():
 
     with pytest.raises(InputError):
         commuting_regular_subgroup(4, 3, 1)
+
+
+def regular_subgroup_reference(n, p, r):
+    """`commuting_regular_subgroup`'s report, each element built on its own
+    by multiplying its generator powers left to right."""
+    field = Fq(p, r)
+    gens = [FqMatrix.from_ints(field, [[int(a == b) + p ** i * (b == a + 1)
+                                        for b in range(n)] for a in range(n)])
+            for i in range(r)]
+    ident = FqMatrix.identity(field, n)
+    elements = []
+    for cs in itertools.product(range(p), repeat=r):
+        m = ident
+        for g, c in zip(gens, cs):
+            m = m * mat_pow(g, c)
+        elements.append(m)
+    commuting = all(a * b == b * a for a in gens for b in gens)
+    exponent_p = all(g != ident and mat_pow(g, p) == ident for g in gens)
+    distinct = len(set(elements)) == p ** r
+    nontrivial = [m for m in elements if m != ident]
+    all_regular = all(regular_unipotent_check(m) for m in nontrivial)
+    return {
+        "op": "commuting_regular_subgroup",
+        "params": {"n": n, "p": p, "r": r},
+        "generators": [g.to_int_rows() for g in gens],
+        "order": p ** r,
+        "nontrivial_count": len(nontrivial),
+        "commuting": commuting,
+        "exponent_p": exponent_p,
+        "distinct": distinct,
+        "all_regular": all_regular,
+        "pass": commuting and exponent_p and distinct and all_regular,
+    }
+
+
+@pytest.mark.parametrize("n,p,r", [(3, 3, 1), (3, 5, 2), (5, 5, 1),
+                                   (3, 3, 4), (2, 2, 6)])
+def test_commuting_regular_subgroup_matches_reference(n, p, r):
+    assert commuting_regular_subgroup(n, p, r) == \
+        regular_subgroup_reference(n, p, r)
+
+
+def test_commuting_regular_subgroup_product_count(monkeypatch):
+    calls = []
+    product = FqMatrix.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(FqMatrix, "__mul__", counting)
+    commuting_regular_subgroup(3, 3, 6)
+    # q = 729 elements built level by level: a nonempty prefix of level k
+    # (3^k - 1 of them) times each of 2 powers, 716 products; 6 squarings
+    # for the powers, 2 per pair of the 6 generators for commuting (30), and
+    # g^3 = g^2 * g for each generator (6)
+    assert len(calls) == 716 + 6 + 30 + 6
 
 
 def test_exponent_check_all():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from liecoh import rootsys, verifygrid
 from liecoh.errors import InputError
 from liecoh.invalg import EXTERIOR, POLYNOMIAL, dimension_series
 from liecoh.rootsys import (
@@ -207,6 +208,25 @@ def test_singular_lattice_rejected():
     lat = cocharacter_lattice(rs, "custom", basis=[[1, 1], [1, 1]])
     with pytest.raises(InputError):
         cofundamental_exponent(rs, lat)
+    # a failed exponent is not cached: the next call raises again
+    with pytest.raises(InputError):
+        cofundamental_exponent(rs, lat)
+
+
+def test_c11_finds_each_smith_form_once(monkeypatch):
+    # c11 checks 9 types, each on its adjoint and simply connected
+    # cocharacter lattice, and bounds r = 1, 2, 3 on both: 18 lattices, each
+    # exponent found once and read again for every bound
+    calls = []
+    smith = rootsys.smith_invariant_factors
+
+    def counting(mat):
+        calls.append(mat)
+        return smith(mat)
+
+    monkeypatch.setattr(rootsys, "smith_invariant_factors", counting)
+    assert verifygrid.c11()["pass"] is True
+    assert len(calls) == 18
 
 
 def test_root_divisibility_adjoint_primitive():
