@@ -147,30 +147,22 @@ def subgroup_support(spec: GrUnSpec, kind: str, *indices) -> SubgroupSupport:
     return SubgroupSupport(name, ids)
 
 
-def _default_family(spec: GrUnSpec):
-    n, p = spec.n, spec.field.p
-    if p == 2:
-        return [subgroup_support(spec, "root", i, j)
-                for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return [subgroup_support(spec, "hook", left, right)
-            for left in range(1, n + 1) for right in range(left + 1, n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # detection reports
 # ---------------------------------------------------------------------------
 
-def hook_detection(spec: GrUnSpec, degree=None, family=None) -> dict:
+def hook_detection(spec: GrUnSpec, degree=None) -> dict:
     """Invariant dimension series up to the first interesting degree and the
     kernel of restriction to a detecting family (all hooks for p odd, all
-    root supports in characteristic 2).  An override family may be passed."""
+    root supports in characteristic 2)."""
     p, r = spec.field.p, spec.field.r
     if degree is None:
         degree = r * (2 * p - 3)
     if degree < 1:
         raise InputError("degree must be at least 1")
-    if family is None:
-        family = _default_family(spec)
+    n, kind = spec.n, "root" if p == 2 else "hook"
+    family = [subgroup_support(spec, kind, i, j)
+              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     alg = spec.algebra
     det = detection_kernel(alg, degree, family)
     series = dimension_series(alg, degree - 1, "invariant") \

@@ -56,7 +56,8 @@ capped per degree (default 10^7) and the cap fails loudly; the oracle knows
 the count from the two halves' Hilbert series before it walks.  A walk
 counts every monomial it examines, in the degrees below the requested ones
 too, against its degree's cap, so a single-degree walk cannot run on
-unguarded through the degrees beneath it.
+unguarded through the degrees beneath it.  A degree range whose tables
+would pass DEGREE_CAP cells is refused before any is built.
 
 All list outputs are sorted in a canonical order (generator id ascending,
 exponent descending) so repeated runs are byte-identical.
@@ -70,7 +71,6 @@ import gc
 import hashlib
 import json
 import math
-import operator
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -80,6 +80,7 @@ from .ffq import Fq, _Table, prime_power
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
 MONOMIAL_CAP = 10 ** 7
+DEGREE_CAP = 1 << 22        # generators x (top degree + 1) of one walk
 QUILLEN_CAP = 10 ** 6       # tuples enumerated by quillen_verify
 
 
@@ -313,15 +314,16 @@ def _stops(gens, lo: int, hi: int, lookup: bool) -> list:
     generators j < stop[rem] only.  Generator j is kept when one of its
     children lands in lo..hi or has a descendant there, by degree alone:
     the child adds e * degree (1 <= e, once for an exterior generator) and
-    the generators past j add some degree they can form (`ahead`, a bitset).
+    leaves a rem in `ahead`, the bitset of the rem from which the generators
+    past j reach lo..hi.  Past the last generator those are rem <= hi - lo.
     With `lookup` the child must leave degrees to fill, since final factors
     are looked up instead."""
-    span, full = hi - lo, (1 << (hi + 1)) - 1
+    full = (1 << (hi + 1)) - 1
     stop = [0] * (hi + 1)
-    ahead, kept = 1, 0      # past the last generator: degree 0 only
+    ahead, kept = (1 << (hi - lo + 1)) - 1, 0
     for j in range(len(gens) - 1, -1, -1):
         d = gens[j].degree
-        # degrees e * d alone, and e * d plus a positive degree ahead
+        # e * d plus rem 0 ahead (a child of degree hi), or a positive rem
         alone, rest = 1 << d, (ahead & ~1) << d
         if gens[j].parity == POLYNOMIAL:
             shift = d
@@ -329,24 +331,29 @@ def _stops(gens, lo: int, hi: int, lookup: bool) -> list:
                 alone |= alone << shift
                 rest |= rest << shift
                 shift *= 2
-        alone &= full
-        rest &= full
-        ahead |= alone | rest
-        # rem is kept when some t of rest lies in rem - span..rem, or some t
-        # of alone in rem - span..rem - lookup: spread t over that window
-        lands = rest | alone if span >= lookup else 0
-        done = 0
-        while done < span - lookup:
-            more = min(done + 1, span - lookup - done)
-            lands |= lands << more
-            done += more
-        new = (lands << lookup | rest) & full & ~kept
+        ahead |= (alone | rest) & full
+        new = (rest if lookup else rest | alone) & full & ~kept
         kept |= new
-        while new:
-            low = new & -new
-            stop[low.bit_length() - 1] = j + 1
-            new ^= low
+        bits = bin(new)[:1:-1] if new else ""   # bit rem at index rem
+        rem = bits.find("1")
+        while rem >= 0:
+            stop[rem] = j + 1
+            rem = bits.find("1", rem + 1)
     return stop
+
+
+def _degree_range(gens, lo: int, hi: int, refusal: str = "") -> None:
+    """InputError (`refusal` if given) unless 0 <= lo <= hi, and
+    ResourceGuardError when tables with a cell per generator (at least one)
+    and degree 0..hi would pass DEGREE_CAP."""
+    if not 0 <= lo <= hi:
+        raise InputError(refusal
+                         or f"degree range {lo}..{hi} is not 0 <= lo <= hi")
+    cells = max(len(gens), 1) * (hi + 1)
+    if cells > DEGREE_CAP:
+        raise ResourceGuardError(
+            f"degree {hi} with {len(gens)} generators makes {cells} "
+            f"generator-degree cells, more than the cap {DEGREE_CAP}")
 
 
 def _over_cap(max_count: int, degree: int) -> ResourceGuardError:
@@ -392,8 +399,7 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     `nodes` popped, children `pruned` at push and, per degree lo..hi, the
     `leaves` counted (in degree hi with an index, the accepted ones).
     """
-    if not 0 <= lo <= hi:
-        raise InputError(f"degree range {lo}..{hi} is not 0 <= lo <= hi")
+    _degree_range(gens, lo, hi)
     steps = steps or [None] * len(gens)
     after = [None] * len(gens) if allowed is None else [*allowed[1:], None]
     factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, g.id, ok)
@@ -490,7 +496,9 @@ def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
     With `exact` the sets are built per completion degree t: sets[t] for
     generators j onward is sets[t] for j + 1 onward joined with sets[t - d]
     (of j + 1 onward for an exterior generator, of j onward for a
-    polynomial one) rotated by generator j's weight.  Otherwise rows[rem]
+    polynomial one) rotated by generator j's weight; the rows follow the
+    same recurrence from residue 0 for rem <= hi - lo, since that factor
+    takes the window of rem to the window of rem - d.  Otherwise rows[rem]
     are the multiples of the gcd of m and the weights ahead, for every rem.
     Both only grow as j falls, so equal rows are shared between neighbours.
     """
@@ -506,28 +514,24 @@ def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
                 rows = (full // ((1 << g) - 1),) * (hi + 1) if g > 1 else None
             out[j] = rows
         return out
-    windows = [(max(0, rem - (hi - lo)), rem + 1) for rem in range(hi + 1)]
     sets = [1] + [0] * hi       # no generators: degree 0 from residue 0 only
+    # and the rows: the same list when lo == hi
+    tables = (sets,) if lo == hi else (sets, [1] * (hi - lo + 1) + [0] * lo)
     last = None
     for j in range(len(gens) - 1, -1, -1):
         gen = gens[j]
         d, shift = gen.degree, -gen.weight[c] % m
+        degrees = (range(hi, d - 1, -1) if gen.parity == EXTERIOR
+                   else range(d, hi + 1))
         # v completes with one more factor of generator j when v + w
         # completes without it: rotate by -w
-        for t in (range(hi, d - 1, -1) if gen.parity == EXTERIOR
-                  else range(d, hi + 1)):
-            bits = sets[t - d]
-            sets[t] |= (bits << shift | bits >> (m - shift)) & full
+        for table in tables:
+            for t in degrees:
+                bits = table[t - d]
+                table[t] |= (bits << shift | bits >> (m - shift)) & full
         if sets != last:
             last = sets[:]
-            ahead = sets[1:]
-            if ahead.count(0) + ahead.count(full) == hi:
-                rows = None
-            elif lo == hi:
-                rows = tuple(sets)
-            else:
-                rows = tuple(functools.reduce(operator.or_, sets[i:k], 0)
-                             for i, k in windows)
+            rows = None if set(sets[1:]) <= {0, full} else tuple(tables[-1])
         out[j] = rows
     return out
 
@@ -566,6 +570,7 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
     `_walk`): each (j, e) with e * degree_j <= hi filed under the packed
     state -e * weight_j, the one state that factor takes exactly to 0.
     """
+    _degree_range(alg.generators, lo, hi)
     gens, moduli = _walk_order(alg.generators), alg.moduli
     places = [math.prod(moduli[:c]) for c in range(alg.torus_rank)]
     width = hi + 1
@@ -642,10 +647,11 @@ def invariant_monomials(alg: AlgebraSpec, degree: int, prune: bool = True,
                                          max_count)[0]
 
 
-def _hilbert(gens, top: int) -> list[int]:
-    """Number of monomials in the generators `gens` of each degree 0..top:
+def _hilbert(gens, top: int, lo: int = 0, max_count=math.inf) -> list[int]:
+    """Number of monomials in the generators `gens` of each degree lo..top:
     the coefficients of the product of (1 + t^d) over exterior generators and
-    1/(1 - t^d) over polynomial ones, d the generator's degree."""
+    1/(1 - t^d) over polynomial ones, d the generator's degree.  More than
+    `max_count` in one degree raises ResourceGuardError naming the lowest."""
     coeffs = [1] + [0] * top
     for g in gens:
         d = g.degree
@@ -655,7 +661,11 @@ def _hilbert(gens, top: int) -> list[int]:
         else:
             for k in range(d, top + 1):
                 coeffs[k] += coeffs[k - d]
-    return coeffs
+    for d in range(lo, top + 1):
+        if coeffs[d] > max_count:
+            raise ResourceGuardError(f"{coeffs[d]} monomials in degree {d}, "
+                                     f"more than the cap {max_count}")
+    return coeffs[lo:]
 
 
 def invariant_monomials_oracle_by_degree(
@@ -690,18 +700,13 @@ def invariant_monomials_oracle_by_degree(
     Hilbert series before anything is walked; when a degree has more than
     `max_count`, the call raises ResourceGuardError naming the lowest one.
     """
-    if not 0 <= lo <= hi:
-        raise InputError(f"degree range {lo}..{hi} is not 0 <= lo <= hi")
     gens = alg.generators
+    _degree_range(gens, lo, hi)
     half = len(gens) // 2
     left, right = gens[:half], gens[half:]
+    _hilbert(gens, hi, lo, max_count)      # the cap, before any walk
     lcount, rcount = _hilbert(left, hi), _hilbert(right, hi)
     degrees = range(lo, hi + 1)
-    counts = _hilbert(gens, hi)[lo:]
-    for d, count in zip(degrees, counts):
-        if count > max_count:
-            raise ResourceGuardError(f"{count} monomials in degree {d}, "
-                                     f"more than the cap {max_count}")
     # (d, a): degree d takes degree a from the left half, d - a from the right
     pairs = [(d, a) for d in degrees for a in range(d + 1)
              if lcount[a] and rcount[d - a]]
@@ -796,16 +801,12 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
     """
     if filter not in FILTERS:
         raise InputError(f"filter must be one of {FILTERS}")
-    if max_degree < 0:
-        raise InputError("max_degree must be nonnegative")
+    _degree_range(alg.generators, 0, max_degree,
+                  "max_degree must be nonnegative")
     if filter == "all":
-        dims = _hilbert(alg.generators, max_degree)
+        dims = _hilbert(alg.generators, max_degree, max_count=max_count)
         if stats is not None:
             stats.update(nodes=0, pruned=0, leaves=dims, cap=max_count)
-        for d, count in enumerate(dims):
-            if count > max_count:
-                raise ResourceGuardError(f"{count} monomials in degree {d}, "
-                                         f"more than the cap {max_count}")
         return dims
     nilpotent = filter == "invariant_nilpotent"
     gens, tables = _residue_route(alg, 0, max_degree)
@@ -820,8 +821,7 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
             for monos in found]
 
 
-def detection_kernel(alg: AlgebraSpec, degree: int, family,
-                     max_count: int = MONOMIAL_CAP) -> dict:
+def detection_kernel(alg: AlgebraSpec, degree: int, family) -> dict:
     """Invariant monomials supported inside no family member.
 
     Each family member is a set of generator ids (anything with an `ids`
@@ -838,7 +838,7 @@ def detection_kernel(alg: AlgebraSpec, degree: int, family,
         if unknown:
             raise InputError(f"unknown generator ids {sorted(unknown)}")
         id_sets.append(ids)
-    inv = invariant_monomials(alg, degree, max_count=max_count)
+    inv = invariant_monomials(alg, degree)
     kernel = []
     for m in inv:
         support = m.support()

@@ -46,6 +46,25 @@ def test_invariants_run(tmp_path, capsys):
     assert env["results"]["oracle_mismatch_degrees"] == []
 
 
+def test_invariants_oracle_reports_the_degrees_it_disagrees_on(
+        tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "alg.json"
+    spec.write_text(canonical_json(gl2_algebra(5, 1).to_json_dict()))
+    argv = ["invariants", "run", "--spec", str(spec), "--max-degree", "9",
+            "--oracle"]
+    code, env = run_json(capsys, argv)
+    assert code == 0
+    assert env["results"]["oracle_mismatch_degrees"] == []
+    # series 1 0 0 0 0 0 0 1 1 0: an oracle that finds nothing disagrees
+    # wherever the series is nonzero
+    monkeypatch.setattr(cli, "invariant_monomials_oracle",
+                        lambda alg, d: [])
+    code, env = run_json(capsys, argv)
+    assert code == 1
+    assert env["results"]["oracle_mismatch_degrees"] == [0, 7, 8]
+    assert env["results"]["oracle_match"] is False
+
+
 def test_invariants_run_stats(tmp_path, capsys):
     spec = tmp_path / "hook.json"
     u6 = build_gr_un(6, 7, 1)
@@ -87,6 +106,23 @@ def test_invariants_oracle_flags_checked_before_computing(tmp_path, capsys):
                      top, "--filter", flt, "--oracle"])
         assert code == 2
         assert "--oracle applies" in capsys.readouterr().err
+
+
+def test_invariants_huge_degree_range_trips_the_degree_cap(tmp_path, capsys):
+    # 2 generators to degree 10^8 used to end in a MemoryError (exit 4)
+    spec = tmp_path / "alg.json"
+    spec.write_text(canonical_json(gl2_algebra(3, 1).to_json_dict()))
+    for flags in (["--filter", "all"], ["--filter", "invariant"],
+                  ["--oracle"]):
+        start = time.perf_counter()
+        code = main(["invariants", "run", "--spec", str(spec),
+                     "--max-degree", "100000000"] + flags)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 3, (flags, err)
+        assert elapsed < 1.0
+        assert err.startswith("resource guard: degree 100000000 ")
+        assert "200000002" in err and "4194304" in err
 
 
 def test_invariants_missing_file(capsys):

@@ -1,4 +1,6 @@
+import functools
 import gc
+import itertools
 import random
 
 import pytest
@@ -439,6 +441,49 @@ def test_stops_keep_exactly_the_generators_with_a_use():
                 brute(gens, lo, hi, lookup)
 
 
+def test_suffix_rows_match_their_definition():
+    # rows[rem] of generator j holds residue v when some monomial of the
+    # generators j onward, of degree in [max(0, rem - (hi - lo)), rem],
+    # adds -v; None when every exact-degree set past degree 0 is empty or
+    # full, and then only
+    def brute(gens, m, lo, hi):
+        out = []
+        for j in range(len(gens)):
+            ahead = gens[j:]
+            sets = [0] * (hi + 1)
+            tops = [1 if g.parity == EXTERIOR else hi // g.degree
+                    for g in ahead]
+            for exps in itertools.product(*(range(t + 1) for t in tops)):
+                t = sum(e * g.degree for e, g in zip(exps, ahead))
+                if t <= hi:
+                    w = sum(e * g.weight[0] for e, g in zip(exps, ahead))
+                    sets[t] |= 1 << (-w % m)
+            full = (1 << m) - 1
+            if all(x in (0, full) for x in sets[1:]):
+                out.append(None)
+            else:
+                out.append(tuple(
+                    functools.reduce(int.__or__,
+                                     sets[max(0, rem - (hi - lo)):rem + 1])
+                    for rem in range(hi + 1)))
+        return out
+
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        gens = [GeneratorSpec(f"g{i}", *rng.choice(
+                    [(EXTERIOR, 1), (POLYNOMIAL, 1), (POLYNOMIAL, 2)]),
+                    (rng.randrange(m),))
+                for i in range(rng.randint(1, 4))]
+        hi = rng.randint(0, 9)
+        lo = rng.choice([0, hi, rng.randint(0, hi)])
+        kinds.add("lo = 0" if lo == 0 else "lo = hi" if lo == hi else "inner")
+        assert invalg._suffix_rows(gens, 0, m, lo, hi, True) == \
+            brute(gens, m, lo, hi)
+    assert kinds == {"lo = 0", "lo = hi", "inner"}
+
+
 def test_walk_order_closes_coordinates_early():
     # the full U_n model keeps its row-major order, twists included
     for n, p, r in ((5, 7, 1), (4, 3, 2), (4, 2, 2)):
@@ -759,6 +804,43 @@ def test_dimension_series_all_cap_is_exact():
         with pytest.raises(ResourceGuardError,
                            match=f"^{top} monomials in degree {lowest},"):
             dimension_series(alg, 8, "all", max_count=top - 1)
+
+
+def test_dimension_series_far_out_closed_form():
+    # gl2(3,1): x0 * y0^b is invariant for b odd, y0^b for b even, so
+    # degree d has one invariant exactly when d = 0 or 3 mod 4; the pruning
+    # tables for 60,000 degrees are built in time linear in the top degree
+    series = dimension_series(gl2_algebra(3, 1), 60000, "invariant")
+    assert series == [1 if d % 4 in (0, 3) else 0 for d in range(60001)]
+
+
+def test_degree_cap_trips_before_anything_is_built(monkeypatch):
+    alg = gl2_algebra(3, 1)
+    top = invalg.DEGREE_CAP // 2     # 2 generators: one cell over the cap
+    calls = [lambda: enumerate_monomials(alg, top),
+             lambda: invariant_monomials_by_degree(alg, 0, top),
+             lambda: invariant_monomials_oracle_by_degree(alg, top, top)] + \
+        [lambda f=f: dimension_series(alg, top, f) for f in invalg.FILTERS]
+    for name in ("_hilbert", "_walk_order", "_tables", "_stops"):
+        monkeypatch.setattr(invalg, name, None)    # a call would fail
+    for call in calls:
+        with pytest.raises(ResourceGuardError) as exc:
+            call()
+        for part in (f"degree {top} ", "2 generators", f"{2 * top + 2} ",
+                     f"cap {invalg.DEGREE_CAP}"):
+            assert part in str(exc.value)
+    invalg._degree_range(alg.generators, 0, top - 1)
+    # no generators still walk one table per degree
+    with pytest.raises(ResourceGuardError):
+        invalg._degree_range((), 0, invalg.DEGREE_CAP)
+    # the largest gl2/sl2 landmark with q <= 2^20, p = 1048573 and r = 1,
+    # walks 2 generators to degree r(2p - 2)
+    invalg._degree_range(alg.generators, 0, 2 * 1048573 - 2)
+    # a negative or inverted range is still invalid input, message kept
+    with pytest.raises(InputError, match="^max_degree must be nonnegative$"):
+        dimension_series(alg, -1)
+    with pytest.raises(InputError, match=r"^degree range 3\.\.2 is not"):
+        invariant_monomials_by_degree(alg, 3, 2)
 
 
 def test_dimension_series_rejects_unknown_filter():
