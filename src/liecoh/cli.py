@@ -374,7 +374,7 @@ FLAGS = {
     "--oracle": dict(action="store_true",
                      help="cross-check against the eigenvalue oracle"),
     "--stats": dict(action="store_true",
-                    help="attach the series walk's work counts"),
+                    help="attach the series count's work counters"),
     "--samples": dict(type=int,
                       help="sample this many matrices instead of enumerating"),
     "--seed": dict(type=int, default=0),

@@ -59,6 +59,12 @@ too, against its degree's cap, so a single-degree walk cannot run on
 unguarded through the degrees beneath it.  A degree range whose tables
 would pass DEGREE_CAP cells is refused before any is built.
 
+An invariant dimension series lists no monomial: `_count_invariants`
+counts them by state over the divisibility route's walk order and tables,
+one count per (residue state, degree) below the top degree, and reads the
+top degree off the final-factor index.  Its guard is SERIES_CAP live
+(state, degree) entries.
+
 All list outputs are sorted in a canonical order (generator id ascending,
 exponent descending) so repeated runs are byte-identical.
 """
@@ -81,6 +87,7 @@ EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
 MONOMIAL_CAP = 10 ** 7
 DEGREE_CAP = 1 << 22        # generators x (top degree + 1) of one walk
+SERIES_CAP = 10 ** 7        # live (state, degree) entries of one series count
 QUILLEN_CAP = 10 ** 6       # tuples enumerated by quillen_verify
 
 
@@ -219,6 +226,9 @@ def canonical_json(obj) -> str:
 
 @dataclass(frozen=True)
 class Monomial:
+    # no instance dict; a frozen dataclass's own `slots=True` rebuilds the
+    # class and turns assignment's FrozenInstanceError into a TypeError
+    __slots__ = ("exps",)
     exps: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
@@ -362,8 +372,8 @@ def _over_cap(max_count: int, degree: int) -> ResourceGuardError:
 
 
 def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
-          allowed=None, last=None, keep=True, group=False,
-          max_count=MONOMIAL_CAP, stats=None):
+          allowed=None, last=None, group=False, max_count=MONOMIAL_CAP,
+          stats=None):
     """Walk the monomials in the generators `gens` (a tuple of
     GeneratorSpec) of degree lo..hi depth first on an explicit stack.
 
@@ -391,13 +401,13 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     A walk with an index does not `group`.
 
     Returns one entry per degree lo..hi: the accepted monomials as tuples of
-    (generator id, exponent) pairs, or just their number without `keep`, or
-    with `group` a mapping from each final state to the accepted monomials
-    reaching it.  Every popped node and every tested or settled final child
-    counts against its degree's cap: more than `max_count` in one degree
-    raises ResourceGuardError.  A `stats` dict receives the walk's work:
-    `nodes` popped, children `pruned` at push and, per degree lo..hi, the
-    `leaves` counted (in degree hi with an index, the accepted ones).
+    (generator id, exponent) pairs, or with `group` a mapping from each final
+    state to the accepted monomials reaching it.  Every popped node and every
+    tested or settled final child counts against its degree's cap: more than
+    `max_count` in one degree raises ResourceGuardError.  A `stats` dict
+    receives the walk's work: `nodes` popped, children `pruned` at push and,
+    per degree lo..hi, the `leaves` counted (in degree hi with an index, the
+    accepted ones).
     """
     _degree_range(gens, lo, hi)
     steps = steps or [None] * len(gens)
@@ -409,8 +419,7 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     stop = _stops(gens, lo, hi, lookup)
 
     seen = [0] * width           # per degree 0..hi
-    found = [defaultdict(list) if group else [] if keep else 0
-             for _ in range(span + 1)]
+    found = [defaultdict(list) if group else [] for _ in range(span + 1)]
     nodes = pruned = 0
     ok = allowed[0] if allowed else None
     stack = [(0, hi, start, ())] if ok is None or ok[start * width + hi] else []
@@ -425,18 +434,13 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
         if rem <= span and (target is None or s == target):
             if group:
                 found[span - rem][s].append(exps)
-            elif keep:
-                found[span - rem].append(exps)
             else:
-                found[span - rem] += 1
+                found[span - rem].append(exps)
         if lookup:
             for j, factor in last.get(s * width + rem, ()):
                 if j >= k:
                     seen[hi] += 1
-                    if keep:
-                        found[span].append(exps + factor)
-                    else:
-                        found[span] += 1
+                    found[span].append(exps + factor)
         for j in range(k, stop[rem]):
             d, cap, step, gid, ok = factors[j]
             top = (rem - lookup) // d
@@ -450,8 +454,7 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
                     t = step[t]
                 if r:
                     if ok is None or ok[t * width + r]:
-                        push((j + 1, r, t,
-                              exps + ((gid, e),) if keep else None))
+                        push((j + 1, r, t, exps + ((gid, e),)))
                     else:
                         pruned += 1
                     continue
@@ -459,10 +462,8 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
                 if target is None or t == target:
                     if group:
                         found[span][t].append(exps + ((gid, e),))
-                    elif keep:
-                        found[span].append(exps + ((gid, e),))
                     else:
-                        found[span] += 1
+                        found[span].append(exps + ((gid, e),))
             if ok is not None and not ok[s * width + rem]:
                 break
         if seen[hi] > max_count:
@@ -788,16 +789,93 @@ def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
 FILTERS = ("all", "invariant", "invariant_nilpotent")
 
 
+def _count_invariants(alg: AlgebraSpec, hi: int) -> tuple:
+    """Number of invariant monomials of each degree 0..hi, counted without
+    listing one: the transfer-matrix method (Stanley, Enumerative
+    Combinatorics I, 4.7) run over the divisibility route's walk order and
+    tables (`_residue_route`), which hold all of its invariance logic.
+
+    layers[t] maps a packed residue state to the number of monomials of
+    degree t < hi in the generators added so far that reach it.  Generator j
+    is added in place: an exterior one from the top layer down, so no
+    monomial takes it twice, a polynomial one from the bottom up, so a layer
+    it has extended is extended again.  A new entry is kept only if
+    `allowed` passes it for the generators that may still follow (j onward
+    for a polynomial generator, j + 1 onward for an exterior one), and once
+    j is added every entry that generators j + 1 onward cannot complete is
+    dropped.  Degree hi is never stored: before generator j is added, each
+    of its final factors (j, e) adds the count filed in degree
+    hi - e * degree_j under the state -e * weight_j, the factor's key in
+    the walk's final-factor index.
+
+    Returns the counts, the most live entries held at once and, per degree
+    below hi, the most entries its layer held.  More than SERIES_CAP live
+    entries raise ResourceGuardError.
+    """
+    gens, tables = _residue_route(alg, 0, hi)
+    steps, allowed, width = tables["steps"], tables["allowed"], hi + 1
+    after = [*allowed[1:], None]
+    finals = [[] for _ in gens]     # per generator: (degree, state) to read
+    for packed, factors in tables["last"].items():
+        state, d = divmod(packed, width)
+        for j, _ in factors:
+            finals[j].append((hi - d, state))
+    layers = [{} for _ in range(hi)]
+    if hi:
+        layers[0][0] = 1
+    top = 0 if hi else 1    # the monomial 1: in layer 0, or itself degree hi
+    most = [len(layer) for layer in layers]
+    live = peak = sum(most)
+    for j, g in enumerate(gens):
+        for t, state in finals[j]:
+            top += layers[t].get(state, 0)
+        d, step = g.degree, steps[j]
+        if g.parity == POLYNOMIAL:
+            ahead, degrees = allowed[j], range(d, hi)
+        else:
+            ahead, degrees = after[j], range(hi - 1, d - 1, -1)
+        # a (state, degree) meets each table about once: call its test
+        # directly, not through the table's memo
+        ok = None if ahead is None else ahead.fill
+        for t in degrees:
+            layer, rem = layers[t], hi - t
+            size, get = len(layer), layer.get
+            for s, c in layers[t - d].items():
+                u = s if step is None else step[s]
+                if ok is None or ok(u * width + rem):
+                    layer[u] = get(u, 0) + c
+            live += len(layer) - size
+            most[t] = max(most[t], len(layer))
+            if live > SERIES_CAP:
+                raise ResourceGuardError(
+                    f"{live} live (state, degree) entries at generator "
+                    f"{g.id!r}, position {j} of {len(gens)} in walk order, "
+                    f"more than the cap {SERIES_CAP}")
+        peak = max(peak, live)
+        ahead = after[j]
+        if ahead is not None and ahead is not allowed[j]:
+            ok = ahead.fill
+            for t, layer in enumerate(layers):
+                rem = hi - t
+                dead = [s for s in layer if not ok(s * width + rem)]
+                for s in dead:
+                    del layer[s]
+                live -= len(dead)
+    return [layer.get(0, 0) for layer in layers] + [top], peak, most
+
+
 def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
                      max_count: int = MONOMIAL_CAP, stats=None) -> list[int]:
     """dims[d] = number of monomials passing the filter in degree d <= D.
 
     Without an invariance filter the counts are the Hilbert series, and the
-    cap trips exactly when some degree has more than `max_count` monomials.
-    The invariant filters walk every degree in one pass; their cap applies
-    to the monomials a pruned walk examines in each degree alone.  A `stats`
-    dict receives that walk's counts (see `_walk`) and the `cap`; without a
-    walk, 0 nodes, 0 pruned and the Hilbert series as `leaves`.
+    cap trips exactly when some degree has more than `max_count` monomials;
+    a `stats` dict then receives 0 `nodes`, 0 `pruned`, the series as
+    `leaves` and the `cap`.  The invariant filters count by state
+    (`_count_invariants`), "invariant_nilpotent" as the count over all
+    generators minus the count over the polynomial ones alone; their guard
+    is SERIES_CAP live entries, and `stats` receives the `peak` live
+    entries, the most each degree below D held (`live`) and the `cap`.
     """
     if filter not in FILTERS:
         raise InputError(f"filter must be one of {FILTERS}")
@@ -808,17 +886,18 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
         if stats is not None:
             stats.update(nodes=0, pruned=0, leaves=dims, cap=max_count)
         return dims
-    nilpotent = filter == "invariant_nilpotent"
-    gens, tables = _residue_route(alg, 0, max_degree)
-    found = _walk(gens, 0, max_degree, **tables, keep=nilpotent,
-                  max_count=max_count, stats=stats)
+    dims, peak, live = _count_invariants(alg, max_degree)
+    if filter == "invariant_nilpotent":
+        polynomial = [g.id for g in alg.generators if g.parity == POLYNOMIAL]
+        even = dims         # without exterior generators, all of them
+        if len(polynomial) < len(alg.generators):
+            even, even_peak, even_live = _count_invariants(
+                alg.restrict(polynomial), max_degree)
+            peak, live = max(peak, even_peak), list(map(max, live, even_live))
+        dims = [a - b for a, b in zip(dims, even)]
     if stats is not None:
-        stats["cap"] = max_count
-    if not nilpotent:
-        return found
-    exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}
-    return [sum(1 for exps in monos if any(i in exterior for i, _ in exps))
-            for monos in found]
+        stats.update(peak=peak, live=live, cap=SERIES_CAP)
+    return dims
 
 
 def detection_kernel(alg: AlgebraSpec, degree: int, family) -> dict:

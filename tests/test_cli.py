@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from liecoh import cli
+from liecoh import cli, invalg
 from liecoh.cli import main
 from liecoh.gl2 import gl2_algebra
 from liecoh.grgln import build_gr_un, subgroup_support
@@ -81,8 +81,8 @@ def test_invariants_run_stats(tmp_path, capsys):
     stats = env["results"].pop("stats")
     assert canonical_json(env) + "\n" == plain
     assert env["results"]["series"] == [1] + [0] * 10 + [24]
-    assert stats == {"nodes": 141, "pruned": 444,
-                     "leaves": [1, 9, 9, 20, 24, 29, 23, 12, 4, 1, 9, 24],
+    # the count by state: at most 21 (state, degree) entries at once
+    assert stats == {"peak": 21, "live": [1, 2, 3, 4, 4, 4, 3, 2, 1, 1, 1],
                      "cap": 10 ** 7}
     # --filter all reads the Hilbert series and walks nothing; its plain
     # report too is unchanged by --stats
@@ -94,6 +94,31 @@ def test_invariants_run_stats(tmp_path, capsys):
     assert canonical_json(env) + "\n" == plain
     assert stats == {"nodes": 0, "pruned": 0,
                      "leaves": env["results"]["series"], "cap": 10 ** 7}
+
+
+def test_series_live_entry_cap_exits_three(tmp_path, capsys, monkeypatch):
+    # E8 at p = 3 to degree 3 holds at most 239 live entries, the (1,6)
+    # hook of U_6 at p = 7 to degree 11 at most 21
+    spec = tmp_path / "hook.json"
+    u6 = build_gr_un(6, 7, 1)
+    hook = subgroup_support(u6, "hook", 1, 6)
+    spec.write_text(canonical_json(u6.algebra.restrict(hook.ids).to_json_dict()))
+    hook_run = ["invariants", "run", "--spec", str(spec), "--max-degree", "11"]
+    e8 = ["rootsys", "algebra", "--type", "E", "--rank", "8", "--p", "3",
+          "--r", "1", "--max-degree", "3"]
+    monkeypatch.setattr(invalg, "SERIES_CAP", 239)
+    for argv in (e8, hook_run, hook_run + ["--filter", "invariant_nilpotent"]):
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    monkeypatch.setattr(invalg, "SERIES_CAP", 20)
+    for argv in (e8, hook_run, hook_run + ["--filter", "invariant_nilpotent"]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard: ")
+        assert "live (state, degree) entries at generator" in err
+        assert "in walk order, more than the cap 20" in err
+    # the Hilbert series keeps its monomial cap, and computes here
+    assert main(hook_run + ["--filter", "all"]) == 0
 
 
 def test_invariants_oracle_flags_checked_before_computing(tmp_path, capsys):
@@ -385,9 +410,8 @@ def test_rootsys_algebra_stats(capsys):
     stats = env["results"].pop("stats")
     assert canonical_json(env) + "\n" == plain
     assert env["results"]["series"] == [1, 0, 0, 1240]
-    # degree 3 counts the leaves found by final-factor lookup
-    assert stats == {"nodes": 2415, "pruned": 7,
-                     "leaves": [1, 120, 2294, 1240], "cap": 10 ** 7}
+    # degree 3 is read off the final-factor keys, never stored in a layer
+    assert stats == {"peak": 239, "live": [1, 56, 182], "cap": 10 ** 7}
 
 
 def test_grun_build(capsys):

@@ -147,14 +147,21 @@ def test_hook_detection_char2():
 
 
 def test_hook_detection_walks_each_degree_once(monkeypatch):
+    # degrees below d are counted by state, degree d is listed by the
+    # kernel walk: each degree 0..d is computed by exactly one of them
     windows = []
-    walk = invalg._walk
+    walk, count = invalg._walk, invalg._count_invariants
 
     def record(gens, lo, hi, *args, **kwargs):
         windows.append((lo, hi))
         return walk(gens, lo, hi, *args, **kwargs)
 
+    def record_count(alg, hi):
+        windows.append((0, hi))
+        return count(alg, hi)
+
     monkeypatch.setattr(invalg, "_walk", record)
+    monkeypatch.setattr(invalg, "_count_invariants", record_count)
     for spec, degree in ((build_gr_un(3, 3, 1), None),
                          (build_gr_un(4, 3, 2), 5)):
         windows.clear()
@@ -296,6 +303,17 @@ def test_theorem_lowest_gl_flags_n3():
     assert rep["dim"] == 1
     assert rep["discrepancy"] is True
     assert rep["caution"] is True
+
+
+def test_theorem_lowest_gl_grid_to_p7():
+    # every odd p <= 7 and 2 <= n <= p + 1; n = 3 carries the caution flag
+    # of its degenerate edge family (see test_theorem_lowest_gl_flags_n3)
+    for p in (3, 5, 7):
+        for n in range(2, p + 2):
+            rep = theorem_lowest_gl(n, p, 1)
+            assert rep["caution"] is (n == 3), (n, p)
+            assert rep["discrepancy"] is (n == 3), (n, p)
+            assert rep["dim"] == (1 if n <= p else 0), (n, p)
 
 
 def test_theorem_lowest_gl_ingredient_labels():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import itertools
@@ -124,6 +125,22 @@ def test_monomial_normalization():
     assert Monomial.from_dict({"exps": {"x0": 1}}) == mono(x0=1)
     with pytest.raises(InputError):
         Monomial((("x0", 0),))
+
+
+def test_monomial_carries_no_instance_dict():
+    m = Monomial((("y0", 2), ("x0", 1)))
+    assert not hasattr(m, "__dict__")
+    for name in ("exps", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, ())
+    # equality, hashing and the canonical order still read `exps` alone
+    assert m == Monomial._of((("x0", 1), ("y0", 2))) == mono(x0=1, y0=2)
+    assert hash(m) == hash((m.exps,)) == hash(mono(x0=1, y0=2))
+    assert len({m, mono(y0=2, x0=1), mono(x0=1)}) == 2
+    shuffled = [mono(y0=1), mono(x0=1, y0=1), mono(x0=2), Monomial(()),
+                mono(x0=1)]
+    assert canonical_sort(shuffled) == [Monomial(()), mono(x0=2), mono(x0=1),
+                                        mono(x0=1, y0=1), mono(y0=1)]
 
 
 def test_walker_output_is_sorted_and_checked():
@@ -804,6 +821,28 @@ def test_dimension_series_all_cap_is_exact():
         with pytest.raises(ResourceGuardError,
                            match=f"^{top} monomials in degree {lowest},"):
             dimension_series(alg, 8, "all", max_count=top - 1)
+
+
+def test_invariant_series_cap_on_live_entries(monkeypatch):
+    # the (1,6) hook of U_6 at p = 7 to degree 11 holds at most 21
+    # (state, degree) entries at once; the cap trips on the 21st, naming the
+    # generator, its walk position, the live count and the cap
+    alg = _hook_spec(6, 7, 1, 1, 6)
+    want = [1] + [0] * 10 + [24]
+    monkeypatch.setattr(invalg, "SERIES_CAP", 21)
+    stats = {}
+    assert dimension_series(alg, 11, "invariant", stats=stats) == want
+    assert stats["peak"] == 21 and stats["cap"] == 21
+    monkeypatch.setattr(invalg, "SERIES_CAP", 20)
+    for flt in ("invariant", "invariant_nilpotent"):
+        with pytest.raises(ResourceGuardError) as exc:
+            dimension_series(alg, 11, flt)
+        assert str(exc.value) == (
+            "21 live (state, degree) entries at generator 'x[3,6,0]', "
+            "position 6 of 18 in walk order, more than the cap 20")
+    # the Hilbert series is not held to it, and max_count bounds only that
+    assert dimension_series(alg, 11, "all")[11] == 75582
+    assert dimension_series(alg, 3, "invariant", max_count=1) == [1, 0, 0, 0]
 
 
 def test_dimension_series_far_out_closed_form():

@@ -392,6 +392,16 @@ def test_adjoint_char2_vanishing_below_r():
             assert dims[r] > 0, (t, n, r)
 
 
+def test_f4_series_at_p13_frozen():
+    # F4 (Coxeter number 12) at p = 13 to degree 2p - 3 = 23: counted by
+    # state, since the top degree alone holds 82,501,299 invariants
+    rs = build_root_system([("F", 4)])
+    alg = lie_gr_algebra(rs, cocharacter_lattice(rs, "adjoint"), 13, 1)
+    dims = dimension_series(alg, 23, "invariant")
+    assert dims == [1] + [0] * 16 + [671, 12685, 129091, 913950, 4974573,
+                                     22031060, 82501299]
+
+
 def test_root_system_json():
     rs = build_root_system([("C", 3)])
     blob = rs.to_json_dict()
