@@ -19,6 +19,11 @@ pass:
   product is 1.
 
 The two deliberately share no invariance logic, so each checks the other.
+Each sets up what no degree changes once per spec, on its first call, by
+its own function, and the spec holds the result: the divisibility route
+its walk order and step tables, the oracle its scalars, eigenvalues,
+product tables and step tables.  A call builds only what depends on its
+degrees.
 
 All enumerations run on one walker: a depth-first descent over a list of
 generators, kept on an explicit stack, that reaches each monomial of the
@@ -219,6 +224,16 @@ class AlgebraSpec:
         blob = canonical_json(self.to_json_dict())
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
+    # Each invariance route's degree-free set-up, built on first use and
+    # held by the spec (not a field, so ==, hash and repr never see it).
+    @functools.cached_property
+    def _residue_state(self) -> tuple:
+        return _residue_setup(self)
+
+    @functools.cached_property
+    def _oracle_state(self) -> tuple:
+        return _oracle_setup(self)
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -302,10 +317,13 @@ def monomial_weight(alg: AlgebraSpec, m: Monomial) -> tuple[int, ...]:
 # enumeration: one descent walker, two invariance routes
 # ---------------------------------------------------------------------------
 
-# Entries the step and pruning tables of one walk may store, at most about
-# 14 MB; later misses are computed and not stored, so memory stays bounded
-# however many distinct states a walk reaches.  The divisibility route's
-# suffix residue sets are charged against it too, one entry per 64 residues.
+# Entries a table budget lets its tables store, at most about 14 MB; later
+# misses are computed and not stored, so memory stays bounded however many
+# distinct states are reached.  Each spec holds one budget per route for
+# the step and product tables it keeps across calls, and each walk has one
+# of its own for its pruning tables, which it drops when it ends.  The
+# divisibility route's suffix residue sets are charged against the walk's
+# budget too, one entry per 64 residues.
 _TABLE_BUDGET = 1 << 17
 
 
@@ -554,13 +572,37 @@ def _walk_order(gens) -> tuple:
     return tuple(order)
 
 
+def _residue_setup(alg: AlgebraSpec) -> tuple:
+    """The divisibility route's degree-free set-up, held by the spec
+    (`AlgebraSpec._residue_state`): the walk order (`_walk_order`), the
+    place of each coordinate's digit in the packed state (digit c in base
+    moduli[c]) and, per generator in walk order, its moves (the place,
+    modulus and weight of each coordinate it acts on) and its step table.
+    The step tables are filled on lookup, from one budget for the spec."""
+    gens, moduli = _walk_order(alg.generators), alg.moduli
+    places = tuple(math.prod(moduli[:c]) for c in range(alg.torus_rank))
+
+    def add(moves):
+        def fill(s):
+            for place, m, w in moves:
+                v = s // place % m
+                s += ((v + w) % m - v) * place
+            return s
+        return fill
+
+    moves = tuple(tuple((place, m, w) for place, m, w
+                        in zip(places, moduli, g.weight) if w) for g in gens)
+    return gens, places, moves, _tables(moves, add, [_TABLE_BUDGET])
+
+
 def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
                    prune: bool = True) -> tuple:
     """The walk order (`_walk_order`) and walker tables for the
     divisibility test over degrees lo..hi.
 
     The state is the weight residue vector packed into one integer, digit c
-    in base moduli[c], so the monomial 1 and the accepted state are both 0.
+    in base moduli[c], so the monomial 1 and the accepted state are both 0;
+    the order and step tables are the spec's own (`_residue_setup`).
     Generator j is tried from state s with rem degrees left only if, in
     every coordinate, generators j onward can bring the residue to 0 with a
     monomial whose degree lands the walk in lo..hi (`_suffix_rows`).  The
@@ -572,18 +614,9 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
     state -e * weight_j, the one state that factor takes exactly to 0.
     """
     _degree_range(alg.generators, lo, hi)
-    gens, moduli = _walk_order(alg.generators), alg.moduli
-    places = [math.prod(moduli[:c]) for c in range(alg.torus_rank)]
-    width = hi + 1
+    gens, places, moves, steps = alg._residue_state
+    moduli, width = alg.moduli, hi + 1
     budget = [_TABLE_BUDGET]
-
-    def add(moves):
-        def fill(s):
-            for place, m, w in moves:
-                v = s // place % m
-                s += ((v + w) % m - v) * place
-            return s
-        return fill
 
     def completable(checks):
         def fill(key):
@@ -594,9 +627,6 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
             return True
         return fill
 
-    moves = [tuple((place, m, w) for place, m, w
-                   in zip(places, moduli, g.weight) if w) for g in gens]
-    steps = _tables(moves, add, budget)
     allowed = last = None
     if prune:
         checks = [[] for _ in gens]
@@ -669,6 +699,48 @@ def _hilbert(gens, top: int, lo: int = 0, max_count=math.inf) -> list[int]:
     return coeffs[lo:]
 
 
+def _oracle_setup(alg: AlgebraSpec) -> tuple:
+    """The eigenvalue oracle's degree-free set-up, held by the spec
+    (`AlgebraSpec._oracle_state`): the left and right halves of the
+    generator list, each half's step tables, the state of the monomial 1
+    and the product table of each eigenvalue.  The step and product tables
+    are filled on lookup, from one budget for the spec."""
+    gens, field = alg.generators, alg.field
+    q = field.q
+    half = len(gens) // 2
+    scalars = [field.pow(field.generator, (q - 1) // m) for m in alg.moduli]
+    inverted = [field.inv(x) for x in scalars]
+    places = [q ** c for c in range(alg.torus_rank)]
+    budget = [_TABLE_BUDGET]
+
+    def act(moves):
+        tables = [(place, products[ev]) for place, ev in moves]
+
+        def fill(s):
+            for place, table in tables:
+                v = s // place % q
+                s += (table[v] - v) * place
+            return s
+        return fill
+
+    @functools.cache
+    def eigenvalue(x, w):
+        return field.pow(x, w)
+
+    def move(xs, weight):
+        eig = [eigenvalue(x, w) for x, w in zip(xs, weight)]
+        return tuple((place, ev) for place, ev in zip(places, eig) if ev != 1)
+
+    # (x^-1)^w = (x^w)^-1: the right half's eigenvalues come inverted
+    moves = [move(scalars, g.weight) for g in gens[:half]] \
+        + [move(inverted, g.weight) for g in gens[half:]]
+    products = {ev: _Table(functools.partial(field.mul, ev), budget)
+                for ev in {ev for m in moves for _, ev in m}}
+    steps = _tables(moves, act, budget)
+    return (gens[:half], gens[half:], steps[:half], steps[half:],
+            sum(places), products)
+
+
 def invariant_monomials_oracle_by_degree(
         alg: AlgebraSpec, lo: int, hi: int,
         max_count: int = MONOMIAL_CAP) -> list[list[Monomial]]:
@@ -694,8 +766,9 @@ def invariant_monomials_oracle_by_degree(
     Each eigenvalue is a field power of its scalar, computed once per
     (scalar, weight) pair; every product is an actual field multiplication,
     `Fq.mul`, made on the first lookup of an (eigenvalue, element) pair and
-    kept in a table while the budget lasts.  The scalars are set up once
-    per call.
+    kept in a table while the budget lasts.  All of this is set up once
+    per spec (`_oracle_setup`) and held by it; a call counts, walks the
+    halves and joins.
 
     The number of monomials of each degree is known from the two halves'
     Hilbert series before anything is walked; when a degree has more than
@@ -703,9 +776,8 @@ def invariant_monomials_oracle_by_degree(
     """
     gens = alg.generators
     _degree_range(gens, lo, hi)
-    half = len(gens) // 2
-    left, right = gens[:half], gens[half:]
     _hilbert(gens, hi, lo, max_count)      # the cap, before any walk
+    left, right, lsteps, rsteps, identity, _ = alg._oracle_state
     lcount, rcount = _hilbert(left, hi), _hilbert(right, hi)
     degrees = range(lo, hi + 1)
     # (d, a): degree d takes degree a from the left half, d - a from the right
@@ -714,38 +786,6 @@ def invariant_monomials_oracle_by_degree(
     if not pairs:
         return [[] for _ in degrees]
 
-    field = alg.field
-    q = field.q
-    scalars = [field.pow(field.generator, (q - 1) // m) for m in alg.moduli]
-    inverted = [field.inv(x) for x in scalars]
-    places = [q ** c for c in range(alg.torus_rank)]
-    budget = [_TABLE_BUDGET]
-
-    def act(moves):
-        tables = [(place, products[ev]) for place, ev in moves]
-
-        def fill(s):
-            for place, table in tables:
-                v = s // place % q
-                s += (table[v] - v) * place
-            return s
-        return fill
-
-    @functools.cache
-    def eigenvalue(x, w):
-        return field.pow(x, w)
-
-    def move(xs, weight):
-        eig = [eigenvalue(x, w) for x, w in zip(xs, weight)]
-        return tuple((place, ev) for place, ev in zip(places, eig) if ev != 1)
-
-    # (x^-1)^w = (x^w)^-1: the right half's eigenvalues come inverted
-    moves = [move(scalars, g.weight) for g in left] \
-        + [move(inverted, g.weight) for g in right]
-    products = {ev: _Table(functools.partial(field.mul, ev), budget)
-                for ev in {ev for m in moves for _, ev in m}}
-    steps = _tables(moves, act, budget)
-    identity = sum(places)
     llo, lhi = min(a for _, a in pairs), max(a for _, a in pairs)
     rlo, rhi = min(d - a for d, a in pairs), max(d - a for d, a in pairs)
     # a half walk meets each monomial of a degree at most once, so with the
@@ -757,9 +797,9 @@ def invariant_monomials_oracle_by_degree(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        lgroups = _walk(left, llo, lhi, steps[:half], identity, group=True,
+        lgroups = _walk(left, llo, lhi, lsteps, identity, group=True,
                         max_count=cap)
-        rgroups = _walk(right, rlo, rhi, steps[half:], identity, group=True,
+        rgroups = _walk(right, rlo, rhi, rsteps, identity, group=True,
                         max_count=cap)
         found = {d: [] for d in degrees}
         for d, a in pairs:

@@ -3,6 +3,7 @@ import functools
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -613,6 +614,107 @@ def test_oracle_reuses_the_spec_field(monkeypatch):
         assert invariant_monomials_oracle(alg, d) == []
     assert invariant_monomials_oracle_by_degree(alg, 1, 8) == [[]] * 8
     assert calls == {"multiplicative_generator": 1, "find_irreducible": 0}
+
+
+def test_each_route_sets_up_once_per_spec(monkeypatch):
+    # the scalars, eigenvalues and walk order are the spec's own: made on
+    # its first call, and again only for another spec, an equal one too
+    alg = gl2_algebra(5, 2)
+    calls = {"pow": 0, "inv": 0, "_walk_order": 0}
+    for owner, name in ((Fq, "pow"), (Fq, "inv"), (invalg, "_walk_order")):
+        def counting(*args, real=getattr(owner, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counting)
+
+    def run(spec, degrees):
+        spec.field.generator        # the field's own, counted elsewhere
+        for d in degrees:
+            assert invariant_monomials_oracle(spec, d) == []
+            assert invariant_monomials(spec, d) == []
+
+    run(alg, [1])
+    first = dict(calls)
+    assert first["pow"] and first["inv"] and first["_walk_order"] == 1
+    run(alg, range(2, 9))
+    assert invariant_monomials_oracle_by_degree(alg, 1, 8) == [[]] * 8
+    assert invariant_monomials_by_degree(alg, 1, 8) == [[]] * 8
+    assert calls == first
+    twin = AlgebraSpec.from_json_dict(alg.to_json_dict())
+    assert twin == alg
+    run(twin, range(1, 9))
+    assert calls == {name: 2 * n for name, n in first.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.randoms(use_true_random=False),
+       st.sampled_from([None, 0]))
+def test_held_setup_changes_no_output(seed, rnd, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(invalg, "_TABLE_BUDGET", budget)
+        alg = random_algebra_spec(random.Random(seed))
+        before = (hash(alg), alg.spec_hash(), alg.to_json_dict(), repr(alg))
+        degrees = list(range(9))
+        rnd.shuffle(degrees)
+        for d in degrees:
+            fresh = random_algebra_spec(random.Random(seed))
+            assert invariant_monomials(alg, d) == invariant_monomials(fresh, d)
+            assert invariant_monomials_oracle(alg, d) == \
+                invariant_monomials_oracle(fresh, d)
+        lo, hi = sorted(degrees[:2])
+        fresh = random_algebra_spec(random.Random(seed))
+        assert invariant_monomials_by_degree(alg, lo, hi) == \
+            invariant_monomials_by_degree(fresh, lo, hi)
+        assert invariant_monomials_oracle_by_degree(alg, lo, hi) == \
+            invariant_monomials_oracle_by_degree(fresh, lo, hi)
+        # the held state is no part of the spec's value
+        assert {"_residue_state", "_oracle_state"} <= vars(alg).keys()
+        assert alg == fresh
+        assert (hash(alg), alg.spec_hash(), alg.to_json_dict(),
+                repr(alg)) == before
+        # a restricted spec builds its own
+        sub = alg.restrict(alg.ids[1:])
+        assert not {"_residue_state", "_oracle_state"} & vars(sub).keys()
+        assert invariant_monomials(sub, 4) == \
+            invariant_monomials_oracle(sub, 4)
+        assert sub._residue_state is not alg._residue_state
+        assert sub._oracle_state is not alg._oracle_state
+
+
+def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
+    monkeypatch.setattr(invalg, "_TABLE_BUDGET", 7)
+    # weights of gcd 2 with the modulus 48, so a budget too small for the
+    # suffix sets still leaves each walk pruning tables
+    gens = [GeneratorSpec("x0", EXTERIOR, 1, (2,)),
+            GeneratorSpec("y0", POLYNOMIAL, 2, (6,)),
+            GeneratorSpec("x1", EXTERIOR, 1, (10,)),
+            GeneratorSpec("y1", POLYNOMIAL, 2, (4,))]
+    alg = AlgebraSpec.make(7, 2, 1, gens)
+    for d in range(1, 25):
+        assert invariant_monomials_oracle(alg, d) == invariant_monomials(alg, d)
+
+    def stored(tables):
+        return sum(len(t) for t in {id(t): t for t in tables if t}.values())
+
+    _, _, lsteps, rsteps, _, products = alg._oracle_state
+    assert stored(lsteps + rsteps + list(products.values())) == 7
+    assert stored(alg._residue_state[3]) == 7
+    # a walk's pruning tables have a budget of their own, spent or not
+    gens, tables = invalg._residue_route(alg, 14, 14)
+    invalg._walk(gens, 14, 14, **tables)
+    assert stored(tables["allowed"]) == 7
+    # the held tables make no cycle back to their spec: with the cyclic
+    # collector off, reference counting alone frees it
+    ref = weakref.ref(alg)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del alg
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def eigenvalue_reference(alg, degree):
