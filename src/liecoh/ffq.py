@@ -489,6 +489,12 @@ def mat_pow(m: FqMatrix, e: int) -> FqMatrix:
     return FqMatrix.identity(m.field, m.n) if result is None else result
 
 
+def mat_pow_products(e: int) -> int:
+    """The matrix products `mat_pow(m, e)` makes for e >= 1: a squaring per
+    bit below the top one and a product per set bit after the first."""
+    return e.bit_length() + e.bit_count() - 2
+
+
 def unitriangular_elements(n: int, field: Fq, mode: str = "all",
                            count: int | None = None, seed: int = 0):
     """Upper unitriangular n x n matrices over the field.

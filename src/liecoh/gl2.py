@@ -16,25 +16,18 @@ from .errors import InputError
 from .ffq import prime_power
 from .invalg import (
     EXTERIOR,
-    POLYNOMIAL,
     AlgebraSpec,
-    GeneratorSpec,
     Monomial,
+    graded_pair,
     invariant_monomials_by_degree,
     monomial_json,
 )
 
 
 def _rank_one_algebra(p, r, moduli=None):
-    gens = []
-    if p == 2:
-        for k in range(r):
-            gens.append(GeneratorSpec(f"x{k}", POLYNOMIAL, 1, (p ** k,)))
-    else:
-        for k in range(r):
-            gens.append(GeneratorSpec(f"x{k}", EXTERIOR, 1, (p ** k,)))
-        for k in range(r):
-            gens.append(GeneratorSpec(f"y{k}", POLYNOMIAL, 2, (p ** k,)))
+    pairs = [graded_pair(p, k, k, (1,)) for k in range(r)]
+    # all x's, then all y's
+    gens = [g for col in zip(*pairs) for g in col]
     return AlgebraSpec.make(p, r, 1, gens, moduli)
 
 
@@ -55,13 +48,12 @@ def sl2_algebra(p, r) -> AlgebraSpec:
     return _rank_one_algebra(p, r, ((prime_power(p, r) - 1) // 2,))
 
 
-def _expected_monomial(r, xexp, yexp):
-    exps = []
-    if xexp:
-        exps += [(f"x{k}", xexp) for k in range(r)]
-    if yexp:
-        exps += [(f"y{k}", yexp) for k in range(r)]
-    return Monomial(tuple(exps))
+def _expected_witness(alg, r, xexp, yexp):
+    """Every x to the power xexp times every y to the power yexp, formatted,
+    with the ids read off the spec: the r x's come first, then the r y's."""
+    ids = [g.id for g in alg.generators]
+    return Monomial(tuple([(i, xexp) for i in ids[:r] if xexp]
+                          + [(i, yexp) for i in ids[r:] if yexp])).format()
 
 
 def _landmark_report(group, alg, p, r, expected, top):
@@ -119,17 +111,17 @@ def gl2_landmarks(p, r) -> dict:
         expected = {
             "first_positive_degree": r,
             "first_dim": 1,
-            "witness": _expected_monomial(r, 1, 0).format(),
+            "witness": _expected_witness(alg, r, 1, 0),
             "lowest_nonnilpotent_degree": r,
-            "nonnilpotent_witness": _expected_monomial(r, 1, 0).format(),
+            "nonnilpotent_witness": _expected_witness(alg, r, 1, 0),
         }
     else:
         expected = {
             "first_positive_degree": r * (2 * p - 3),
             "first_dim": 1,
-            "witness": _expected_monomial(r, 1, p - 2).format(),
+            "witness": _expected_witness(alg, r, 1, p - 2),
             "lowest_nonnilpotent_degree": r * (2 * p - 2),
-            "nonnilpotent_witness": _expected_monomial(r, 0, p - 1).format(),
+            "nonnilpotent_witness": _expected_witness(alg, r, 0, p - 1),
         }
     top = r if p == 2 else r * (2 * p - 2)     # prod x_k, prod y_k^(p-1)
     return _landmark_report("GL2", alg, p, r, expected, top)
@@ -143,7 +135,7 @@ def sl2_landmarks(p, r) -> dict:
     expected = {
         "first_positive_degree": r * (p - 2),
         "first_dim": 1,
-        "witness": _expected_monomial(r, 1, (p - 3) // 2).format(),
+        "witness": _expected_witness(alg, r, 1, (p - 3) // 2),
     }
     # prod y_k^((p-1)/2)
     return _landmark_report("SL2", alg, p, r, expected, r * (p - 1))

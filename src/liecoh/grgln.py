@@ -16,30 +16,38 @@ relied on).  A failed computed ingredient sets `discrepancy` on the report;
 it never silently flips the reported dimension.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceGuardError
-from .ffq import ENUMERATION_CAP, Fq, FqMatrix, mat_pow, prime_power, \
-    unitriangular_elements
+from .ffq import ENUMERATION_CAP, Fq, FqMatrix, mat_pow, mat_pow_products, \
+    prime_power, unitriangular_elements
 from .gl2 import gl2_landmarks
 from .invalg import (
-    EXTERIOR,
-    POLYNOMIAL,
     AlgebraSpec,
-    GeneratorSpec,
     Monomial,
     canonical_sort,
     detection_kernel,
     dimension_series,
+    graded_pair,
     monomial_json,
 )
+
+
+WEIGHT_TABLE_CAP = 1 << 22   # generators x torus rank of one graded model
+MATRIX_WORK_CAP = 10 ** 9    # products x n^3 multiply-adds of one check
 
 
 # ---------------------------------------------------------------------------
 # the graded weight model
 # ---------------------------------------------------------------------------
+
+def _positions(n):
+    """The positions (i, j), 1 <= i < j <= n, row by row."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
 
 @dataclass(frozen=True)
 class GrUnSpec:
@@ -51,28 +59,35 @@ class GrUnSpec:
     def field(self) -> Fq:
         return self.algebra.field
 
+    @functools.cached_property
+    def position_ids(self) -> dict:
+        """Each position's generator ids, read off the algebra, which holds
+        one equal run of generators per position in `_positions` order."""
+        gens = self.algebra.generators
+        run = len(gens) // math.comb(self.n, 2)
+        return {pos: tuple(g.id for g in gens[s * run:(s + 1) * run])
+                for s, pos in enumerate(_positions(self.n))}
+
 
 def build_gr_un(n: int, p: int, r: int) -> GrUnSpec:
     """Weighted algebra for the graded unitriangular group, one generator
-    pair per position (i, j), i < j, and twist k, ordered by (i, j, k)."""
+    pair per position (i, j), i < j, and twist k, ordered by (i, j, k).
+    A weight table (generators x n entries) over WEIGHT_TABLE_CAP is
+    refused before any generator is built."""
     if n < 2:
         raise InputError("matrix size must be at least 2")
     prime_power(p, r)     # before any generator is built
+    count = math.comb(n, 2) * r * (1 if p == 2 else 2)
+    if count * n > WEIGHT_TABLE_CAP:
+        raise ResourceGuardError(
+            f"graded model for n = {n}, p = {p}, r = {r} would hold "
+            f"{count} generators x {n} weights = {count * n} entries, over "
+            f"the cap {WEIGHT_TABLE_CAP}")
     gens = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(r):
-                w = [0] * n
-                w[i - 1] = p ** k
-                w[j - 1] = -(p ** k)
-                if p == 2:
-                    gens.append(GeneratorSpec(f"x[{i},{j},{k}]", POLYNOMIAL,
-                                              1, tuple(w)))
-                else:
-                    gens.append(GeneratorSpec(f"x[{i},{j},{k}]", EXTERIOR,
-                                              1, tuple(w)))
-                    gens.append(GeneratorSpec(f"y[{i},{j},{k}]", POLYNOMIAL,
-                                              2, tuple(w)))
+    for i, j in _positions(n):
+        char = [(a == i) - (a == j) for a in range(1, n + 1)]    # e_i - e_j
+        for k in range(r):
+            gens += graded_pair(p, k, f"[{i},{j},{k}]", char)
     return GrUnSpec(n, AlgebraSpec.make(p, r, n, gens))
 
 
@@ -85,16 +100,6 @@ class SubgroupSupport:
     """Named set of generator ids spanning a subgroup's graded image."""
     name: str
     ids: frozenset
-
-
-def _position_ids(spec: GrUnSpec, i: int, j: int):
-    p, r = spec.field.p, spec.field.r
-    out = []
-    for k in range(r):
-        out.append(f"x[{i},{j},{k}]")
-        if p != 2:
-            out.append(f"y[{i},{j},{k}]")
-    return out
 
 
 def _hook_positions(n, left, right):
@@ -142,8 +147,7 @@ def subgroup_support(spec: GrUnSpec, kind: str, *indices) -> SubgroupSupport:
         name = f"root({i},{j})"
     else:
         raise InputError(f"unknown support kind {kind!r}")
-    ids = frozenset(gid for (i, j) in sorted(positions)
-                    for gid in _position_ids(spec, i, j))
+    ids = frozenset(gid for pos in positions for gid in spec.position_ids[pos])
     return SubgroupSupport(name, ids)
 
 
@@ -161,8 +165,7 @@ def hook_detection(spec: GrUnSpec, degree=None) -> dict:
     if degree < 1:
         raise InputError("degree must be at least 1")
     n, kind = spec.n, "root" if p == 2 else "hook"
-    family = [subgroup_support(spec, kind, i, j)
-              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    family = [subgroup_support(spec, kind, i, j) for i, j in _positions(n)]
     alg = spec.algebra
     det = detection_kernel(alg, degree, family)
     series = dimension_series(alg, degree - 1, "invariant") \
@@ -208,10 +211,11 @@ def essential_kernel(n: int, p: int) -> dict:
 
     expected = []
     if n <= p:
-        exps = [(f"x[1,{j},0]", 1) for j in range(2, n + 1)]
-        exps += [(f"x[{i},{n},0]", 1) for i in range(2, n)]
+        ids = spec.position_ids     # (x, y) of each position at r = 1
+        exps = [(ids[1, j][0], 1) for j in range(2, n + 1)]
+        exps += [(ids[i, n][0], 1) for i in range(2, n)]
         if p > n:
-            exps.append((f"y[1,{n},0]", p - n))
+            exps.append((ids[1, n][1], p - n))
         expected = [Monomial(tuple(exps))]
     expected_json = [monomial_json(m) for m in canonical_sort(expected)]
     return {
@@ -378,6 +382,17 @@ def theorem_borel_char2(n: int, r: int) -> dict:
 # matrix-level checks
 # ---------------------------------------------------------------------------
 
+def _guard_matrix_work(check: str, n: int, p: int, r: int, products: int):
+    """Refuse a check of this many n x n products, n^3 multiply-adds each,
+    past MATRIX_WORK_CAP, before any matrix is built."""
+    work = products * n ** 3
+    if work > MATRIX_WORK_CAP:
+        raise ResourceGuardError(
+            f"{check} for n = {n}, p = {p}, r = {r} would make up to "
+            f"{products} matrix products of {n}^3 multiply-adds, {work} in "
+            f"all, over the cap {MATRIX_WORK_CAP}")
+
+
 def regular_unipotent_check(m: FqMatrix) -> bool:
     """True when every superdiagonal entry of the unitriangular matrix is
     nonzero (single Jordan block); InputError if not unitriangular."""
@@ -393,7 +408,8 @@ def commuting_regular_subgroup(n: int, p: int, r: int) -> dict:
 
     Needs n <= p: beyond that (I + J)^p picks up a J^p term and the
     generators no longer have order p.  Groups of order above
-    ENUMERATION_CAP are refused before any matrix is built.
+    ENUMERATION_CAP, and checks of more than MATRIX_WORK_CAP multiply-adds,
+    are refused before any matrix is built.
     """
     if n < 2:
         raise InputError("matrix size must be at least 2")
@@ -404,6 +420,13 @@ def commuting_regular_subgroup(n: int, p: int, r: int) -> dict:
         raise ResourceGuardError(
             f"regular subgroup check for n = {n}, p = {p}, r = {r} would "
             f"build {order} elements, over the cap {ENUMERATION_CAP}")
+    # each generator's powers 1 .. p-1; each element past the first level,
+    # its prefix times a power; two per pair of generators for commuting,
+    # and g^(p-1) * g for each
+    _guard_matrix_work(
+        "regular subgroup check", n, p, r,
+        r * sum(mat_pow_products(c) for c in range(1, p))
+        + order - 1 - r * (p - 1) + r * (r - 1) + r)
     field = Fq(p, r)
     # I + t^i J, where t^i is element number p^i
     gens = [FqMatrix.from_ints(field, [[int(a == b) + p ** i * (b == a + 1)
@@ -443,8 +466,17 @@ def exponent_check(n: int, p: int, r: int, mode: str = "all",
                    count=None, seed: int = 0) -> dict:
     """Does every unitriangular matrix satisfy m^p = I?  True only for
     n <= p; the first counterexample found is reported with its actual
-    p-power order."""
+    p-power order.  A check of more than MATRIX_WORK_CAP multiply-adds is
+    refused before any matrix is built."""
     field = Fq(p, r)
+    # the enumeration refuses more than ENUMERATION_CAP elements itself, and
+    # 20 positions hold at least 2^20 > ENUMERATION_CAP of them
+    size = min((count or 0) if mode == "sample"
+               else field.q ** min(n * (n - 1) // 2, 20), ENUMERATION_CAP)
+    # m^p per element, and for a witness at most ceil(log_p n) <=
+    # n.bit_length() more p-th powers to find its order
+    _guard_matrix_work("exponent check", n, p, r,
+                       (size + n.bit_length()) * mat_pow_products(p))
     ident = FqMatrix.identity(field, n)
     checked = 0
     witness = None

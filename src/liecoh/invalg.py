@@ -116,6 +116,18 @@ class GeneratorSpec:
         object.__setattr__(self, "weight", weight)
 
 
+def graded_pair(p: int, k: int, index, character, tag: str = ""):
+    """The generators of one character at Frobenius twist k in the graded
+    models, each of weight p^k * c for every c in `character`: an exterior
+    x<index> of degree 1 and a polynomial y<index> of degree 2, or for
+    p = 2 a polynomial x<index> of degree 1 alone."""
+    weight = tuple(p ** k * c for c in character)
+    if p == 2:
+        return (GeneratorSpec(f"x{index}", POLYNOMIAL, 1, weight, tag),)
+    return (GeneratorSpec(f"x{index}", EXTERIOR, 1, weight, tag),
+            GeneratorSpec(f"y{index}", POLYNOMIAL, 2, weight, tag))
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     field: Fq

@@ -20,12 +20,13 @@ from fractions import Fraction
 import functools
 import math
 
-from .errors import InputError, require_int
+from .errors import InputError, ResourceGuardError, require_int
 from .ffq import is_prime, prime_factors, prime_power
-from .invalg import EXTERIOR, POLYNOMIAL, AlgebraSpec, GeneratorSpec
+from .invalg import AlgebraSpec, graded_pair
 
 LONG = "long"
 SHORT = "short"
+RANK_CAP = 64      # total rank of one root system; the closure grows as rank^4
 
 _RANK_RANGE = {
     "A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
@@ -67,9 +68,6 @@ class RootSystem:
 
 
 def _component_cartan(ctype: str, rank: int):
-    lo, hi = _RANK_RANGE.get(ctype, (None, None))
-    if lo is None or rank < lo or (hi is not None and rank > hi):
-        raise InputError(f"no root system of type {ctype}{rank}")
     a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
 
     def bond(i, j, aij=-1, aji=-1):
@@ -141,12 +139,21 @@ def _symmetrizer(cartan, n):
 
 
 def build_root_system(components) -> RootSystem:
-    """Direct sum of simple components, each given as a (type, rank) pair."""
+    """Direct sum of simple components, each given as a (type, rank) pair.
+    A total rank over RANK_CAP is refused before anything is built."""
     comps = [(str(t).upper(), int(n)) for t, n in components]
     if not comps:
         raise InputError("need at least one component")
-    cartans = [_component_cartan(t, n) for t, n in comps]
+    for t, n in comps:
+        lo, hi = _RANK_RANGE.get(t, (None, None))
+        if lo is None or n < lo or (hi is not None and n > hi):
+            raise InputError(f"no root system of type {t}{n}")
     total = sum(n for _, n in comps)
+    if total > RANK_CAP:
+        raise ResourceGuardError(
+            f"root system {' + '.join(f'{t}{n}' for t, n in comps)} has "
+            f"total rank {total}, over the cap {RANK_CAP}")
+    cartans = [_component_cartan(t, n) for t, n in comps]
     cartan = [[0] * total for _ in range(total)]
     roots = []
     ranges = []
@@ -430,23 +437,11 @@ def lie_gr_algebra(rs: RootSystem, lattice: LatticeSpec, p: int,
     the torus coordinate i acts on the root-alpha, twist-k generators with
     weight p^k * <alpha, basis row i>, read modulo q-1."""
     prime_power(p, r)     # before any generator is built
-    rank = rs.simple_count
-    base = []
-    for root in rs.positive_roots:
-        base.append(tuple(
-            sum(lattice.basis[i][s] * root.coords[s] for s in range(rank))
-            for i in range(rank)))
     gens = []
     for ridx, root in enumerate(rs.positive_roots):
+        char = [sum(a * c for a, c in zip(row, root.coords))
+                for row in lattice.basis]
         tag = "root=" + ",".join(map(str, root.coords))
         for k in range(r):
-            weight = tuple(p ** k * w for w in base[ridx])
-            if p == 2:
-                gens.append(GeneratorSpec(
-                    f"x[{ridx},{k}]", POLYNOMIAL, 1, weight, tag))
-            else:
-                gens.append(GeneratorSpec(
-                    f"x[{ridx},{k}]", EXTERIOR, 1, weight, tag))
-                gens.append(GeneratorSpec(
-                    f"y[{ridx},{k}]", POLYNOMIAL, 2, weight, tag))
-    return AlgebraSpec.make(p, r, rank, gens)
+            gens += graded_pair(p, k, f"[{ridx},{k}]", char, tag)
+    return AlgebraSpec.make(p, r, rs.simple_count, gens)

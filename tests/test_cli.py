@@ -504,6 +504,27 @@ def test_out_file(tmp_path, capsys):
     assert env["results"]["match"] is True
 
 
+def test_size_guards_exit_three_at_once(capsys):
+    # each of these ran for more than 20 s before its guard
+    for argv, part in (
+            ("check exponent --n 1500 --p 2 --r 1 --samples 1",
+             "exponent check for n = 1500, p = 2, r = 1"),
+            ("check regular --n 600 --p 601 --r 1",
+             "regular subgroup check for n = 600, p = 601, r = 1"),
+            ("rootsys info --type A --rank 600", "total rank 600"),
+            ("rootsys algebra --type A --rank 300 --p 2 --r 1 "
+             "--max-degree 1", "total rank 300"),
+            ("theorem borel2 --n 300 --r 1",
+             "n = 300, p = 2, r = 1 would hold 44850 generators")):
+        start = time.perf_counter()
+        code = main(argv.split())
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 3, (argv, err)
+        assert elapsed < 1.0
+        assert err.startswith("resource guard: ") and part in err
+
+
 def test_bad_input_exit_two(capsys):
     assert main(["gl2", "landmarks", "--p", "4", "--r", "1"]) == 2
     assert main(["rootsys", "info", "--type", "H", "--rank", "2"]) == 2

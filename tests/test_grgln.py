@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from liecoh import invalg
-from liecoh.errors import InputError
+from liecoh import grgln, invalg
+from liecoh.errors import InputError, ResourceGuardError
 from liecoh.ffq import Fq, FqMatrix, mat_pow
 from liecoh.grgln import (
     build_gr_un,
@@ -62,6 +62,18 @@ def test_build_gr_un_counts_and_errors():
     assert spec.algebra.moduli == (4, 4, 4, 4)
     with pytest.raises(InputError):
         build_gr_un(1, 3, 1)
+
+
+def test_weight_table_guard():
+    # 161 * 160 generators of 161 weights each fit under 2^22 entries
+    assert len(build_gr_un(161, 3, 1).algebra.generators) == 161 * 160
+    for n, p, count in ((162, 3, 26082), (300, 2, 44850)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError,
+                           match=f"n = {n}, p = {p}, r = 1 .* {count} "
+                                 f"generators x {n} weights .*cap 4194304"):
+            build_gr_un(n, p, 1)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_triangle_weight_additivity():
@@ -439,6 +451,34 @@ def test_commuting_regular_subgroup_product_count(monkeypatch):
     # for the powers, 2 per pair of the 6 generators for commuting (30), and
     # g^3 = g^2 * g for each generator (6)
     assert len(calls) == 716 + 6 + 30 + 6
+
+
+def test_matrix_work_guard_trips_before_building_matrices():
+    for check, args, products in (
+            (exponent_check, (1500, 2, 1, "sample", 1), 12),
+            (commuting_regular_subgroup, (600, 601, 1), 6452)):
+        n, p, r = args[:3]
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError,
+                           match=f"n = {n}, p = {p}, r = {r} .* {products} "
+                                 f"matrix products of {n}\\^3 .*, "
+                                 f"{products * n ** 3} in all, over the cap "
+                                 f"1000000000"):
+            check(*args)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_matrix_work_guard_counts_every_product(monkeypatch):
+    # the regular subgroup check of (3, 3, 6) makes exactly 758 products
+    # of 27 multiply-adds (counted above), the exponent check of (3, 3, 1)
+    # 27 p-th powers of 2 products each, and the guard counts no fewer
+    monkeypatch.setattr(grgln, "MATRIX_WORK_CAP", 758 * 27)
+    assert commuting_regular_subgroup(3, 3, 6)["pass"] is True
+    for products, check, args in ((758, commuting_regular_subgroup, (3, 3, 6)),
+                                  (54, exponent_check, (3, 3, 1))):
+        monkeypatch.setattr(grgln, "MATRIX_WORK_CAP", products * 27 - 1)
+        with pytest.raises(ResourceGuardError):
+            check(*args)
 
 
 def test_exponent_check_all():

@@ -192,6 +192,37 @@ def test_each_generator_is_validated_once(monkeypatch):
                                                   "aabdb1ab72e0")
 
 
+def test_graded_pair():
+    x, y = invalg.graded_pair(3, 2, "[1,2,2]", (1, -1, 0), "t")
+    assert (x.id, x.parity, x.degree, x.weight, x.tag) == \
+        ("x[1,2,2]", EXTERIOR, 1, (9, -9, 0), "t")
+    assert (y.id, y.parity, y.degree, y.weight, y.tag) == \
+        ("y[1,2,2]", POLYNOMIAL, 2, (9, -9, 0), "t")
+    (x,) = invalg.graded_pair(2, 3, 0, (1,))
+    assert (x.id, x.parity, x.degree, x.weight, x.tag) == \
+        ("x0", POLYNOMIAL, 1, (8,), "")
+
+
+def test_graded_builders_pinned_above_r_one():
+    """Generator ids, order, weights and tags of the graded builders at
+    r = 2 and 3, pinned by spec hash; the other pinned hashes are r = 1."""
+    gl = gl2_algebra(3, 2)
+    assert (gl.spec_hash(), gl.ids) == ("5aacd0625337",
+                                        ("x0", "x1", "y0", "y1"))
+    assert gl2_algebra(2, 3).spec_hash() == "832bf99e9e6f"
+    assert sl2_algebra(5, 2).spec_hash() == "88f2aa34ba83"
+    u3 = build_gr_un(3, 3, 2)
+    assert u3.algebra.spec_hash() == "63047feb1ede"
+    assert build_gr_un(3, 2, 2).algebra.spec_hash() == "e2b2354d4860"
+    rs = build_root_system([("B", 2)])
+    b2 = lie_gr_algebra(rs, cocharacter_lattice(rs, "sc"), 3, 2)
+    assert b2.spec_hash() == "f5a915e2b7fa"
+    assert b2.generators[0].tag == "root=0,1"
+    assert subgroup_support(u3, "hook", 1, 3).ids == frozenset(
+        f"{v}[{i},{j},{k}]" for v in "xy" for i, j in ((1, 2), (1, 3), (2, 3))
+        for k in range(2))
+
+
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from liecoh import rootsys, verifygrid
-from liecoh.errors import InputError
+from liecoh.errors import InputError, ResourceGuardError
 from liecoh.invalg import EXTERIOR, POLYNOMIAL, dimension_series
 from liecoh.rootsys import (
     _root_lattice_coords,
@@ -52,6 +52,17 @@ def test_positive_root_counts():
     for (t, n), want in POSITIVE_COUNTS.items():
         rs = build_root_system([(t, n)])
         assert len(rs.positive_roots) == want, (t, n)
+
+
+def test_rank_guard_trips_before_the_closure():
+    assert len(build_root_system([("B", 32), ("D", 32)]).positive_roots) \
+        == 32 ** 2 + 32 * 31
+    for comps in ([("A", 600)], [("A", 40), ("C", 25)]):
+        with pytest.raises(ResourceGuardError, match="over the cap 64"):
+            build_root_system(comps)
+    # an impossible component is bad input, whatever the total rank
+    with pytest.raises(InputError, match="E100"):
+        build_root_system([("E", 100)])
 
 
 def test_simple_roots_are_unit_vectors():
