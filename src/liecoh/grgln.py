@@ -31,12 +31,12 @@ from .invalg import (
     canonical_sort,
     detection_kernel,
     dimension_series,
+    graded_model_guard,
     graded_pair,
     monomial_json,
 )
 
 
-WEIGHT_TABLE_CAP = 1 << 22   # generators x torus rank of one graded model
 MATRIX_WORK_CAP = 10 ** 9    # products x n^3 multiply-adds of one check
 
 
@@ -72,17 +72,12 @@ class GrUnSpec:
 def build_gr_un(n: int, p: int, r: int) -> GrUnSpec:
     """Weighted algebra for the graded unitriangular group, one generator
     pair per position (i, j), i < j, and twist k, ordered by (i, j, k).
-    A weight table (generators x n entries) over WEIGHT_TABLE_CAP is
-    refused before any generator is built."""
+    A weight table over `invalg.WEIGHT_TABLE_CAP` is refused before any
+    generator is built."""
     if n < 2:
         raise InputError("matrix size must be at least 2")
     prime_power(p, r)     # before any generator is built
-    count = math.comb(n, 2) * r * (1 if p == 2 else 2)
-    if count * n > WEIGHT_TABLE_CAP:
-        raise ResourceGuardError(
-            f"graded model for n = {n}, p = {p}, r = {r} would hold "
-            f"{count} generators x {n} weights = {count * n} entries, over "
-            f"the cap {WEIGHT_TABLE_CAP}")
+    graded_model_guard(f"n = {n}", p, r, math.comb(n, 2), n)
     gens = []
     for i, j in _positions(n):
         char = [(a == i) - (a == j) for a in range(1, n + 1)]    # e_i - e_j

@@ -30,26 +30,25 @@ generators, kept on an explicit stack, that reaches each monomial of the
 requested degrees at most once, in one pass over a whole degree range.  The
 walker knows degrees only.  Each route hands it per-generator step tables
 over the route's own state (weight residues, or eigenvalue products coded as
-integers), the accepted state, and optionally per-generator sets of (state,
-remaining degree) pairs from which acceptance is still reachable.  The
-divisibility route builds these from suffix residue sets: for each
-generator j, coordinate and completion degree t, the residues from which
-the generators j onward bring that coordinate back to 0 with a monomial of
-degree exactly t.  A branch is pruned when some coordinate's residue lies
-in none of the sets for the degrees that could still complete it to a
-requested degree.  The test is a necessary condition, so pruning never
-changes the result, and it can be switched off.  The walker applies it
-before it pushes a child.  The divisibility route walks its own generator
-order (`_walk_order`), which closes torus coordinates early, so fewer stay
-open at once and the test prunes sooner; the spec, its hash and the oracle
-keep the given order.
+integers); the divisibility route adds the accepted state and per-generator
+sets of (state, remaining degree) pairs from which it is still reachable,
+built from suffix residue sets: for each generator j, coordinate and
+completion degree t, the residues from which the generators j onward bring
+that coordinate back to 0 with a monomial of degree exactly t.  A branch is
+pruned when some coordinate's residue lies in none of the sets for the
+degrees that could still complete it to a requested degree.  The test is a
+necessary condition, so pruning never changes the result.  The walker
+applies it before it pushes a child.  The divisibility route walks its own
+generator order (`_walk_order`), which closes torus coordinates early, so
+fewer stay open at once and the test prunes sooner; the spec, its hash and
+the oracle keep the given order.
 
 The divisibility route also meets in the middle, one factor deep: it hands
 the walker a final-factor index, each factor (generator j, exponent e)
 filed under the residue state -e * weight_j and its degree.  A node finds
 the accepted monomials of the top degree that extend it by one factor
 with one lookup of its own state, instead of making, testing and pushing
-a child per generator ahead; walks without an index test each top-degree
+a child per generator ahead; walks without an index keep each top-degree
 child when they make it.
 
 The oracle cannot prune without borrowing that logic, so it meets in the
@@ -94,6 +93,7 @@ MONOMIAL_CAP = 10 ** 7
 DEGREE_CAP = 1 << 22        # generators x (top degree + 1) of one walk
 SERIES_CAP = 10 ** 7        # live (state, degree) entries of one series count
 QUILLEN_CAP = 10 ** 6       # tuples enumerated by quillen_verify
+WEIGHT_TABLE_CAP = 1 << 22  # generators x torus rank of one graded model
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if not self.id or not isinstance(self.id, str):
             raise InputError("generator id must be a nonempty string")
+        if not isinstance(self.tag, str):
+            raise InputError(f"generator {self.id!r}: tag must be a string")
         if self.parity not in (EXTERIOR, POLYNOMIAL):
             raise InputError(f"unknown parity {self.parity!r}")
         weight = tuple(self.weight)
@@ -126,6 +128,19 @@ def graded_pair(p: int, k: int, index, character, tag: str = ""):
         return (GeneratorSpec(f"x{index}", POLYNOMIAL, 1, weight, tag),)
     return (GeneratorSpec(f"x{index}", EXTERIOR, 1, weight, tag),
             GeneratorSpec(f"y{index}", POLYNOMIAL, 2, weight, tag))
+
+
+def graded_model_guard(model: str, p: int, r: int, characters: int,
+                       rank: int) -> None:
+    """ResourceGuardError when a graded model with a `graded_pair` per
+    character and twist k < r would hold a weight table (generators x
+    torus rank entries) over WEIGHT_TABLE_CAP; call it before building."""
+    count = characters * r * (1 if p == 2 else 2)
+    if count * rank > WEIGHT_TABLE_CAP:
+        raise ResourceGuardError(
+            f"graded model for {model}, p = {p}, r = {r} would hold "
+            f"{count} generators x {rank} weights = {count * rank} entries, "
+            f"over the cap {WEIGHT_TABLE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -408,13 +423,17 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     GeneratorSpec) of degree lo..hi depth first on an explicit stack.
 
     A node is a monomial; its children multiply in generators after its last
-    factor, so each monomial is reached at most once.  The caller supplies
-    the state carried along: `start` is the state of the monomial 1,
-    `steps[j][s]` the state after one more factor of generator j (None:
-    unchanged), `allowed[j][s * (hi + 1) + rem]` whether generators j onward
-    can still reach an accepted state from s, with rem degrees left before
-    degree hi (None: no pruning), and `target` the accepted state (None:
-    accept every monomial).  The walker only looks states up.
+    factor, so each monomial is reached at most once.  `start` is the state
+    of the monomial 1 and `steps[j][s]` the state after one more factor of
+    generator j (None: unchanged); the walker only looks states up.
+
+    There are two kinds of walk.  A plain one accepts every monomial, with
+    no tables, and may `group`.  The other accepts the monomials that reach
+    `target`, prunes by `allowed[j][s * (hi + 1) + rem]` (can generators j
+    onward reach `target` from s with rem degrees left before degree hi?)
+    and has a final-factor index: `last[s * (hi + 1) + rem]` lists in walk
+    order the factors (j, ((generator id, e),)) that take s to `target`
+    with exactly rem degrees.
 
     Pruning happens at push time: the root is pushed only if `allowed[0]`
     passes its (state, rem), a child made with generator j only if
@@ -422,18 +441,15 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     again; a node moves past generator j only while `allowed[j + 1]` passes
     its own pair.  An accepted monomial always passes.
 
-    A child of degree hi (a final child) is never pushed.  Without a
-    final-factor index it is tested when made.  With one, `last[s * (hi + 1)
-    + rem]` lists in walk order the factors (j, ((generator id, e),)) that
-    take state s to `target` with exactly rem degrees, and a node settles
-    its accepted final children from the entries with j at or past its
-    first generator: no final child is made, so none is tested or pruned.
-    A walk with an index does not `group`.
+    A child of degree hi (a final child) is never pushed: a plain walk keeps
+    it when made, and an indexed one settles a node's accepted final
+    children from the entries of `last` with j at or past its first
+    generator, so no final child is made, tested or pruned.
 
     Returns one entry per degree lo..hi: the accepted monomials as tuples of
     (generator id, exponent) pairs, or with `group` a mapping from each final
     state to the accepted monomials reaching it.  Every popped node and every
-    tested or settled final child counts against its degree's cap: more than
+    made or settled final child counts against its degree's cap: more than
     `max_count` in one degree raises ResourceGuardError.  A `stats` dict
     receives the walk's work: `nodes` popped, children `pruned` at push and,
     per degree lo..hi, the `leaves` counted (in degree hi with an index, the
@@ -489,11 +505,8 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
                         pruned += 1
                     continue
                 seen[hi] += 1
-                if target is None or t == target:
-                    if group:
-                        found[span][t].append(exps + ((gid, e),))
-                    else:
-                        found[span].append(exps + ((gid, e),))
+                (found[span][t] if group else found[span]).append(
+                    exps + ((gid, e),))
             if ok is not None and not ok[s * width + rem]:
                 break
         if seen[hi] > max_count:
@@ -607,8 +620,7 @@ def _residue_setup(alg: AlgebraSpec) -> tuple:
     return gens, places, moves, _tables(moves, add, [_TABLE_BUDGET])
 
 
-def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
-                   prune: bool = True) -> tuple:
+def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     """The walk order (`_walk_order`) and walker tables for the
     divisibility test over degrees lo..hi.
 
@@ -621,9 +633,9 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
     sets of a coordinate take one table entry per 64 residues, per degree
     and generator, from the walk's budget; a coordinate whose sets do not
     fit is checked against the gcd of the weights ahead, for all degrees.
-    With pruning on, the tables include the final-factor index (`last` of
-    `_walk`): each (j, e) with e * degree_j <= hi filed under the packed
-    state -e * weight_j, the one state that factor takes exactly to 0.
+    The tables include the final-factor index (`last` of `_walk`): each
+    (j, e) with e * degree_j <= hi filed under the packed state
+    -e * weight_j, the one state that factor takes exactly to 0.
     """
     _degree_range(alg.generators, lo, hi)
     gens, places, moves, steps = alg._residue_state
@@ -639,55 +651,50 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int,
             return True
         return fill
 
-    allowed = last = None
-    if prune:
-        checks = [[] for _ in gens]
-        for c, (place, m) in enumerate(zip(places, moduli)):
-            cells = len(gens) * width * (m // 64 + 1)
-            exact = cells <= budget[0]
-            if exact:
-                budget[0] -= cells
-            for check, rows in zip(checks,
-                                   _suffix_rows(gens, c, m, lo, hi, exact)):
-                if rows is not None:
-                    check.append((place, m, rows))
-        allowed = _tables([tuple(check) for check in checks], completable,
-                          budget)
-        last = {}
-        for j, (g, move) in enumerate(zip(gens, moves)):
-            d = g.degree
-            top = hi // d if g.parity == POLYNOMIAL else min(1, hi // d)
-            for e in range(1, top + 1):
-                key = sum(-e * w % m * place for place, m, w in move)
-                last.setdefault(key * width + e * d, []).append(
-                    (j, ((g.id, e),)))
+    checks = [[] for _ in gens]
+    for c, (place, m) in enumerate(zip(places, moduli)):
+        cells = len(gens) * width * (m // 64 + 1)
+        exact = cells <= budget[0]
+        if exact:
+            budget[0] -= cells
+        for check, rows in zip(checks,
+                               _suffix_rows(gens, c, m, lo, hi, exact)):
+            if rows is not None:
+                check.append((place, m, rows))
+    allowed = _tables([tuple(check) for check in checks], completable, budget)
+    last = {}
+    for j, (g, move) in enumerate(zip(gens, moves)):
+        d = g.degree
+        top = hi // d if g.parity == POLYNOMIAL else min(1, hi // d)
+        for e in range(1, top + 1):
+            key = sum(-e * w % m * place for place, m, w in move)
+            last.setdefault(key * width + e * d, []).append(
+                (j, ((g.id, e),)))
     return gens, {"steps": steps, "start": 0, "target": 0, "allowed": allowed,
                   "last": last}
 
 
 def invariant_monomials_by_degree(
-        alg: AlgebraSpec, lo: int, hi: int, prune: bool = True,
-        max_count: int = MONOMIAL_CAP, stats=None) -> list[list[Monomial]]:
+        alg: AlgebraSpec, lo: int, hi: int, max_count: int = MONOMIAL_CAP,
+        stats=None) -> list[list[Monomial]]:
     """Per degree lo..hi, the monomials whose weight is zero everywhere.
 
     Invariance is the divisibility test: each weight coordinate must vanish
-    modulo that coordinate's modulus.  With `prune` a branch is abandoned as
-    soon as some coordinate's residue lies outside the set of residues that
-    the generators still ahead can return to 0 with a monomial whose degree
-    lands the walk in lo..hi; this is exact, and switched off it degenerates
-    to the plain filter over the full enumeration.  A `stats` dict receives
-    the walk's counts (see `_walk`).
+    modulo that coordinate's modulus.  A branch is abandoned as soon as some
+    coordinate's residue lies outside the set of residues that the
+    generators still ahead can return to 0 with a monomial whose degree
+    lands the walk in lo..hi; this is exact.  A `stats` dict receives the
+    walk's counts (see `_walk`).
     """
-    gens, tables = _residue_route(alg, lo, hi, prune)
+    gens, tables = _residue_route(alg, lo, hi)
     found = _walk(gens, lo, hi, **tables, max_count=max_count, stats=stats)
     return [_as_monomials(monos) for monos in found]
 
 
-def invariant_monomials(alg: AlgebraSpec, degree: int, prune: bool = True,
+def invariant_monomials(alg: AlgebraSpec, degree: int,
                         max_count: int = MONOMIAL_CAP) -> list[Monomial]:
     """`invariant_monomials_by_degree` for the one degree."""
-    return invariant_monomials_by_degree(alg, degree, degree, prune,
-                                         max_count)[0]
+    return invariant_monomials_by_degree(alg, degree, degree, max_count)[0]
 
 
 def _hilbert(gens, top: int, lo: int = 0, max_count=math.inf) -> list[int]:

@@ -22,7 +22,7 @@ import math
 
 from .errors import InputError, ResourceGuardError, require_int
 from .ffq import is_prime, prime_factors, prime_power
-from .invalg import AlgebraSpec, graded_pair
+from .invalg import AlgebraSpec, graded_model_guard, graded_pair
 
 LONG = "long"
 SHORT = "short"
@@ -102,15 +102,20 @@ def _component_cartan(ctype: str, rank: int):
     return a
 
 
+def _nonzero(cartan):
+    """Per row i, the (j, cartan[i][j]) with a nonzero entry."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+
+
 def _reflection_closure(cartan, n):
     roots = {tuple(int(i == s) for i in range(n)) for s in range(n)}
+    rows = _nonzero(cartan)
     frontier = list(roots)
     while frontier:
         fresh = []
         for beta in frontier:
-            for s in range(n):
-                coord = beta[s] - sum(cartan[s][j] * beta[j]
-                                      for j in range(n))
+            for s, row in enumerate(rows):
+                coord = beta[s] - sum(a * beta[j] for j, a in row)
                 if coord == beta[s]:
                     continue
                 img = beta[:s] + (coord,) + beta[s + 1:]
@@ -164,10 +169,9 @@ def build_root_system(components) -> RootSystem:
                 cartan[offset + i][offset + j] = block[i][j]
         local = _reflection_closure(block, n)
         d = _symmetrizer(block, n)
-        norms = []
-        for c in local:
-            norms.append(sum(c[i] * c[j] * d[i] * block[i][j]
-                             for i in range(n) for j in range(n)))
+        terms = [(i, j, d[i] * a) for i, row in enumerate(_nonzero(block))
+                 for j, a in row]
+        norms = [sum(c[i] * c[j] * da for i, j, da in terms) for c in local]
         top = max(norms)
         for c, norm in zip(local, norms):
             coords = (0,) * offset + c + (0,) * (total - offset - n)
@@ -435,8 +439,13 @@ def lie_gr_algebra(rs: RootSystem, lattice: LatticeSpec, p: int,
                    r: int) -> AlgebraSpec:
     """Weighted algebra with one generator pair per positive root and twist:
     the torus coordinate i acts on the root-alpha, twist-k generators with
-    weight p^k * <alpha, basis row i>, read modulo q-1."""
+    weight p^k * <alpha, basis row i>, read modulo q-1.  A weight table
+    over `invalg.WEIGHT_TABLE_CAP` is refused before any generator is
+    built."""
     prime_power(p, r)     # before any generator is built
+    name = " + ".join(f"{t}{n}" for t, n in rs.components)
+    graded_model_guard(f"root system {name}", p, r, len(rs.positive_roots),
+                       rs.simple_count)
     gens = []
     for ridx, root in enumerate(rs.positive_roots):
         char = [sum(a * c for a, c in zip(row, root.coords))

@@ -366,7 +366,8 @@ def run_grid(names=None, report_time=None) -> dict:
         selected = [name for name, _ in CRITERIA]
     else:
         selected = list(names)
-        unknown = [n for n in selected if n not in known]
+        unknown = [n for n in selected
+                   if not isinstance(n, str) or n not in known]
         if unknown:
             raise InputError(f"unknown criteria {unknown}")
     results = []

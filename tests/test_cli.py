@@ -170,6 +170,7 @@ BAD_SPEC_EDITS = {
     "degree_and_weight_float": (("generators", 0), {
         "id": "x0", "parity": "exterior", "degree": 1.0, "weight": [1.7]}),
     "char2_mode_int": (("char2_mode",), 0),
+    "tag_int": (("generators", 0, "tag"), 5),
 }
 
 
@@ -494,6 +495,18 @@ def test_verify_timings_go_to_stderr(tmp_path, capsys):
     assert all(float(seconds) >= 0 for _, seconds in lines)
 
 
+def test_verify_grid_rejects_names_that_are_not_strings(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    for names in ([["c01"]], [{"c01": 1}, "c09"]):
+        grid.write_text(json.dumps({"criteria": names}))
+        start = time.perf_counter()
+        code = main(["verify", "all", "--grid", str(grid)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown criteria ") and "c01" in err
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["gl2", "landmarks", "--p", "3", "--r", "1",
@@ -505,7 +518,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_size_guards_exit_three_at_once(capsys):
-    # each of these ran for more than 20 s before its guard
+    # each of these ran for more than 15 s before its guard
     for argv, part in (
             ("check exponent --n 1500 --p 2 --r 1 --samples 1",
              "exponent check for n = 1500, p = 2, r = 1"),
@@ -515,7 +528,10 @@ def test_size_guards_exit_three_at_once(capsys):
             ("rootsys algebra --type A --rank 300 --p 2 --r 1 "
              "--max-degree 1", "total rank 300"),
             ("theorem borel2 --n 300 --r 1",
-             "n = 300, p = 2, r = 1 would hold 44850 generators")):
+             "n = 300, p = 2, r = 1 would hold 44850 generators"),
+            ("rootsys algebra --type D --rank 64 --p 2 --r 20 "
+             "--max-degree 1", "root system D64, p = 2, r = 20 would hold "
+             "80640 generators x 64 weights = 5160960 entries")):
         start = time.perf_counter()
         code = main(argv.split())
         elapsed = time.perf_counter() - start

@@ -1,11 +1,12 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module or test file imports is used in that file."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liecoh"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "liecoh"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +31,9 @@ def test_the_check_sees_a_leftover_import():
     assert unused_imports("from __future__ import annotations\n") == []
 
 
-@pytest.mark.parametrize("module",
-                         sorted(p.name for p in PACKAGE.glob("*.py")))
-def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+FILES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.name for p in FILES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -89,6 +89,14 @@ def mono(**exps):
     return Monomial(tuple(exps.items()))
 
 
+def plain_invariants(alg, lo, hi):
+    """Per degree lo..hi, every monomial of that degree filtered to weight
+    zero: no pruning table, walk order or final-factor index of the route."""
+    zero = (0,) * alg.torus_rank
+    return [[m for m in enumerate_monomials(alg, d)
+             if monomial_weight(alg, m) == zero] for d in range(lo, hi + 1)]
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 # ---------------------------------------------------------------------------
@@ -116,6 +124,8 @@ def test_validation_errors():
                          moduli=(3,))
     with pytest.raises(InputError):  # weight length must match the rank
         AlgebraSpec.make(3, 1, 2, [GeneratorSpec("a", EXTERIOR, 1, (0,))])
+    with pytest.raises(InputError):  # a tag is a string
+        GeneratorSpec("a", EXTERIOR, 1, (0,), 5)
 
 
 def test_monomial_normalization():
@@ -325,8 +335,8 @@ def test_pruning_does_not_change_results():
     for _ in range(25):
         alg = random_algebra_spec(rng)
         for d in range(6):
-            assert invariant_monomials(alg, d, prune=False) == \
-                invariant_monomials(alg, d, prune=True)
+            assert [invariant_monomials(alg, d)] == \
+                plain_invariants(alg, d, d)
 
 
 def _hook_spec(n, p, r, left, right):
@@ -349,7 +359,7 @@ HOOK_SPECS = [(n, p, r, left, right)
     st.lists(st.integers(0, 8), min_size=2, max_size=2).map(sorted))
 def test_degree_aware_pruning_is_exact(alg, window):
     top = 10
-    plain = [invariant_monomials(alg, d, prune=False) for d in range(top + 1)]
+    plain = plain_invariants(alg, 0, top)
     for d in range(top + 1):
         assert invariant_monomials(alg, d) == plain[d]
     exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}
@@ -359,9 +369,6 @@ def test_degree_aware_pruning_is_exact(alg, window):
     # windows that start above degree 0, and any lo <= hi <= 8
     for lo, hi in ((3, 7), (6, 10), window):
         assert invariant_monomials_by_degree(alg, lo, hi) == plain[lo:hi + 1]
-    lo, hi = window
-    assert invariant_monomials_by_degree(alg, lo, hi, prune=False) == \
-        plain[lo:hi + 1]
 
 
 @st.composite
@@ -399,7 +406,7 @@ def test_walk_order_routes_agree(alg, window):
     assert list(order[:len(zero)]) == zero
     lo, hi = window
     found = invariant_monomials_by_degree(alg, lo, hi)
-    assert found == invariant_monomials_by_degree(alg, lo, hi, prune=False)
+    assert found == plain_invariants(alg, lo, hi)
     assert found == invariant_monomials_oracle_by_degree(alg, lo, hi)
 
 
@@ -424,7 +431,6 @@ def test_final_factor_lookup_e8():
     alg = _e8_algebra()
     found = invariant_monomials_by_degree(alg, 1, 3)
     assert [len(ms) for ms in found] == [0, 0, 1240]
-    assert found == invariant_monomials_by_degree(alg, 1, 3, prune=False)
     assert found == invariant_monomials_oracle_by_degree(alg, 1, 3)
     stats = {}
     invariant_monomials_by_degree(alg, 3, 3, stats=stats)
@@ -450,7 +456,7 @@ def test_final_factor_lookup_char2_exponents():
                 for i, w in enumerate(weights)]
         alg = AlgebraSpec.make(2, r, len(moduli), gens, moduli)
         found = invariant_monomials_by_degree(alg, 1, 9)
-        assert found == invariant_monomials_by_degree(alg, 1, 9, prune=False)
+        assert found == plain_invariants(alg, 1, 9)
         assert found == invariant_monomials_oracle_by_degree(alg, 1, 9)
         order = [g.id for g in invalg._walk_order(alg.generators)]
         finals = [dict(m.exps)[max(m.support(), key=order.index)]
@@ -561,8 +567,7 @@ def test_pruning_collapses_to_gcd_outside_the_table_budget(monkeypatch):
     big = AlgebraSpec.make(2, 20, 1, gens)
     assert dimension_series(big, 3, "invariant") == [1, 0, 0, 0]
     assert exact == [False]
-    assert invariant_monomials(big, 3) == \
-        invariant_monomials(big, 3, prune=False)
+    assert [invariant_monomials(big, 3)] == plain_invariants(big, 3, 3)
     # with no budget at all every coordinate takes the degree-free check
     monkeypatch.setattr(invalg, "_TABLE_BUDGET", 0)
     rng = random.Random(5)
@@ -570,8 +575,8 @@ def test_pruning_collapses_to_gcd_outside_the_table_budget(monkeypatch):
         alg = random_algebra_spec(rng)
         exact.clear()
         for d in range(7):
-            assert invariant_monomials(alg, d) == \
-                invariant_monomials(alg, d, prune=False)
+            assert [invariant_monomials(alg, d)] == \
+                plain_invariants(alg, d, d)
         assert not any(exact)
 
 

@@ -2,11 +2,12 @@
 good primes, highest-root witnesses, lattice quotients, divisibility and
 action indices, characteristic-2 vanishing bounds."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from liecoh import rootsys, verifygrid
+from liecoh import invalg, rootsys, verifygrid
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.invalg import EXTERIOR, POLYNOMIAL, dimension_series
 from liecoh.rootsys import (
@@ -63,6 +64,26 @@ def test_rank_guard_trips_before_the_closure():
     # an impossible component is bad input, whatever the total rank
     with pytest.raises(InputError, match="E100"):
         build_root_system([("E", 100)])
+
+
+def test_weight_table_guard_for_root_systems():
+    # D64 at p = 2, r = 20: 4,032 roots x 20 twists = 80,640 generators of
+    # 64 weights, over the 2^22 entries a graded model may hold
+    d64 = build_root_system([("D", 64)])
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError,
+                       match="root system D64, p = 2, r = 20 would hold "
+                             "80640 generators x 64 weights = 5160960 "
+                             "entries, over the cap 4194304"):
+        lie_gr_algebra(d64, cocharacter_lattice(d64, "adjoint"), 2, 20)
+    assert time.perf_counter() - start < 0.1
+    # A64 (2,080 roots) holds 2,662,400 entries and passes, as does a
+    # table of exactly the cap; one pair more does not
+    a64 = build_root_system([("A", 64)])
+    invalg.graded_model_guard("A64", 2, 20, len(a64.positive_roots), 64)
+    invalg.graded_model_guard("edge", 3, 1, 1 << 20, 2)
+    with pytest.raises(ResourceGuardError, match="= 4194308 entries"):
+        invalg.graded_model_guard("edge", 3, 1, (1 << 20) + 1, 2)
 
 
 def test_simple_roots_are_unit_vectors():
