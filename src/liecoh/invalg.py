@@ -70,7 +70,8 @@ top degree off the final-factor index.  Its guard is SERIES_CAP live
 (state, degree) entries.
 
 All list outputs are sorted in a canonical order (generator id ascending,
-exponent descending) so repeated runs are byte-identical.
+exponent descending) so repeated runs are byte-identical.  The walker
+carries each factor as an integer code in that order (`_codes`).
 """
 
 from __future__ import annotations
@@ -261,6 +262,10 @@ class AlgebraSpec:
     def _oracle_state(self) -> tuple:
         return _oracle_setup(self)
 
+    @functools.cached_property
+    def _id_ranks(self) -> dict:    # each id's place in the sorted ids
+        return {gid: rank for rank, gid in enumerate(sorted(self.ids))}
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -276,13 +281,6 @@ class Monomial:
     def __post_init__(self):
         object.__setattr__(self, "exps", _entries(
             (str(i), int(e)) for i, e in self.exps))
-
-    @classmethod
-    def _of(cls, exps) -> "Monomial":
-        """Monomial of (str id, int exponent) pairs, taken without coercion."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "exps", _entries(exps))
-        return m
 
     @classmethod
     def from_dict(cls, blob: dict) -> "Monomial":
@@ -416,7 +414,7 @@ def _over_cap(max_count: int, degree: int) -> ResourceGuardError:
                               f"in degree {degree}")
 
 
-def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
+def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
           allowed=None, last=None, group=False, max_count=MONOMIAL_CAP,
           stats=None):
     """Walk the monomials in the generators `gens` (a tuple of
@@ -425,15 +423,16 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     A node is a monomial; its children multiply in generators after its last
     factor, so each monomial is reached at most once.  `start` is the state
     of the monomial 1 and `steps[j][s]` the state after one more factor of
-    generator j (None: unchanged); the walker only looks states up.
+    generator j (None: unchanged); the walker only looks states up.  The
+    factor e of generator j is the code `bases[j] - e` (`_codes`).
 
     There are two kinds of walk.  A plain one accepts every monomial, with
     no tables, and may `group`.  The other accepts the monomials that reach
     `target`, prunes by `allowed[j][s * (hi + 1) + rem]` (can generators j
     onward reach `target` from s with rem degrees left before degree hi?)
     and has a final-factor index: `last[s * (hi + 1) + rem]` lists in walk
-    order the factors (j, ((generator id, e),)) that take s to `target`
-    with exactly rem degrees.
+    order the factors (j, (code,)) that take s to `target` with exactly rem
+    degrees.
 
     Pruning happens at push time: the root is pushed only if `allowed[0]`
     passes its (state, rem), a child made with generator j only if
@@ -447,7 +446,7 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     generator, so no final child is made, tested or pruned.
 
     Returns one entry per degree lo..hi: the accepted monomials as tuples of
-    (generator id, exponent) pairs, or with `group` a mapping from each final
+    factor codes in walk order, or with `group` a mapping from each final
     state to the accepted monomials reaching it.  Every popped node and every
     made or settled final child counts against its degree's cap: more than
     `max_count` in one degree raises ResourceGuardError.  A `stats` dict
@@ -458,8 +457,8 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     _degree_range(gens, lo, hi)
     steps = steps or [None] * len(gens)
     after = [None] * len(gens) if allowed is None else [*allowed[1:], None]
-    factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, g.id, ok)
-               for g, step, ok in zip(gens, steps, after)]
+    factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, base, ok)
+               for g, base, step, ok in zip(gens, bases, steps, after)]
     span, width = hi - lo, hi + 1
     lookup = last is not None    # with an index, children leave rem >= 1
     stop = _stops(gens, lo, hi, lookup)
@@ -488,7 +487,7 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
                     seen[hi] += 1
                     found[span].append(exps + factor)
         for j in range(k, stop[rem]):
-            d, cap, step, gid, ok = factors[j]
+            d, cap, step, base, ok = factors[j]
             top = (rem - lookup) // d
             if top > cap:
                 top = cap
@@ -500,13 +499,13 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
                     t = step[t]
                 if r:
                     if ok is None or ok[t * width + r]:
-                        push((j + 1, r, t, exps + ((gid, e),)))
+                        push((j + 1, r, t, exps + (base - e,)))
                     else:
                         pruned += 1
                     continue
                 seen[hi] += 1
                 (found[span][t] if group else found[span]).append(
-                    exps + ((gid, e),))
+                    exps + (base - e,))
             if ok is not None and not ok[s * width + rem]:
                 break
         if seen[hi] > max_count:
@@ -516,17 +515,46 @@ def _walk(gens, lo: int, hi: int, steps=None, start=0, target=None,
     return found
 
 
-def _as_monomials(found) -> list[Monomial]:
-    """Walker output as canonically sorted Monomials; walker ids are
-    GeneratorSpec ids, so entries are sorted and checked but not coerced."""
-    return canonical_sort(map(Monomial._of, found))
+def _codes(alg: AlgebraSpec, gens, hi: int) -> list:
+    """Per generator in `gens`, the base of its factor codes in a call over
+    degrees up to hi: (g, e) is rank * (hi + 1) + hi - e, rank the place of
+    g.id in the sorted ids, so sorted code tuples sort as `Monomial.sort_key`
+    does (id ascending, exponent descending, a prefix first)."""
+    rank = alg._id_ranks
+    return [rank[g.id] * (hi + 1) + hi for g in gens]
+
+
+def _as_monomials(found, alg: AlgebraSpec, hi: int) -> list[Monomial]:
+    """Walker output (`_codes` tuples) as canonically sorted Monomials, by
+    one sort and one decode per distinct code; as in `Monomial`, exponents
+    must be positive and no id repeat."""
+    ids, width = list(alg._id_ranks), hi + 1
+    pairs, out = {}, []
+    for codes in sorted([tuple(sorted(c)) for c in found]):
+        exps, prev = [], None
+        for code in codes:
+            pair = pairs.get(code)
+            if pair is None:
+                rank, v = divmod(code, width)
+                if v >= hi:
+                    raise InputError("exponents must be positive")
+                pair = pairs[code] = (ids[rank], hi - v)
+            if pair[0] == prev:
+                raise InputError("repeated generator id in monomial")
+            prev = pair[0]
+            exps.append(pair)
+        m = object.__new__(Monomial)
+        object.__setattr__(m, "exps", tuple(exps))
+        out.append(m)
+    return out
 
 
 def enumerate_monomials(alg: AlgebraSpec, degree: int,
                         max_count: int = MONOMIAL_CAP) -> list[Monomial]:
     """All monomials of total degree exactly `degree`, canonically sorted."""
-    return _as_monomials(_walk(alg.generators, degree, degree,
-                                max_count=max_count)[0])
+    found = _walk(alg.generators, degree, degree,
+                  _codes(alg, alg.generators, degree), max_count=max_count)
+    return _as_monomials(found[0], alg, degree)
 
 
 def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
@@ -633,9 +661,10 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     sets of a coordinate take one table entry per 64 residues, per degree
     and generator, from the walk's budget; a coordinate whose sets do not
     fit is checked against the gcd of the weights ahead, for all degrees.
-    The tables include the final-factor index (`last` of `_walk`): each
-    (j, e) with e * degree_j <= hi filed under the packed state
-    -e * weight_j, the one state that factor takes exactly to 0.
+    The tables include the generators' code bases (`_codes`) and the
+    final-factor index (`last` of `_walk`): the code of each (j, e) with
+    e * degree_j <= hi filed under the packed state -e * weight_j, the one
+    state that factor takes exactly to 0.
     """
     _degree_range(alg.generators, lo, hi)
     gens, places, moves, steps = alg._residue_state
@@ -662,16 +691,15 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
             if rows is not None:
                 check.append((place, m, rows))
     allowed = _tables([tuple(check) for check in checks], completable, budget)
-    last = {}
-    for j, (g, move) in enumerate(zip(gens, moves)):
+    bases, last = _codes(alg, gens, hi), {}
+    for j, (g, move, base) in enumerate(zip(gens, moves, bases)):
         d = g.degree
         top = hi // d if g.parity == POLYNOMIAL else min(1, hi // d)
         for e in range(1, top + 1):
             key = sum(-e * w % m * place for place, m, w in move)
-            last.setdefault(key * width + e * d, []).append(
-                (j, ((g.id, e),)))
-    return gens, {"steps": steps, "start": 0, "target": 0, "allowed": allowed,
-                  "last": last}
+            last.setdefault(key * width + e * d, []).append((j, (base - e,)))
+    return gens, {"bases": bases, "steps": steps, "start": 0, "target": 0,
+                  "allowed": allowed, "last": last}
 
 
 def invariant_monomials_by_degree(
@@ -688,7 +716,7 @@ def invariant_monomials_by_degree(
     """
     gens, tables = _residue_route(alg, lo, hi)
     found = _walk(gens, lo, hi, **tables, max_count=max_count, stats=stats)
-    return [_as_monomials(monos) for monos in found]
+    return [_as_monomials(monos, alg, hi) for monos in found]
 
 
 def invariant_monomials(alg: AlgebraSpec, degree: int,
@@ -816,10 +844,11 @@ def invariant_monomials_oracle_by_degree(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        lgroups = _walk(left, llo, lhi, lsteps, identity, group=True,
-                        max_count=cap)
-        rgroups = _walk(right, rlo, rhi, rsteps, identity, group=True,
-                        max_count=cap)
+        # codes of the call's hi, so the halves' codes mix
+        lgroups = _walk(left, llo, lhi, _codes(alg, left, hi), lsteps,
+                        identity, group=True, max_count=cap)
+        rgroups = _walk(right, rlo, rhi, _codes(alg, right, hi), rsteps,
+                        identity, group=True, max_count=cap)
         found = {d: [] for d in degrees}
         for d, a in pairs:
             rstates = rgroups[d - a - rlo]
@@ -827,7 +856,7 @@ def invariant_monomials_oracle_by_degree(
                 rexps = rstates.get(s)
                 if rexps:
                     found[d].extend(x + y for x in lexps for y in rexps)
-        return [_as_monomials(found[d]) for d in degrees]
+        return [_as_monomials(found[d], alg, hi) for d in degrees]
     finally:
         if enabled:
             gc.enable()

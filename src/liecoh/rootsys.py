@@ -439,13 +439,15 @@ def lie_gr_algebra(rs: RootSystem, lattice: LatticeSpec, p: int,
                    r: int) -> AlgebraSpec:
     """Weighted algebra with one generator pair per positive root and twist:
     the torus coordinate i acts on the root-alpha, twist-k generators with
-    weight p^k * <alpha, basis row i>, read modulo q-1.  A weight table
-    over `invalg.WEIGHT_TABLE_CAP` is refused before any generator is
-    built."""
+    weight p^k * <alpha, basis row i>, read modulo q-1.  A singular basis
+    and a weight table over `invalg.WEIGHT_TABLE_CAP` are refused before any
+    generator is built."""
     prime_power(p, r)     # before any generator is built
     name = " + ".join(f"{t}{n}" for t, n in rs.components)
     graded_model_guard(f"root system {name}", p, r, len(rs.positive_roots),
                        rs.simple_count)
+    if lattice.kind == "custom":    # identity and Cartan bases are regular
+        lattice.exponent            # InputError for a singular basis
     gens = []
     for ridx, root in enumerate(rs.positive_roots):
         char = [sum(a * c for a, c in zip(row, root.coords))

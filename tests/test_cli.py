@@ -383,6 +383,20 @@ def test_rootsys_root_outside_custom_lattice(tmp_path, capsys):
             "(coords [Fraction(-1, 2), Fraction(1, 1)])\n")
 
 
+def test_rootsys_singular_custom_lattice_exits_two(tmp_path, capsys):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"basis": [[0, 0], [0, 0]]}))
+    for argv in (["algebra", "--p", "3", "--r", "1", "--max-degree", "2"],
+                 ["bound", "--r", "1"], ["divisibility", "--n", "2"],
+                 ["action-index", "--p", "3", "--r", "1"]):
+        code = main(["rootsys", *argv, "--type", "A", "--rank", "2",
+                     "--lattice", str(lattice)])
+        assert code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lattice basis is singular\n"
+
+
 def test_rootsys_algebra(capsys):
     code, env = run_json(capsys, ["rootsys", "algebra", "--type", "A",
                                   "--rank", "2", "--p", "2", "--r", "2",

@@ -145,7 +145,7 @@ def test_monomial_carries_no_instance_dict():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(m, name, ())
     # equality, hashing and the canonical order still read `exps` alone
-    assert m == Monomial._of((("x0", 1), ("y0", 2))) == mono(x0=1, y0=2)
+    assert m == Monomial((("x0", 1), ("y0", 2))) == mono(x0=1, y0=2)
     assert hash(m) == hash((m.exps,)) == hash(mono(x0=1, y0=2))
     assert len({m, mono(y0=2, x0=1), mono(x0=1)}) == 2
     shuffled = [mono(y0=1), mono(x0=1, y0=1), mono(x0=2), Monomial(()),
@@ -154,16 +154,80 @@ def test_monomial_carries_no_instance_dict():
                                         mono(x0=1, y0=1), mono(y0=1)]
 
 
+def encode(alg, hi, exps):
+    """Walker codes of (id, exponent) pairs in a call over degrees up to hi:
+    rank * (hi + 1) + hi - e, rank the id's place in the sorted ids."""
+    rank = sorted(alg.ids).index
+    return tuple(rank(i) * (hi + 1) + hi - e for i, e in exps)
+
+
 def test_walker_output_is_sorted_and_checked():
-    # walker output skips the str/int coercion, not the two checks
-    got = invalg._as_monomials([(("y0", 2), ("x0", 1)), (("x0", 3),), ()])
+    # walker codes skip the str/int coercion, not the two checks
+    alg, hi = rank1_pair_algebra(3, 1), 3
+    got = invalg._as_monomials([encode(alg, hi, [("y0", 2), ("x0", 1)]),
+                                encode(alg, hi, [("x0", 3)]), ()], alg, hi)
     want = [Monomial(()), mono(x0=3), mono(x0=1, y0=2)]
     assert got == want
+    assert [m.exps for m in got] == [m.exps for m in want]
     assert [hash(m) for m in got] == [hash(m) for m in want]
     with pytest.raises(InputError, match="repeated generator id"):
-        invalg._as_monomials([(("x0", 1), ("y0", 1), ("x0", 2))])
+        invalg._as_monomials(
+            [encode(alg, hi, [("x0", 1), ("y0", 1), ("x0", 2)])], alg, hi)
     with pytest.raises(InputError, match="positive"):
-        invalg._as_monomials([(("x0", 0),)])
+        invalg._as_monomials([encode(alg, hi, [("x0", 0)])], alg, hi)
+
+
+@st.composite
+def coded_monomials(draw):
+    """A spec whose ids sort differently as strings and as numbers (x10
+    before x2), a top degree hi >= 10 and code tuples over distinct
+    generators with exponents 1..hi, each with a prefix of itself in the
+    canonical order."""
+    numbers = draw(st.lists(st.integers(0, 30), min_size=2, max_size=8,
+                            unique=True))
+    ids = [f"x{n}" for n in numbers] + ["x2", "x10"]
+    ids = list(dict.fromkeys(ids))
+    alg = AlgebraSpec.make(3, 1, 1, [GeneratorSpec(i, POLYNOMIAL, 2, (0,))
+                                     for i in draw(st.permutations(ids))])
+    hi = draw(st.integers(10, 40))
+    exps = st.integers(1, hi) | st.sampled_from([1, hi])
+    monomials = []
+    for _ in range(draw(st.integers(0, 12))):
+        support = draw(st.lists(st.sampled_from(ids), unique=True,
+                                max_size=len(ids)))
+        pairs = sorted((i, draw(exps)) for i in support)
+        monomials += [pairs, pairs[:draw(st.integers(0, len(pairs)))]]
+    return alg, hi, [draw(st.permutations(pairs)) for pairs in monomials]
+
+
+@settings(max_examples=100, deadline=None)
+@given(coded_monomials())
+def test_code_order_is_canonical_order(case):
+    alg, hi, monomials = case
+    got = invalg._as_monomials([encode(alg, hi, pairs) for pairs in monomials],
+                               alg, hi)
+    want = canonical_sort([Monomial(pairs) for pairs in monomials])
+    assert [m.exps for m in got] == [m.exps for m in want]
+    assert got == want
+
+
+def test_walks_build_no_sort_key(monkeypatch):
+    # walker output becomes Monomials by one sort of code tuples: no route
+    # builds a per-monomial key, sorts Monomials or normalizes their pairs
+    def lists(alg):
+        return [(invariant_monomials(alg, d), invariant_monomials_oracle(
+            alg, d), enumerate_monomials(alg, d)) for d in (3, 6)]
+
+    want = lists(gr_u3_p3())
+    assert all(monos for row in want for monos in row)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-monomial key building on a walk's output")
+
+    monkeypatch.setattr(Monomial, "sort_key", refuse)
+    monkeypatch.setattr(invalg, "canonical_sort", refuse)
+    monkeypatch.setattr(invalg, "_entries", refuse)
+    assert lists(gr_u3_p3()) == want
 
 
 def test_json_round_trip_and_hash():

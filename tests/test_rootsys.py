@@ -245,6 +245,21 @@ def test_singular_lattice_rejected():
         cofundamental_exponent(rs, lat)
 
 
+def test_lie_gr_algebra_rejects_a_singular_lattice(monkeypatch):
+    rs = build_root_system([("A", 2)])
+    built = []
+    pair = invalg.graded_pair
+    monkeypatch.setattr(rootsys, "graded_pair",
+                        lambda *args: built.append(args) or pair(*args))
+    for basis in ([[0, 0], [0, 0]], [[1, 1], [1, 1]]):
+        lat = cocharacter_lattice(rs, "custom", basis=basis)
+        with pytest.raises(InputError, match="lattice basis is singular"):
+            lie_gr_algebra(rs, lat, 3, 1)
+    assert built == []
+    lat = cocharacter_lattice(rs, "custom", basis=[[1, 1], [0, 1]])
+    assert len(lie_gr_algebra(rs, lat, 3, 1).generators) == 6
+
+
 def test_c11_finds_each_smith_form_once(monkeypatch):
     # c11 checks 9 types, each on its adjoint and simply connected
     # cocharacter lattice, and bounds r = 1, 2, 3 on both: 18 lattices, each
