@@ -28,7 +28,6 @@ from .gl2 import gl2_landmarks
 from .invalg import (
     AlgebraSpec,
     Monomial,
-    canonical_sort,
     detection_kernel,
     dimension_series,
     graded_model_guard,
@@ -212,7 +211,7 @@ def essential_kernel(n: int, p: int) -> dict:
         if p > n:
             exps.append((ids[1, n][1], p - n))
         expected = [Monomial(tuple(exps))]
-    expected_json = [monomial_json(m) for m in canonical_sort(expected)]
+    expected_json = [monomial_json(m) for m in expected]
     return {
         "op": "essential_kernel",
         "params": {"n": n, "p": p, "r": 1},
@@ -240,6 +239,16 @@ def _computed(fact: str, ok: bool, detail=None) -> dict:
 
 def _cited(fact: str, quote: str) -> dict:
     return {"fact": fact, "status": "cited", "quote": quote}
+
+
+def _theorem_report(op, params, degree, dim, ingredients, caution) -> dict:
+    """A theorem reporter's report; a computed ingredient that fails is a
+    discrepancy."""
+    return {"op": op, "params": params, "degree": degree, "dim": dim,
+            "ingredients": ingredients,
+            "discrepancy": any(i["status"] == "computed" and not i["ok"]
+                               for i in ingredients),
+            "caution": caution}
 
 
 def theorem_lowest_gl(n: int, p: int, r: int) -> dict:
@@ -317,16 +326,8 @@ def theorem_lowest_gl(n: int, p: int, r: int) -> dict:
                 "dim H^(2p-3)(GL_n(F_p)) >= 1 for 2 <= n <= p"))
         dim = 1 if n <= p else 0
 
-    return {
-        "op": "theorem_lowest_gl",
-        "params": {"n": n, "p": p, "r": r},
-        "degree": degree,
-        "dim": dim,
-        "ingredients": ingredients,
-        "discrepancy": any(i["status"] == "computed" and not i["ok"]
-                           for i in ingredients),
-        "caution": caution,
-    }
+    return _theorem_report("theorem_lowest_gl", {"n": n, "p": p, "r": r},
+                           degree, dim, ingredients, caution)
 
 
 def theorem_borel_char2(n: int, r: int) -> dict:
@@ -361,16 +362,8 @@ def theorem_borel_char2(n: int, r: int) -> dict:
         "they sit inside the center and the commutator subgroup at once, "
         "so degree-r classes restrict to perfect squares",
         "res: H^r(B_n(F_q)) -> H^r(E_(i,j)) = 0 for j > i + 1"))
-    return {
-        "op": "theorem_borel_char2",
-        "params": {"n": n, "p": 2, "r": r},
-        "degree": r,
-        "dim": n - 1,
-        "ingredients": ingredients,
-        "discrepancy": any(i["status"] == "computed" and not i["ok"]
-                           for i in ingredients),
-        "caution": False,
-    }
+    return _theorem_report("theorem_borel_char2", {"n": n, "p": 2, "r": r},
+                           r, n - 1, ingredients, False)
 
 
 # ---------------------------------------------------------------------------

@@ -236,31 +236,46 @@ class LatticeSpec:
 
     @functools.cached_property
     def coordinate_map(self):
-        """(m, d) with m / d the inverse of the transposed basis, found on
-        first use: a vector's coordinates in this basis are m . v / d."""
-        n = len(self.basis)
-        aug = [[Fraction(row[i]) for row in self.basis]
-               + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if aug[i][col]), None)
-            if piv is None:
-                raise InputError("lattice basis is singular")
-            pivot = aug[piv]
-            aug[piv], aug[col] = aug[col], [v / pivot[col] for v in pivot]
-            for i, row in enumerate(aug):
-                if i != col:
-                    aug[i] = [v - row[col] * w for v, w in zip(row, aug[col])]
-        d = math.lcm(*(v.denominator for row in aug for v in row[n:]))
-        return tuple(tuple(int(v * d) for v in row[n:]) for row in aug), d
+        """(m, d) with m / d the inverse of the transposed basis and d its
+        least common denominator, found on first use: a vector's coordinates
+        in this basis are m . v / d."""
+        return _inverse(self.basis)
 
     @functools.cached_property
     def exponent(self) -> int:
-        """Largest invariant factor of the basis, found on first use (see
+        """Largest invariant factor of the basis: the least e with e times
+        the inverse integral, which is the map's denominator (see
         `cofundamental_exponent`)."""
-        factors = smith_invariant_factors(self.basis)
-        if not factors or factors[-1] == 0:
+        return self.coordinate_map[1]
+
+
+def _inverse(basis):
+    """(adj / g, |det| / g) for the transposed basis, g = gcd(det, adjugate
+    entries) signed like det.  Fraction-free Gauss-Jordan (Bareiss) on
+    [basis^T | I] over ints: each step divides exactly by the previous
+    pivot, and ends with det times I on the left and the adjugate, up to
+    det's sign, on the right.  A row the step leaves unchanged (zero in the
+    pivot column, pivot equal to the previous one) is skipped, so an
+    identity basis costs O(n^2)."""
+    n = len(basis)
+    aug = [[row[i] for row in basis] + [int(i == k) for k in range(n)]
+           for i in range(n)]
+    prev = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
             raise InputError("lattice basis is singular")
-        return factors[-1]
+        aug[piv], aug[col] = aug[col], aug[piv]
+        pivot = aug[col]
+        p = pivot[col]
+        for i, row in enumerate(aug):
+            f = row[col]
+            if i != col and (f or p != prev):
+                aug[i] = [(p * v - f * w) // prev for v, w in zip(row, pivot)]
+        prev = p
+    g = math.gcd(prev, *(v for row in aug for v in row[n:]))
+    g = g if prev > 0 else -g
+    return tuple(tuple(v // g for v in row[n:]) for row in aug), prev // g
 
 
 def _normalize_kind(kind):
@@ -320,59 +335,43 @@ def character_lattice(rs: RootSystem, kind="adjoint",
 
 
 def smith_invariant_factors(mat):
-    """Invariant factors d_1 | d_2 | ... of an integer matrix, by explicit
-    row/column reduction (zeros at the end signal rank deficiency)."""
+    """Invariant factors d_1 | d_2 | ... of an integer matrix (zeros at the
+    end signal rank deficiency).  Each pass reduces the column and the row
+    of a least nonzero entry modulo it and splits the entry off once both
+    are clear; gcd/lcm swaps then order the diagonal into a divisibility
+    chain.  No lattice computation uses it: a lattice's exponent is the
+    denominator of `LatticeSpec.coordinate_map`."""
     a = [[int(v) for v in row] for row in mat]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    if any(len(row) != m for row in a):
+    if any(len(row) != len(a[0]) for row in a):
         raise InputError("matrix rows must have equal length")
-    size = min(n, m)
-    factors = []
-    top = 0
-    while top < size:
-        piv = None
-        for i in range(top, n):
-            for j in range(top, m):
-                if a[i][j] and (piv is None
-                                or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        a[top], a[piv[0]] = a[piv[0]], a[top]
+    size = min(len(a), len(a[0])) if a else 0
+    diag = []
+    while any(map(any, a)):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(a)
+                      for j, v in enumerate(row) if v)
+        top = a.pop(i)
+        p = top[j]
         for row in a:
-            row[top], row[piv[1]] = row[piv[1]], row[top]
-        while True:
-            if a[top][top] < 0:
-                a[top] = [-v for v in a[top]]
-            for i in range(top + 1, n):
-                while a[i][top]:
-                    q = a[i][top] // a[top][top]
-                    for j in range(top, m):
-                        a[i][j] -= q * a[top][j]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-            for j in range(top + 1, m):
-                while a[top][j]:
-                    q = a[top][j] // a[top][top]
-                    for i in range(top, n):
-                        a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-            if any(a[i][top] for i in range(top + 1, n)):
-                continue
-            p = a[top][top]
-            fix = next((i for i in range(top + 1, n)
-                        if any(a[i][j] % p for j in range(top + 1, m))), None)
-            if fix is None:
-                break
-            for j in range(top, m):
-                a[top][j] += a[fix][j]
-        factors.append(abs(a[top][top]))
-        top += 1
-    factors += [0] * (size - len(factors))
-    return factors
+            q = row[j] // p
+            row[:] = [v - q * w for v, w in zip(row, top)]
+        for k in range(len(top)):
+            if k != j:
+                q = top[k] // p
+                for row in [top] + a:
+                    row[k] -= q * row[j]
+        if any(top[:j] + top[j + 1:]) or any(row[j] for row in a):
+            a.insert(i, top)
+            continue
+        diag.append(abs(p))
+        for row in a:
+            del row[j]
+    diag += [0] * (size - len(diag))
+    for i in range(size):
+        for j in range(i + 1, size):
+            g = math.gcd(diag[i], diag[j])
+            if g:
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
 
 
 def cofundamental_exponent(rs: RootSystem, lattice: LatticeSpec) -> int:
@@ -446,8 +445,7 @@ def lie_gr_algebra(rs: RootSystem, lattice: LatticeSpec, p: int,
     name = " + ".join(f"{t}{n}" for t, n in rs.components)
     graded_model_guard(f"root system {name}", p, r, len(rs.positive_roots),
                        rs.simple_count)
-    if lattice.kind == "custom":    # identity and Cartan bases are regular
-        lattice.exponent            # InputError for a singular basis
+    lattice.exponent      # InputError for a singular basis
     gens = []
     for ridx, root in enumerate(rs.positive_roots):
         char = [sum(a * c for a, c in zip(row, root.coords))

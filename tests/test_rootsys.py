@@ -2,15 +2,21 @@
 good primes, highest-root witnesses, lattice quotients, divisibility and
 action indices, characteristic-2 vanishing bounds."""
 
+import math
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liecoh import invalg, rootsys, verifygrid
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.invalg import EXTERIOR, POLYNOMIAL, dimension_series
 from liecoh.rootsys import (
+    LatticeSpec,
+    _inverse,
     _root_lattice_coords,
     bad_primes,
     build_root_system,
@@ -220,6 +226,127 @@ def test_smith_invariant_factors():
     assert smith_invariant_factors(d5) == [1, 1, 1, 1, 4]
 
 
+def test_lattice_exponent():
+    # the largest invariant factor, read off the inverse's denominator
+    def exponent(basis):
+        return LatticeSpec("custom", "character", tuple(map(tuple, basis))) \
+            .exponent
+
+    assert exponent([[2, -1], [-1, 2]]) == 3
+    assert exponent([[1, 0], [0, 1]]) == 1
+    assert exponent([[2, 0], [0, 2]]) == 2
+    assert exponent(build_root_system([("D", 4)]).cartan) == 2
+    assert exponent(build_root_system([("D", 5)]).cartan) == 4
+
+
+def fraction_inverse(basis):
+    """Reference: (m, d) by Gauss-Jordan over Fractions on the transposed
+    basis, d the least common denominator; None for a singular basis."""
+    n = len(basis)
+    aug = [[Fraction(row[i]) for row in basis]
+           + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(n):
+            if i != col:
+                f = aug[i][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    d = math.lcm(*(v.denominator for row in aug for v in row[n:]))
+    return tuple(tuple(int(v * d) for v in row[n:]) for row in aug), d
+
+
+def cofactor_det(mat):
+    """Determinant by cofactor expansion along the first row."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * v * cofactor_det([row[:j] + row[j + 1:]
+                                             for row in mat[1:]])
+               for j, v in enumerate(mat[0]) if v)
+
+
+def minors_gcd(mat, k):
+    """gcd of all k x k minors of the matrix (0 when all vanish)."""
+    return math.gcd(*(cofactor_det([[mat[i][j] for j in cols] for i in rows])
+                      for rows in combinations(range(len(mat)), k)
+                      for cols in combinations(range(len(mat[0])), k)))
+
+
+@st.composite
+def int_matrices(draw, square=True, max_n=5):
+    n = draw(st.integers(1, max_n))
+    m = n if square else draw(st.integers(1, max_n))
+    rows = [[draw(st.integers(-4, 4)) for _ in range(m)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):     # a row copied, scaled: singular
+        rows[-1] = [draw(st.integers(-2, 2)) * v for v in rows[0]]
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+@example(((0, 1), (1, 0)))      # negative determinant, pivot row swapped
+@example(((1, 1), (1, 1)))
+@example(((0, 0), (0, 0)))
+def test_inverse_matches_a_fraction_gauss_jordan(basis):
+    want = fraction_inverse(basis)
+    if want is None:
+        with pytest.raises(InputError, match="lattice basis is singular"):
+            _inverse(basis)
+        return
+    assert _inverse(basis) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(max_n=4))
+@example(((0, 1), (1, 0)))
+def test_exponent_is_det_over_the_minors_gcd(basis):
+    # independent of any elimination: the largest invariant factor is
+    # |det| / gcd of the (n-1)-minors, both by cofactor expansion
+    det = cofactor_det([list(row) for row in basis])
+    lat = LatticeSpec("custom", "character", basis)
+    if det == 0:
+        with pytest.raises(InputError, match="lattice basis is singular"):
+            lat.exponent
+        return
+    n = len(basis)
+    assert lat.exponent == abs(det) // minors_gcd(basis, n - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(square=False, max_n=4))
+def test_smith_factors_match_the_determinantal_divisors(mat):
+    # d_1 ... d_k is the gcd of the k x k minors, for every k
+    factors = smith_invariant_factors(mat)
+    assert len(factors) == min(len(mat), len(mat[0]))
+    for k in range(1, len(factors) + 1):
+        assert math.prod(factors[:k]) == minors_gcd(mat, k), k
+
+
+def test_lattices_invert_without_fractions(monkeypatch):
+    # the coordinate map and the exponent come from integer elimination
+    # only: with Fraction unusable in rootsys, D64's four standard lattices
+    # still invert, and m . basis^T = d I holds exactly
+    d64 = build_root_system([("D", 64)])
+
+    def no_fractions(*args):
+        raise AssertionError("rational arithmetic in a lattice inverse")
+
+    monkeypatch.setattr(rootsys, "Fraction", no_fractions)
+    for side, kind, want in [(character_lattice, "adjoint", 2),
+                             (character_lattice, "sc", 1),
+                             (cocharacter_lattice, "adjoint", 1),
+                             (cocharacter_lattice, "sc", 2)]:
+        lat = side(d64, kind)
+        m, d = lat.coordinate_map
+        assert lat.exponent == d == want, (side.__name__, kind)
+        for i, row in enumerate(m):
+            assert [sum(a * b for a, b in zip(row, col))
+                    for col in lat.basis] == [d * (i == j) for j in range(64)]
+
+
 def test_cofundamental_exponent():
     for t, n in [("A", 3), ("B", 3), ("E", 6), ("G", 2)]:
         rs = build_root_system([(t, n)])
@@ -260,20 +387,30 @@ def test_lie_gr_algebra_rejects_a_singular_lattice(monkeypatch):
     assert len(lie_gr_algebra(rs, lat, 3, 1).generators) == 6
 
 
-def test_c11_finds_each_smith_form_once(monkeypatch):
+def test_lie_gr_algebra_rejects_a_hand_built_singular_lattice():
+    # every lattice is checked, not only those of kind "custom"
+    rs = build_root_system([("A", 2)])
+    lat = LatticeSpec("adjoint", "cocharacter", ((0, 0), (0, 0)))
+    with pytest.raises(InputError, match="lattice basis is singular"):
+        lie_gr_algebra(rs, lat, 3, 1)
+
+
+def test_c11_inverts_each_lattice_once(monkeypatch):
     # c11 checks 9 types, each on its adjoint and simply connected
-    # cocharacter lattice, and bounds r = 1, 2, 3 on both: 18 lattices, each
-    # exponent found once and read again for every bound
+    # cocharacter lattice, and bounds r = 1, 2, 3 on both: 18 lattices; it
+    # then builds the A2, A3 and B2 adjoint algebras for r = 1, 2, 3 on one
+    # lattice each: 3 more.  Each lattice is inverted once and its exponent
+    # read again for every bound and algebra
     calls = []
-    smith = rootsys.smith_invariant_factors
+    inverse = rootsys._inverse
 
-    def counting(mat):
-        calls.append(mat)
-        return smith(mat)
+    def counting(basis):
+        calls.append(basis)
+        return inverse(basis)
 
-    monkeypatch.setattr(rootsys, "smith_invariant_factors", counting)
+    monkeypatch.setattr(rootsys, "_inverse", counting)
     assert verifygrid.c11()["pass"] is True
-    assert len(calls) == 18
+    assert len(calls) == 21
 
 
 def test_root_divisibility_adjoint_primitive():
@@ -297,22 +434,6 @@ def test_root_divisibility_weight_lattice():
         assert not root_divisibility(rs, lat, root, 2), root
 
 
-def fraction_solve(rows, rhs):
-    """Reference: solve (rows)^T x = rhs by Gauss-Jordan over Fractions."""
-    n = len(rhs)
-    aug = [[Fraction(rows[j][i]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [v / aug[col][col] for v in aug[col]]
-        for i in range(n):
-            if i != col:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [row[n] for row in aug]
-
-
 LATTICE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
                  ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5),
                  ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
@@ -325,10 +446,12 @@ def test_lattice_coords_match_a_fraction_solve(t, n):
     for side in (character_lattice, cocharacter_lattice):
         for kind in ("adjoint", "sc"):
             lat = side(rs, kind)
+            m, d = fraction_inverse(lat.basis)
             for root in rs.positive_roots:
                 fw = [sum(rs.cartan[i][s] * root.coords[s] for s in range(n))
                       for i in range(n)]
-                want = fraction_solve(lat.basis, fw)
+                want = [Fraction(sum(a * b for a, b in zip(row, fw)), d)
+                        for row in m]
                 if all(v.denominator == 1 for v in want):
                     assert _root_lattice_coords(rs, lat, root) == want
                     continue
