@@ -21,9 +21,9 @@ pass:
 The two deliberately share no invariance logic, so each checks the other.
 Each sets up what no degree changes once per spec, on its first call, by
 its own function, and the spec holds the result: the divisibility route
-its walk order and step tables, the oracle its scalars, eigenvalues,
-product tables and step tables.  A call builds only what depends on its
-degrees.
+its walk order and step tables, the oracle its halves, scalars,
+eigenvalues, product tables, step tables and closed coordinates.  A call
+builds only what depends on its degrees.
 
 All enumerations run on one walker: a depth-first descent over a list of
 generators, kept on an explicit stack, that reaches each monomial of the
@@ -38,10 +38,11 @@ that coordinate back to 0 with a monomial of degree exactly t.  A branch is
 pruned when some coordinate's residue lies in none of the sets for the
 degrees that could still complete it to a requested degree.  The test is a
 necessary condition, so pruning never changes the result.  The walker
-applies it before it pushes a child.  The divisibility route walks its own
-generator order (`_walk_order`), which closes torus coordinates early, so
-fewer stay open at once and the test prunes sooner; the spec, its hash and
-the oracle keep the given order.
+applies it before it pushes a child.  Both routes walk the generators in a
+minimum-degree elimination order (`_walk_order`, a permutation that holds
+no invariance test), which closes torus coordinates early, so fewer stay
+open at once and the tests prune sooner; the spec and its hash keep the
+given order.
 
 The divisibility route also meets in the middle, one factor deep: it hands
 the walker a final-factor index, each factor (generator j, exponent e)
@@ -51,17 +52,20 @@ with one lookup of its own state, instead of making, testing and pushing
 a child per generator ahead; walks without an index keep each top-degree
 child when they make it.
 
-The oracle cannot prune without borrowing that logic, so it meets in the
-middle instead (the Horowitz-Sahni subset-sum split): it cuts the generator
-list in two, walks each half once with the walker grouping every monomial by
-its eigenvalue products, the right half's inverted, and hash-joins the two
-halves on equal products in each requested degree.  Monomial counts are
-capped per degree (default 10^7) and the cap fails loudly; the oracle knows
-the count from the two halves' Hilbert series before it walks.  A walk
-counts every monomial it examines, in the degrees below the requested ones
-too, against its degree's cap, so a single-degree walk cannot run on
-unguarded through the degrees beneath it.  A degree range whose tables
-would pass DEGREE_CAP cells is refused before any is built.
+The oracle meets in the middle (the Horowitz-Sahni subset-sum split): it
+cuts the ordered generators in two, walks each half once with the walker
+grouping every monomial by its eigenvalue products, the right half's
+inverted, and hash-joins the two halves on equal products in each requested
+degree.  Each half walk prunes on the oracle's own test, applied early: once
+no generator ahead in the half and none in the other half acts on a
+coordinate, a branch is kept only if its product there is 1.  That test
+reads eigenvalue products alone, no residue or suffix set.  Monomial
+counts are capped per degree (default 10^7) and the cap fails loudly; the
+oracle knows the count from the two halves' Hilbert series before it walks.
+A walk counts every monomial it examines, in the degrees below the
+requested ones too, against its degree's cap, so a single-degree walk
+cannot run on unguarded through the degrees beneath it.  A degree range
+whose tables would pass DEGREE_CAP cells is refused before any is built.
 
 An invariant dimension series lists no monomial: `_count_invariants`
 counts them by state over the divisibility route's walk order and tables,
@@ -346,10 +350,12 @@ def monomial_weight(alg: AlgebraSpec, m: Monomial) -> tuple[int, ...]:
 # misses are computed and not stored, so memory stays bounded however many
 # distinct states are reached.  Each spec holds one budget per route for
 # the step and product tables it keeps across calls, and each walk has one
-# of its own for its pruning tables, which it drops when it ends.  The
-# divisibility route's suffix residue sets are charged against the walk's
-# budget too, one entry per 64 residues.
+# of its own for its pruning tables, which it drops when it ends.
 _TABLE_BUDGET = 1 << 17
+# Bytes the divisibility route's suffix residue sets may take in one walk
+# (`_row_bytes`); a coordinate whose sets would pass what is left is checked
+# against the gcd of its weights instead.
+_ROWS_BUDGET = 1 << 26
 
 
 def _tables(keys, make, budget) -> list:
@@ -426,33 +432,36 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
     generator j (None: unchanged); the walker only looks states up.  The
     factor e of generator j is the code `bases[j] - e` (`_codes`).
 
-    There are two kinds of walk.  A plain one accepts every monomial, with
-    no tables, and may `group`.  The other accepts the monomials that reach
-    `target`, prunes by `allowed[j][s * (hi + 1) + rem]` (can generators j
-    onward reach `target` from s with rem degrees left before degree hi?)
-    and has a final-factor index: `last[s * (hi + 1) + rem]` lists in walk
-    order the factors (j, (code,)) that take s to `target` with exactly rem
-    degrees.
+    There are two kinds of walk.  A plain one accepts every monomial it
+    does not prune and may `group`; it prunes only where its caller hands it
+    `allowed` tables.  The other accepts the monomials that reach `target`,
+    prunes by `allowed[j][s * (hi + 1) + rem]` (can generators j onward
+    reach `target` from s with rem degrees left before degree hi?) and has
+    a final-factor index: `last[s * (hi + 1) + rem]` lists in walk order the
+    factors (j, (code,)) that take s to `target` with exactly rem degrees.
 
     Pruning happens at push time: the root is pushed only if `allowed[0]`
     passes its (state, rem), a child made with generator j only if
     `allowed[j + 1]` does, and a popped node does not look its pair up
     again; a node moves past generator j only while `allowed[j + 1]` passes
-    its own pair.  An accepted monomial always passes.
+    its own pair.  An accepted monomial always passes.  `allowed` holds a
+    table or None (no test) per generator, and may hold one more for the
+    children of the last generator.
 
     A child of degree hi (a final child) is never pushed: a plain walk keeps
-    it when made, and an indexed one settles a node's accepted final
-    children from the entries of `last` with j at or past its first
-    generator, so no final child is made, tested or pruned.
+    it when made if `allowed[j + 1]` passes (its state, 0), and an indexed
+    one settles a node's accepted final children from the entries of `last`
+    with j at or past its first generator, so no final child is made,
+    tested or pruned.
 
     Returns one entry per degree lo..hi: the accepted monomials as tuples of
     factor codes in walk order, or with `group` a mapping from each final
     state to the accepted monomials reaching it.  Every popped node and every
     made or settled final child counts against its degree's cap: more than
     `max_count` in one degree raises ResourceGuardError.  A `stats` dict
-    receives the walk's work: `nodes` popped, children `pruned` at push and,
-    per degree lo..hi, the `leaves` counted (in degree hi with an index, the
-    accepted ones).
+    receives the walk's work: `nodes` popped, children `pruned` (at push,
+    or a plain walk's final children when made) and, per degree lo..hi,
+    the `leaves` counted (in degree hi with an index, the accepted ones).
     """
     _degree_range(gens, lo, hi)
     steps = steps or [None] * len(gens)
@@ -504,8 +513,11 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
                         pruned += 1
                     continue
                 seen[hi] += 1
-                (found[span][t] if group else found[span]).append(
-                    exps + (base - e,))
+                if ok is None or ok[t * width]:
+                    (found[span][t] if group else found[span]).append(
+                        exps + (base - e,))
+                else:
+                    pruned += 1
             if ok is not None and not ok[s * width + rem]:
                 break
         if seen[hi] > max_count:
@@ -608,9 +620,16 @@ def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
     return out
 
 
+def _row_bytes(m: int) -> int:
+    """The most bytes one suffix set of modulus m takes: an m-bit CPython
+    int (a 28-byte header and a 4-byte digit per 30 bits, as
+    `sys.getsizeof` counts it) and the 8-byte slot that holds it."""
+    return 36 + 4 * -(-m // 30)
+
+
 def _walk_order(gens) -> tuple:
-    """The divisibility route's walk order, a permutation of `gens` (a
-    minimum-degree elimination order on the coordinate-generator incidence):
+    """The routes' walk order, a permutation of `gens` (a minimum-degree
+    elimination order on the coordinate-generator incidence):
     zero-weight generators first, then, repeatedly, the remaining generators
     (in the given order) acting on the open coordinate that the fewest of
     them act on, lowest index on ties.  On a (1,n) hook each (1,j) lands
@@ -658,9 +677,9 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     Generator j is tried from state s with rem degrees left only if, in
     every coordinate, generators j onward can bring the residue to 0 with a
     monomial whose degree lands the walk in lo..hi (`_suffix_rows`).  The
-    sets of a coordinate take one table entry per 64 residues, per degree
-    and generator, from the walk's budget; a coordinate whose sets do not
-    fit is checked against the gcd of the weights ahead, for all degrees.
+    sets of a coordinate take `_row_bytes` per degree and generator from
+    the walk's _ROWS_BUDGET bytes; a coordinate whose sets do not fit is
+    checked against the gcd of the weights ahead, for all degrees.
     The tables include the generators' code bases (`_codes`) and the
     final-factor index (`last` of `_walk`): the code of each (j, e) with
     e * degree_j <= hi filed under the packed state -e * weight_j, the one
@@ -669,7 +688,6 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     _degree_range(alg.generators, lo, hi)
     gens, places, moves, steps = alg._residue_state
     moduli, width = alg.moduli, hi + 1
-    budget = [_TABLE_BUDGET]
 
     def completable(checks):
         def fill(key):
@@ -680,17 +698,18 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
             return True
         return fill
 
-    checks = [[] for _ in gens]
+    checks, left = [[] for _ in gens], _ROWS_BUDGET
     for c, (place, m) in enumerate(zip(places, moduli)):
-        cells = len(gens) * width * (m // 64 + 1)
-        exact = cells <= budget[0]
+        size = len(gens) * width * _row_bytes(m)
+        exact = size <= left
         if exact:
-            budget[0] -= cells
+            left -= size
         for check, rows in zip(checks,
                                _suffix_rows(gens, c, m, lo, hi, exact)):
             if rows is not None:
                 check.append((place, m, rows))
-    allowed = _tables([tuple(check) for check in checks], completable, budget)
+    allowed = _tables([tuple(check) for check in checks], completable,
+                      [_TABLE_BUDGET])
     bases, last = _codes(alg, gens, hi), {}
     for j, (g, move, base) in enumerate(zip(gens, moves, bases)):
         d = g.degree
@@ -749,10 +768,15 @@ def _hilbert(gens, top: int, lo: int = 0, max_count=math.inf) -> list[int]:
 def _oracle_setup(alg: AlgebraSpec) -> tuple:
     """The eigenvalue oracle's degree-free set-up, held by the spec
     (`AlgebraSpec._oracle_state`): the left and right halves of the
-    generator list, each half's step tables, the state of the monomial 1
-    and the product table of each eigenvalue.  The step and product tables
-    are filled on lookup, from one budget for the spec."""
-    gens, field = alg.generators, alg.field
+    generators in a minimum-degree elimination order (`_walk_order`, a
+    permutation), each as (generators, step tables, closed places), then
+    the state of the monomial 1 and the product table of each eigenvalue.
+    closed[j] holds, for positions j = 0..len(half), the places of the
+    coordinates that the half's generators before j act on and no other
+    generator does, in either half: their products are final at j.  The
+    step and product tables are filled on lookup, from one budget for the
+    spec."""
+    gens, field = _walk_order(alg.generators), alg.field
     q = field.q
     half = len(gens) // 2
     scalars = [field.pow(field.generator, (q - 1) // m) for m in alg.moduli]
@@ -778,13 +802,26 @@ def _oracle_setup(alg: AlgebraSpec) -> tuple:
         eig = [eigenvalue(x, w) for x, w in zip(xs, weight)]
         return tuple((place, ev) for place, ev in zip(places, eig) if ev != 1)
 
-    # (x^-1)^w = (x^w)^-1: the right half's eigenvalues come inverted
-    moves = [move(scalars, g.weight) for g in gens[:half]] \
-        + [move(inverted, g.weight) for g in gens[half:]]
+    # The right half runs from the far end of the order, where its
+    # coordinates close sooner (hook (8,7) in degree 9 pops 780 nodes there
+    # against 1,280 walked forward), and its eigenvalues come inverted:
+    # (x^-1)^w = (x^w)^-1.
+    left, right = gens[:half], gens[half:][::-1]
+    lmoves = [move(scalars, g.weight) for g in left]
+    rmoves = [move(inverted, g.weight) for g in right]
     products = {ev: _Table(functools.partial(field.mul, ev), budget)
-                for ev in {ev for m in moves for _, ev in m}}
-    steps = _tables(moves, act, budget)
-    return (gens[:half], gens[half:], steps[:half], steps[half:],
+                for ev in {ev for m in lmoves + rmoves for _, ev in m}}
+    steps = _tables(lmoves + rmoves, act, budget)
+
+    def closed(own, other):
+        outside = {place for m in other for place, _ in m}
+        last = {place: j for j, m in enumerate(own) for place, _ in m}
+        return [tuple(place for place, k in last.items()
+                      if k < j and place not in outside)
+                for j in range(len(own) + 1)]
+
+    return ((left, steps[:half], closed(lmoves, rmoves)),
+            (right, steps[half:], closed(rmoves, lmoves)),
             sum(places), products)
 
 
@@ -800,14 +837,21 @@ def invariant_monomials_oracle_by_degree(
     a monomial is kept exactly when multiplying its eigenvalues out in F_q
     gives 1 in every coordinate.  No weight-residue arithmetic is used.
 
-    The search meets in the middle (Horowitz and Sahni, 1974).  The generator
-    list is cut in two halves.  Each half is walked once, over the degrees a
-    whose partner degree `d - a` has monomials in the other half for some d
-    in lo..hi, and its monomials are grouped by degree and by their state:
-    the vector of eigenvalue products, their element numbers packed as
-    base-q digits.  The right half multiplies by inverted eigenvalues, so a
-    left monomial and a right one multiply to 1 exactly when their states
-    are equal, and a hash join on the state pairs them in each degree d.
+    The search meets in the middle (Horowitz and Sahni, 1974).  The
+    generators, in a minimum-degree elimination order (`_walk_order`), are
+    cut in two halves, and the right half is walked from the far end.  Each
+    half is walked once, over the degrees a whose partner degree `d - a`
+    has monomials in the other half for some d in lo..hi, and its monomials
+    are grouped by degree and by their state: the vector of eigenvalue
+    products, their element numbers packed as base-q digits.  The right
+    half multiplies by inverted eigenvalues, so a left monomial and a right
+    one multiply to 1 exactly when their states are equal, and a hash join
+    on the state pairs them in each degree d.  A half walk closes a
+    coordinate once no generator ahead in the half and none in the other
+    half acts on it: from then on it keeps a branch only if the product
+    there is 1, the element number 1, which is the acceptance test applied
+    early.  Its closing tables are keyed with the half walk's own top
+    degree and drop with the call, from a budget of their own.
     Scalars, eigenvalues and products are element numbers of the spec's
     own field, `alg.field`, whose generator is found once per field object.
     Each eigenvalue is a field power of its scalar, computed once per
@@ -824,8 +868,8 @@ def invariant_monomials_oracle_by_degree(
     gens = alg.generators
     _degree_range(gens, lo, hi)
     _hilbert(gens, hi, lo, max_count)      # the cap, before any walk
-    left, right, lsteps, rsteps, identity, _ = alg._oracle_state
-    lcount, rcount = _hilbert(left, hi), _hilbert(right, hi)
+    lhalf, rhalf, identity, _ = alg._oracle_state
+    lcount, rcount = _hilbert(lhalf[0], hi), _hilbert(rhalf[0], hi)
     degrees = range(lo, hi + 1)
     # (d, a): degree d takes degree a from the left half, d - a from the right
     pairs = [(d, a) for d in degrees for a in range(d + 1)
@@ -838,17 +882,31 @@ def invariant_monomials_oracle_by_degree(
     # a half walk meets each monomial of a degree at most once, so with the
     # half's largest Hilbert count up to its top degree as cap it never trips
     cap = max(lcount[:lhi + 1] + rcount[:rhi + 1])
+    q = alg.field.q
+
+    def walk(half, bottom, top):
+        # the walk keys its tables with its own top degree, the codes with
+        # the call's hi, so the halves' codes mix
+        gens, steps, closed = half
+        width = top + 1
+
+        def closes(places):
+            def fill(key):
+                s = key // width
+                return all(s // place % q == 1 for place in places)
+            return fill
+        allowed = _tables(closed, closes, [_TABLE_BUDGET])
+        return _walk(gens, bottom, top, _codes(alg, gens, hi), steps,
+                     identity, allowed=allowed, group=True, max_count=cap)
+
     # The walks and the join make a tuple per monomial and no reference
     # cycles.  The cyclic collector is held off until they are done, so it
     # never scans the groups while they live, however its counters stand.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        # codes of the call's hi, so the halves' codes mix
-        lgroups = _walk(left, llo, lhi, _codes(alg, left, hi), lsteps,
-                        identity, group=True, max_count=cap)
-        rgroups = _walk(right, rlo, rhi, _codes(alg, right, hi), rsteps,
-                        identity, group=True, max_count=cap)
+        lgroups = walk(lhalf, llo, lhi)
+        rgroups = walk(rhalf, rlo, rhi)
         found = {d: [] for d in degrees}
         for d, a in pairs:
             rstates = rgroups[d - a - rlo]

@@ -242,6 +242,13 @@ class LatticeSpec:
         return _inverse(self.basis)
 
     @functools.cached_property
+    def _root_maps(self) -> dict:
+        """id(rs) -> (rs, columns of m . cartan), composed on a root
+        system's first `_root_lattice_coords`; holding rs keeps its id its
+        own."""
+        return {}
+
+    @functools.cached_property
     def exponent(self) -> int:
         """Largest invariant factor of the basis: the least e with e times
         the inverse integral, which is the map's denominator (see
@@ -381,17 +388,32 @@ def cofundamental_exponent(rs: RootSystem, lattice: LatticeSpec) -> int:
 
 
 def _root_lattice_coords(rs: RootSystem, lattice: LatticeSpec, root):
-    """Coordinates of the root in the given lattice basis (integer), via its
-    fundamental-weight vector cartan . c."""
+    """Coordinates of the root in the given lattice basis (integer): m / d
+    applied to its fundamental-weight vector cartan . c, with m . cartan
+    composed once per (root system, lattice) and applied column by column
+    over the root's nonzero simple coordinates."""
     coords = tuple(int(c) for c in getattr(root, "coords", root))
     if len(coords) != rs.simple_count:
         raise InputError("root coordinate length mismatch")
     plus = rs._positive_coords
     if coords not in plus and tuple(-c for c in coords) not in plus:
         raise InputError(f"{coords} is not a root of this system")
-    fw = [sum(a * c for a, c in zip(row, coords)) for row in rs.cartan]
     m, d = lattice.coordinate_map
-    x = [sum(a * b for a, b in zip(row, fw)) for row in m]
+    held = lattice._root_maps.get(id(rs))
+    if held is None:
+        mcols = list(zip(*m))
+        columns = []
+        for cartan_col in zip(*rs.cartan):
+            col = [0] * len(m)
+            for a, mcol in zip(cartan_col, mcols):
+                if a:
+                    col = [v + a * b for v, b in zip(col, mcol)]
+            columns.append(col)
+        held = lattice._root_maps[id(rs)] = (rs, columns)
+    x = [0] * len(m)
+    for c, col in zip(coords, held[1]):
+        if c:
+            x = [v + c * b for v, b in zip(x, col)]
     if any(v % d for v in x):
         raise InputError(f"root {coords} is not in the given lattice "
                          f"(coords {[Fraction(v, d) for v in x]})")

@@ -77,6 +77,18 @@ def test_gl2_landmarks_p2_r2():
     assert rep["match"] is True
 
 
+@pytest.mark.parametrize("r", [16, 20])
+def test_gl2_landmarks_p2_large_r_keep_exact_pruning(r):
+    # the suffix sets of modulus 2^r - 1 fit the rows budget, so the walk
+    # prunes exactly and reaches degree r at once
+    stats = {}
+    invalg.invariant_monomials_by_degree(gl2_algebra(2, r), 1, r, stats=stats)
+    assert stats["nodes"] == r
+    rep = gl2_landmarks(2, r)
+    assert rep["first_positive_degree"] == r and rep["first_dim"] == 1
+    assert rep["match"] is True
+
+
 def test_gl2_landmarks_p5_r1():
     rep = gl2_landmarks(5, 1)
     assert rep["first_positive_degree"] == 7

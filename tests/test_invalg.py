@@ -436,10 +436,11 @@ def test_degree_aware_pruning_is_exact(alg, window):
 
 
 @st.composite
-def weighted_specs(draw):
+def weighted_specs(draw, sparse=False):
     """Specs of rank 1..3 over small fields, exterior and polynomial
     generators (polynomial only in characteristic 2), about half of them of
-    weight zero."""
+    weight zero; `sparse` ones act on one or two coordinates each, so that
+    some coordinates close inside an oracle half."""
     p, r = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                  (5, 1), (7, 1), (13, 1)]))
     qm1 = p ** r - 1
@@ -449,8 +450,11 @@ def weighted_specs(draw):
                            max_size=rank))
     gens = []
     for i in range(draw(st.integers(0, 7))):
+        acting = draw(st.sets(st.integers(0, rank - 1), min_size=1,
+                              max_size=2)) if sparse else range(rank)
         weight = (0,) * rank if draw(st.booleans()) else \
-            tuple(draw(st.integers(0, m - 1)) for m in moduli)
+            tuple(draw(st.integers(0, m - 1)) if c in acting else 0
+                  for c, m in enumerate(moduli))
         if p != 2 and draw(st.booleans()):
             gens.append(GeneratorSpec(f"g{i}", EXTERIOR, 1, weight))
         else:
@@ -625,15 +629,21 @@ def test_pruning_collapses_to_gcd_outside_the_table_budget(monkeypatch):
 
     monkeypatch.setattr(invalg, "_suffix_rows", record)
     # q = 2^20 with weights in a proper subgroup: the degree-aware sets of
-    # the one coordinate would take 20 * 11 * 16385 entries, over the budget
+    # the one coordinate take 20 generators * 4 degrees * 139,848 bytes,
+    # within the rows budget but over a patched one of 1 MiB
     gens = [GeneratorSpec(f"x{k}", POLYNOMIAL, 1, (3 * 2 ** k,))
             for k in range(20)]
     big = AlgebraSpec.make(2, 20, 1, gens)
+    assert invalg._row_bytes(2 ** 20 - 1) == 139848
+    assert dimension_series(big, 3, "invariant") == [1, 0, 0, 0]
+    assert exact == [True]
+    exact.clear()
+    monkeypatch.setattr(invalg, "_ROWS_BUDGET", 1 << 20)
     assert dimension_series(big, 3, "invariant") == [1, 0, 0, 0]
     assert exact == [False]
     assert [invariant_monomials(big, 3)] == plain_invariants(big, 3, 3)
     # with no budget at all every coordinate takes the degree-free check
-    monkeypatch.setattr(invalg, "_TABLE_BUDGET", 0)
+    monkeypatch.setattr(invalg, "_ROWS_BUDGET", 0)
     rng = random.Random(5)
     for _ in range(20):
         alg = random_algebra_spec(rng)
@@ -718,7 +728,8 @@ def test_oracle_reuses_the_spec_field(monkeypatch):
 
 def test_each_route_sets_up_once_per_spec(monkeypatch):
     # the scalars, eigenvalues and walk order are the spec's own: made on
-    # its first call, and again only for another spec, an equal one too
+    # its first call, and again only for another spec, an equal one too;
+    # each route orders its generators once
     alg = gl2_algebra(5, 2)
     calls = {"pow": 0, "inv": 0, "_walk_order": 0}
     for owner, name in ((Fq, "pow"), (Fq, "inv"), (invalg, "_walk_order")):
@@ -735,7 +746,7 @@ def test_each_route_sets_up_once_per_spec(monkeypatch):
 
     run(alg, [1])
     first = dict(calls)
-    assert first["pow"] and first["inv"] and first["_walk_order"] == 1
+    assert first["pow"] and first["inv"] and first["_walk_order"] == 2
     run(alg, range(2, 9))
     assert invariant_monomials_oracle_by_degree(alg, 1, 8) == [[]] * 8
     assert invariant_monomials_by_degree(alg, 1, 8) == [[]] * 8
@@ -797,13 +808,26 @@ def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
     def stored(tables):
         return sum(len(t) for t in {id(t): t for t in tables if t}.values())
 
-    _, _, lsteps, rsteps, _, products = alg._oracle_state
+    (_, lsteps, _), (_, rsteps, _), _, products = alg._oracle_state
     assert stored(lsteps + rsteps + list(products.values())) == 7
     assert stored(alg._residue_state[3]) == 7
     # a walk's pruning tables have a budget of their own, spent or not
     gens, tables = invalg._residue_route(alg, 14, 14)
     invalg._walk(gens, 14, 14, **tables)
     assert stored(tables["allowed"]) == 7
+    # so has each oracle half walk's: on the (1,5) hook both halves close
+    # coordinates, and each half's closing tables store 7 entries
+    walks, walk = [], invalg._walk
+
+    def recording(*args, **kwargs):
+        walks.append(kwargs["allowed"])
+        return walk(*args, **kwargs)
+
+    hook = _hook_spec(5, 7, 1, 1, 5)
+    expected = plain_invariants(hook, 9, 9)
+    monkeypatch.setattr(invalg, "_walk", recording)
+    assert [invariant_monomials_oracle(hook, 9)] == expected
+    assert [stored(allowed) for allowed in walks] == [7, 7]
     # the held tables make no cycle back to their spec: with the cyclic
     # collector off, reference counting alone frees it
     ref = weakref.ref(alg)
@@ -946,6 +970,56 @@ def test_oracle_cap_exact_when_a_half_degree_has_no_partner():
         with pytest.raises(ResourceGuardError):
             invariant_monomials_oracle(alg, d, max_count=n - 1)
     assert unpartnered > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_specs(sparse=True),
+       st.lists(st.integers(0, 8), min_size=2, max_size=2).map(sorted),
+       st.sampled_from([None, 0]))
+def test_oracle_closing_coordinates_is_exact(alg, window, budget):
+    lo, hi = window
+    expected = plain_invariants(alg, lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:      # no closing, step or product table kept
+            mp.setattr(invalg, "_TABLE_BUDGET", budget)
+        assert invariant_monomials_oracle_by_degree(alg, lo, hi) == expected
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in range(3, 7) for p in (5, 7)])
+def test_oracle_matches_the_plain_filter_on_hooks(n, p):
+    alg = _hook_spec(n, p, 1, 1, n)
+    top = 2 * p - 3
+    assert invariant_monomials_oracle_by_degree(alg, 1, top) == \
+        plain_invariants(alg, 1, top)
+
+
+def test_oracle_half_walks_close_coordinates(monkeypatch):
+    # hook (8,7) in degree 9: 4,719 and 4,166 nodes when neither half pruned
+    nodes, walk = [], invalg._walk
+
+    def counted(*args, **kwargs):
+        stats = {}
+        out = walk(*args, **kwargs, stats=stats)
+        nodes.append(stats["nodes"])
+        return out
+
+    alg = _hook_spec(8, 7, 1, 1, 8)
+    monkeypatch.setattr(invalg, "_walk", counted)
+    assert invariant_monomials_oracle(alg, 9) == []
+    assert nodes == [382, 780]
+
+
+@pytest.mark.parametrize("n, p, degree, count", [(8, 11, 19, 76),
+                                                 (7, 13, 23, 42)])
+def test_oracle_reaches_the_large_hooks(n, p, degree, count):
+    # degree 2p - 3 of the (1,n) hook holds more monomials than the default
+    # cap (141,120,525 and 92,561,040), so the cap is raised
+    alg = _hook_spec(n, p, 1, 1, n)
+    with pytest.raises(ResourceGuardError):
+        invariant_monomials_oracle(alg, degree)
+    found = invariant_monomials_oracle(alg, degree, max_count=10 ** 9)
+    assert len(found) == count
+    assert found == invariant_monomials(alg, degree)
 
 
 def test_rescaling_by_a_unit_preserves_invariants():

@@ -463,6 +463,21 @@ def test_lattice_coords_match_a_fraction_solve(t, n):
                     f"(coords {want})")
 
 
+def test_one_lattice_composes_a_map_per_root_system():
+    # A2 and G2 share a rank, so one unimodular lattice serves both: each
+    # system gets its own composed map, made on its first root
+    a2, g2 = build_root_system([("A", 2)]), build_root_system([("G", 2)])
+    lat = character_lattice(a2, "custom", basis=[[2, 1], [1, 1]])
+    m, d = fraction_inverse(lat.basis)
+    for rs in (a2, g2, a2):
+        for root in rs.positive_roots:
+            fw = [sum(a * c for a, c in zip(row, root.coords))
+                  for row in rs.cartan]
+            assert _root_lattice_coords(rs, lat, root) == [
+                Fraction(sum(a * b for a, b in zip(row, fw)), d) for row in m]
+    assert list(lat._root_maps) == [id(a2), id(g2)]
+
+
 def test_singular_lattice_rejected_for_root_coords():
     rs = build_root_system([("A", 2)])
     lat = character_lattice(rs, "custom", basis=[[1, 1], [1, 1]])
