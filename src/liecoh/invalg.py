@@ -22,7 +22,7 @@ The two deliberately share no invariance logic, so each checks the other.
 Each sets up what no degree changes once per spec, on its first call, by
 its own function, and the spec holds the result: the divisibility route
 its walk order and step tables, the oracle its halves, scalars,
-eigenvalues, product tables, step tables and closed coordinates.  A call
+eigenvalues, product tables, step tables and closing tables.  A call
 builds only what depends on its degrees.
 
 All enumerations run on one walker: a depth-first descent over a list of
@@ -31,18 +31,18 @@ requested degrees at most once, in one pass over a whole degree range.  The
 walker knows degrees only.  Each route hands it per-generator step tables
 over the route's own state (weight residues, or eigenvalue products coded as
 integers); the divisibility route adds the accepted state and per-generator
-sets of (state, remaining degree) pairs from which it is still reachable,
-built from suffix residue sets: for each generator j, coordinate and
-completion degree t, the residues from which the generators j onward bring
-that coordinate back to 0 with a monomial of degree exactly t.  A branch is
-pruned when some coordinate's residue lies in none of the sets for the
-degrees that could still complete it to a requested degree.  The test is a
-necessary condition, so pruning never changes the result.  The walker
-applies it before it pushes a child.  Both routes walk the generators in a
-minimum-degree elimination order (`_walk_order`, a permutation that holds
-no invariance test), which closes torus coordinates early, so fewer stay
-open at once and the tests prune sooner; the spec and its hash keep the
-given order.
+sets of (state, remaining degree) pairs, keyed rem * stride + state, from
+which it is still reachable, built from suffix residue sets: for each
+generator j, coordinate and completion degree t, the residues from which
+the generators j onward bring that coordinate back to 0 with a monomial of
+degree exactly t.  A branch is pruned when some coordinate's residue lies
+in none of the sets for the degrees that could still complete it to a
+requested degree.  The test is a necessary condition, so pruning never
+changes the result.  The walker applies it before it pushes a child.  Both
+routes walk the generators in a minimum-degree elimination order
+(`_walk_order`, a permutation that holds no invariance test), which closes
+torus coordinates early, so fewer stay open at once and the tests prune
+sooner; the spec and its hash keep the given order.
 
 The divisibility route also meets in the middle, one factor deep: it hands
 the walker a final-factor index, each factor (generator j, exponent e)
@@ -59,13 +59,14 @@ inverted, and hash-joins the two halves on equal products in each requested
 degree.  Each half walk prunes on the oracle's own test, applied early: once
 no generator ahead in the half and none in the other half acts on a
 coordinate, a branch is kept only if its product there is 1.  That test
-reads eigenvalue products alone, no residue or suffix set.  Monomial
-counts are capped per degree (default 10^7) and the cap fails loudly; the
-oracle knows the count from the two halves' Hilbert series before it walks.
-A walk counts every monomial it examines, in the degrees below the
-requested ones too, against its degree's cap, so a single-degree walk
-cannot run on unguarded through the degrees beneath it.  A degree range
-whose tables would pass DEGREE_CAP cells is refused before any is built.
+reads the state alone (stride 0), no degree, residue or suffix set, so its
+tables are built once per spec.  Monomial counts are capped per degree
+(default 10^7) and the cap fails loudly; the oracle knows the count from
+the two halves' Hilbert series before it walks.  A walk counts every
+monomial it examines, in the degrees below the requested ones too, against
+its degree's cap, so a single-degree walk cannot run on unguarded through
+the degrees beneath it.  A degree range whose tables would pass DEGREE_CAP
+cells is refused before any is built.
 
 An invariant dimension series lists no monomial: `_count_invariants`
 counts them by state over the divisibility route's walk order and tables,
@@ -75,7 +76,8 @@ top degree off the final-factor index.  Its guard is SERIES_CAP live
 
 All list outputs are sorted in a canonical order (generator id ascending,
 exponent descending) so repeated runs are byte-identical.  The walker
-carries each factor as an integer code in that order (`_codes`).
+carries each factor as an integer code in that order, of one width per
+spec (`_codes`).
 """
 
 from __future__ import annotations
@@ -210,10 +212,10 @@ class AlgebraSpec:
         return tuple(g.id for g in self.generators)
 
     def by_id(self, gid: str) -> GeneratorSpec:
-        for g in self.generators:
-            if g.id == gid:
-                return g
-        raise InputError(f"unknown generator id {gid!r}")
+        try:
+            return self._by_id[gid]
+        except KeyError:
+            raise InputError(f"unknown generator id {gid!r}") from None
 
     def restrict(self, ids) -> "AlgebraSpec":
         """Sub-algebra on the given generator ids, order preserved."""
@@ -270,6 +272,10 @@ class AlgebraSpec:
     def _id_ranks(self) -> dict:    # each id's place in the sorted ids
         return {gid: rank for rank, gid in enumerate(sorted(self.ids))}
 
+    @functools.cached_property
+    def _by_id(self) -> dict:
+        return {g.id: g for g in self.generators}
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -324,19 +330,13 @@ def canonical_sort(monomials) -> list[Monomial]:
     return sorted(monomials, key=Monomial.sort_key)
 
 
-def _check_monomial(alg: AlgebraSpec, m: Monomial):
+def monomial_weight(alg: AlgebraSpec, m: Monomial) -> tuple[int, ...]:
+    """Coordinatewise exponent-weighted sum of generator weights, reduced."""
+    total = [0] * alg.torus_rank
     for gid, e in m.exps:
         g = alg.by_id(gid)
         if g.parity == EXTERIOR and e > 1:
             raise InputError(f"exterior generator {gid!r} squares to zero")
-
-
-def monomial_weight(alg: AlgebraSpec, m: Monomial) -> tuple[int, ...]:
-    """Coordinatewise exponent-weighted sum of generator weights, reduced."""
-    _check_monomial(alg, m)
-    total = [0] * alg.torus_rank
-    for gid, e in m.exps:
-        g = alg.by_id(gid)
         for c, w in enumerate(g.weight):
             total[c] += e * w
     return tuple(t % m for t, m in zip(total, alg.moduli))
@@ -349,8 +349,8 @@ def monomial_weight(alg: AlgebraSpec, m: Monomial) -> tuple[int, ...]:
 # Entries a table budget lets its tables store, at most about 14 MB; later
 # misses are computed and not stored, so memory stays bounded however many
 # distinct states are reached.  Each spec holds one budget per route for
-# the step and product tables it keeps across calls, and each walk has one
-# of its own for its pruning tables, which it drops when it ends.
+# the tables it keeps (the oracle's closing tables too), and each
+# divisibility walk one for its pruning tables, dropped when it ends.
 _TABLE_BUDGET = 1 << 17
 # Bytes the divisibility route's suffix residue sets may take in one walk
 # (`_row_bytes`); a coordinate whose sets would pass what is left is checked
@@ -421,8 +421,8 @@ def _over_cap(max_count: int, degree: int) -> ResourceGuardError:
 
 
 def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
-          allowed=None, last=None, group=False, max_count=MONOMIAL_CAP,
-          stats=None):
+          allowed=None, last=None, stride=0, group=False,
+          max_count=MONOMIAL_CAP, stats=None):
     """Walk the monomials in the generators `gens` (a tuple of
     GeneratorSpec) of degree lo..hi depth first on an explicit stack.
 
@@ -435,10 +435,12 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
     There are two kinds of walk.  A plain one accepts every monomial it
     does not prune and may `group`; it prunes only where its caller hands it
     `allowed` tables.  The other accepts the monomials that reach `target`,
-    prunes by `allowed[j][s * (hi + 1) + rem]` (can generators j onward
+    prunes by `allowed[j][rem * stride + s]` (can generators j onward
     reach `target` from s with rem degrees left before degree hi?) and has
-    a final-factor index: `last[s * (hi + 1) + rem]` lists in walk order the
+    a final-factor index: `last[rem * stride + s]` lists in walk order the
     factors (j, (code,)) that take s to `target` with exactly rem degrees.
+    Every state is below `stride`; tables whose test reads the state alone
+    take the default stride 0 and are keyed by the state.
 
     Pruning happens at push time: the root is pushed only if `allowed[0]`
     passes its (state, rem), a child made with generator j only if
@@ -468,15 +470,16 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
     after = [None] * len(gens) if allowed is None else [*allowed[1:], None]
     factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, base, ok)
                for g, base, step, ok in zip(gens, bases, steps, after)]
-    span, width = hi - lo, hi + 1
+    span = hi - lo
     lookup = last is not None    # with an index, children leave rem >= 1
     stop = _stops(gens, lo, hi, lookup)
 
-    seen = [0] * width           # per degree 0..hi
+    seen = [0] * (hi + 1)        # per degree 0..hi
     found = [defaultdict(list) if group else [] for _ in range(span + 1)]
     nodes = pruned = 0
     ok = allowed[0] if allowed else None
-    stack = [(0, hi, start, ())] if ok is None or ok[start * width + hi] else []
+    stack = [(0, hi, start, ())] if ok is None or ok[hi * stride + start] \
+        else []
     push, pop = stack.append, stack.pop
     while stack:
         k, rem, s, exps = pop()
@@ -491,7 +494,7 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
             else:
                 found[span - rem].append(exps)
         if lookup:
-            for j, factor in last.get(s * width + rem, ()):
+            for j, factor in last.get(rem * stride + s, ()):
                 if j >= k:
                     seen[hi] += 1
                     found[span].append(exps + factor)
@@ -507,18 +510,18 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
                 if step is not None:
                     t = step[t]
                 if r:
-                    if ok is None or ok[t * width + r]:
+                    if ok is None or ok[r * stride + t]:
                         push((j + 1, r, t, exps + (base - e,)))
                     else:
                         pruned += 1
                     continue
                 seen[hi] += 1
-                if ok is None or ok[t * width]:
+                if ok is None or ok[t]:
                     (found[span][t] if group else found[span]).append(
                         exps + (base - e,))
                 else:
                     pruned += 1
-            if ok is not None and not ok[s * width + rem]:
+            if ok is not None and not ok[rem * stride + s]:
                 break
         if seen[hi] > max_count:
             raise _over_cap(max_count, hi)
@@ -527,30 +530,35 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
     return found
 
 
-def _codes(alg: AlgebraSpec, gens, hi: int) -> list:
-    """Per generator in `gens`, the base of its factor codes in a call over
-    degrees up to hi: (g, e) is rank * (hi + 1) + hi - e, rank the place of
-    g.id in the sorted ids, so sorted code tuples sort as `Monomial.sort_key`
-    does (id ascending, exponent descending, a prefix first)."""
-    rank = alg._id_ranks
-    return [rank[g.id] * (hi + 1) + hi for g in gens]
+def _code_width(alg: AlgebraSpec) -> int:
+    return DEGREE_CAP // max(len(alg.generators), 1)
 
 
-def _as_monomials(found, alg: AlgebraSpec, hi: int) -> list[Monomial]:
+def _codes(alg: AlgebraSpec, gens) -> list:
+    """Per generator in `gens`, the base of its factor codes: (g, e) is
+    rank * w + w - 1 - e, rank the place of g.id in the sorted ids, so
+    sorted code tuples sort as `Monomial.sort_key` does (id ascending,
+    exponent descending, a prefix first).  The width w is one per spec
+    (`_code_width`): `_degree_range` keeps every exponent below it."""
+    rank, w = alg._id_ranks, _code_width(alg)
+    return [rank[g.id] * w + w - 1 for g in gens]
+
+
+def _as_monomials(found, alg: AlgebraSpec) -> list[Monomial]:
     """Walker output (`_codes` tuples) as canonically sorted Monomials, by
     one sort and one decode per distinct code; as in `Monomial`, exponents
     must be positive and no id repeat."""
-    ids, width = list(alg._id_ranks), hi + 1
+    ids, w = list(alg._id_ranks), _code_width(alg)
     pairs, out = {}, []
     for codes in sorted([tuple(sorted(c)) for c in found]):
         exps, prev = [], None
         for code in codes:
             pair = pairs.get(code)
             if pair is None:
-                rank, v = divmod(code, width)
-                if v >= hi:
+                rank, v = divmod(code, w)
+                if v >= w - 1:
                     raise InputError("exponents must be positive")
-                pair = pairs[code] = (ids[rank], hi - v)
+                pair = pairs[code] = (ids[rank], w - 1 - v)
             if pair[0] == prev:
                 raise InputError("repeated generator id in monomial")
             prev = pair[0]
@@ -565,8 +573,8 @@ def enumerate_monomials(alg: AlgebraSpec, degree: int,
                         max_count: int = MONOMIAL_CAP) -> list[Monomial]:
     """All monomials of total degree exactly `degree`, canonically sorted."""
     found = _walk(alg.generators, degree, degree,
-                  _codes(alg, alg.generators, degree), max_count=max_count)
-    return _as_monomials(found[0], alg, degree)
+                  _codes(alg, alg.generators), max_count=max_count)
+    return _as_monomials(found[0], alg)
 
 
 def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
@@ -687,11 +695,11 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     """
     _degree_range(alg.generators, lo, hi)
     gens, places, moves, steps = alg._residue_state
-    moduli, width = alg.moduli, hi + 1
+    stride = math.prod(alg.moduli)      # every packed state is below it
 
     def completable(checks):
         def fill(key):
-            s, rem = divmod(key, width)
+            rem, s = divmod(key, stride)
             for place, m, rows in checks:
                 if not rows[rem] >> (s // place % m) & 1:
                     return False
@@ -699,8 +707,8 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
         return fill
 
     checks, left = [[] for _ in gens], _ROWS_BUDGET
-    for c, (place, m) in enumerate(zip(places, moduli)):
-        size = len(gens) * width * _row_bytes(m)
+    for c, (place, m) in enumerate(zip(places, alg.moduli)):
+        size = len(gens) * (hi + 1) * _row_bytes(m)
         exact = size <= left
         if exact:
             left -= size
@@ -710,15 +718,15 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
                 check.append((place, m, rows))
     allowed = _tables([tuple(check) for check in checks], completable,
                       [_TABLE_BUDGET])
-    bases, last = _codes(alg, gens, hi), {}
+    bases, last = _codes(alg, gens), {}
     for j, (g, move, base) in enumerate(zip(gens, moves, bases)):
         d = g.degree
         top = hi // d if g.parity == POLYNOMIAL else min(1, hi // d)
         for e in range(1, top + 1):
             key = sum(-e * w % m * place for place, m, w in move)
-            last.setdefault(key * width + e * d, []).append((j, (base - e,)))
+            last.setdefault(e * d * stride + key, []).append((j, (base - e,)))
     return gens, {"bases": bases, "steps": steps, "start": 0, "target": 0,
-                  "allowed": allowed, "last": last}
+                  "allowed": allowed, "last": last, "stride": stride}
 
 
 def invariant_monomials_by_degree(
@@ -735,7 +743,7 @@ def invariant_monomials_by_degree(
     """
     gens, tables = _residue_route(alg, lo, hi)
     found = _walk(gens, lo, hi, **tables, max_count=max_count, stats=stats)
-    return [_as_monomials(monos, alg, hi) for monos in found]
+    return [_as_monomials(monos, alg) for monos in found]
 
 
 def invariant_monomials(alg: AlgebraSpec, degree: int,
@@ -769,13 +777,14 @@ def _oracle_setup(alg: AlgebraSpec) -> tuple:
     """The eigenvalue oracle's degree-free set-up, held by the spec
     (`AlgebraSpec._oracle_state`): the left and right halves of the
     generators in a minimum-degree elimination order (`_walk_order`, a
-    permutation), each as (generators, step tables, closed places), then
+    permutation), each as (generators, step tables, closing tables), then
     the state of the monomial 1 and the product table of each eigenvalue.
-    closed[j] holds, for positions j = 0..len(half), the places of the
-    coordinates that the half's generators before j act on and no other
-    generator does, in either half: their products are final at j.  The
-    step and product tables are filled on lookup, from one budget for the
-    spec."""
+    The closing table at position j = 0..len(half) maps a state to whether
+    its product is 1 on every coordinate that the half's generators before
+    j act on and no other generator does, in either half: those products
+    are final at j (None where there is no such coordinate).  The step,
+    product and closing tables are filled on lookup, from one budget for
+    the spec."""
     gens, field = _walk_order(alg.generators), alg.field
     q = field.q
     half = len(gens) // 2
@@ -797,6 +806,9 @@ def _oracle_setup(alg: AlgebraSpec) -> tuple:
     @functools.cache
     def eigenvalue(x, w):
         return field.pow(x, w)
+
+    def closes(places):     # is the product 1 in each of these places?
+        return lambda s: all(s // place % q == 1 for place in places)
 
     def move(xs, weight):
         eig = [eigenvalue(x, w) for x, w in zip(xs, weight)]
@@ -820,9 +832,10 @@ def _oracle_setup(alg: AlgebraSpec) -> tuple:
                       if k < j and place not in outside)
                 for j in range(len(own) + 1)]
 
-    return ((left, steps[:half], closed(lmoves, rmoves)),
-            (right, steps[half:], closed(rmoves, lmoves)),
-            sum(places), products)
+    allowed = _tables(closed(lmoves, rmoves) + closed(rmoves, lmoves),
+                      closes, budget)       # half + 1 left, then the right's
+    return ((left, steps[:half], allowed[:half + 1]),
+            (right, steps[half:], allowed[half + 1:]), sum(places), products)
 
 
 def invariant_monomials_oracle_by_degree(
@@ -850,16 +863,15 @@ def invariant_monomials_oracle_by_degree(
     coordinate once no generator ahead in the half and none in the other
     half acts on it: from then on it keeps a branch only if the product
     there is 1, the element number 1, which is the acceptance test applied
-    early.  Its closing tables are keyed with the half walk's own top
-    degree and drop with the call, from a budget of their own.
+    early.  That test reads the state alone, so its tables are the spec's.
     Scalars, eigenvalues and products are element numbers of the spec's
     own field, `alg.field`, whose generator is found once per field object.
     Each eigenvalue is a field power of its scalar, computed once per
     (scalar, weight) pair; every product is an actual field multiplication,
     `Fq.mul`, made on the first lookup of an (eigenvalue, element) pair and
-    kept in a table while the budget lasts.  All of this is set up once
-    per spec (`_oracle_setup`) and held by it; a call counts, walks the
-    halves and joins.
+    kept in a table while the budget lasts.  All of this, closing tables
+    included, is set up once per spec (`_oracle_setup`) and held by it; a
+    call counts, walks the halves and joins.
 
     The number of monomials of each degree is known from the two halves'
     Hilbert series before anything is walked; when a degree has more than
@@ -882,31 +894,17 @@ def invariant_monomials_oracle_by_degree(
     # a half walk meets each monomial of a degree at most once, so with the
     # half's largest Hilbert count up to its top degree as cap it never trips
     cap = max(lcount[:lhi + 1] + rcount[:rhi + 1])
-    q = alg.field.q
-
-    def walk(half, bottom, top):
-        # the walk keys its tables with its own top degree, the codes with
-        # the call's hi, so the halves' codes mix
-        gens, steps, closed = half
-        width = top + 1
-
-        def closes(places):
-            def fill(key):
-                s = key // width
-                return all(s // place % q == 1 for place in places)
-            return fill
-        allowed = _tables(closed, closes, [_TABLE_BUDGET])
-        return _walk(gens, bottom, top, _codes(alg, gens, hi), steps,
-                     identity, allowed=allowed, group=True, max_count=cap)
-
     # The walks and the join make a tuple per monomial and no reference
     # cycles.  The cyclic collector is held off until they are done, so it
     # never scans the groups while they live, however its counters stand.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        lgroups = walk(lhalf, llo, lhi)
-        rgroups = walk(rhalf, rlo, rhi)
+        lgroups, rgroups = [
+            _walk(gens, bottom, top, _codes(alg, gens), steps, identity,
+                  allowed=allowed, group=True, max_count=cap)
+            for (gens, steps, allowed), bottom, top
+            in ((lhalf, llo, lhi), (rhalf, rlo, rhi))]
         found = {d: [] for d in degrees}
         for d, a in pairs:
             rstates = rgroups[d - a - rlo]
@@ -914,7 +912,7 @@ def invariant_monomials_oracle_by_degree(
                 rexps = rstates.get(s)
                 if rexps:
                     found[d].extend(x + y for x in lexps for y in rexps)
-        return [_as_monomials(found[d], alg, hi) for d in degrees]
+        return [_as_monomials(found[d], alg) for d in degrees]
     finally:
         if enabled:
             gc.enable()
@@ -959,11 +957,12 @@ def _count_invariants(alg: AlgebraSpec, hi: int) -> tuple:
     entries raise ResourceGuardError.
     """
     gens, tables = _residue_route(alg, 0, hi)
-    steps, allowed, width = tables["steps"], tables["allowed"], hi + 1
+    steps, allowed = tables["steps"], tables["allowed"]
+    stride = tables["stride"]
     after = [*allowed[1:], None]
     finals = [[] for _ in gens]     # per generator: (degree, state) to read
     for packed, factors in tables["last"].items():
-        state, d = divmod(packed, width)
+        d, state = divmod(packed, stride)
         for j, _ in factors:
             finals[j].append((hi - d, state))
     layers = [{} for _ in range(hi)]
@@ -984,11 +983,11 @@ def _count_invariants(alg: AlgebraSpec, hi: int) -> tuple:
         # directly, not through the table's memo
         ok = None if ahead is None else ahead.fill
         for t in degrees:
-            layer, rem = layers[t], hi - t
+            layer, key = layers[t], (hi - t) * stride
             size, get = len(layer), layer.get
             for s, c in layers[t - d].items():
                 u = s if step is None else step[s]
-                if ok is None or ok(u * width + rem):
+                if ok is None or ok(key + u):
                     layer[u] = get(u, 0) + c
             live += len(layer) - size
             most[t] = max(most[t], len(layer))
@@ -1002,8 +1001,8 @@ def _count_invariants(alg: AlgebraSpec, hi: int) -> tuple:
         if ahead is not None and ahead is not allowed[j]:
             ok = ahead.fill
             for t, layer in enumerate(layers):
-                rem = hi - t
-                dead = [s for s in layer if not ok(s * width + rem)]
+                key = (hi - t) * stride
+                dead = [s for s in layer if not ok(key + s)]
                 for s in dead:
                     del layer[s]
                 live -= len(dead)

@@ -158,6 +158,7 @@ def test_invariants_missing_file(capsys):
 
 
 # each edit of a well-formed gl2(3,1) spec file: (path into the blob, value)
+DELETE = object()   # an edit that removes the key
 BAD_SPEC_EDITS = {
     "p_float": (("field", "p"), 3.0),
     "r_float": (("field", "r"), 1.0),
@@ -171,6 +172,11 @@ BAD_SPEC_EDITS = {
         "id": "x0", "parity": "exterior", "degree": 1.0, "weight": [1.7]}),
     "char2_mode_int": (("char2_mode",), 0),
     "tag_int": (("generators", 0, "tag"), 5),
+    "id_empty": (("generators", 0, "id"), ""),
+    "parity_unknown": (("generators", 0, "parity"), "odd"),
+    "torus_rank_zero": (("torus_rank",), 0),
+    "moduli_count": (("moduli",), [2, 2]),
+    "no_generators": (("generators",), DELETE),
 }
 
 
@@ -181,7 +187,10 @@ def test_invariants_run_rejects_non_integer_spec(tmp_path, capsys, edit):
     target = blob
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps(blob))
     for flags in (["--filter", "all"], ["--filter", "invariant", "--oracle"],
@@ -555,10 +564,33 @@ def test_size_guards_exit_three_at_once(capsys):
         assert err.startswith("resource guard: ") and part in err
 
 
-def test_bad_input_exit_two(capsys):
-    assert main(["gl2", "landmarks", "--p", "4", "--r", "1"]) == 2
-    assert main(["rootsys", "info", "--type", "H", "--rank", "2"]) == 2
-    assert main(["grun", "essential", "--n", "4", "--p", "2"]) == 2
+def test_bad_input_exit_two(tmp_path, capsys):
+    files = {"list": [1, 2], "wide": {"basis": [[1, 0]]},
+             "names": {"names": ["c01"]}, "number": 5}
+    for name, blob in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(blob))
+    a2 = "--type A --rank 2"
+    for argv, message in (
+            ("gl2 landmarks --p 4 --r 1", "p = 4 is not prime"),
+            ("rootsys info --type H --rank 2", "no root system of type H2"),
+            ("grun essential --n 4 --p 2",
+             "essential kernel needs an odd prime"),
+            (f"rootsys bound {a2} --r 1 --lattice {tmp_path}/list.json",
+             "lattice file must be a JSON object with a 'basis'"),
+            (f"rootsys bound {a2} --r 1 --lattice {tmp_path}/wide.json",
+             "lattice basis must be square of full rank size"),
+            (f"verify all --grid {tmp_path}/names.json",
+             "grid file must hold a list of criterion names"),
+            (f"verify all --grid {tmp_path}/number.json",
+             "grid file must hold a list of criterion names"),
+            ("grun detect --n 3 --p 3 --r 1 --degree 0",
+             "degree must be at least 1"),
+            ("check regular --n 1 --p 3 --r 1",
+             "matrix size must be at least 2"),
+            (f"rootsys divisibility {a2} --n 0", "divisor must be positive"),
+            (f"rootsys bound {a2} --r 0", "r must be at least 1")):
+        assert main(argv.split()) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_field_checked_before_generators_are_built(capsys):

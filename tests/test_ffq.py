@@ -548,6 +548,25 @@ def test_unitriangular_size_guard():
         next(draws)
 
 
+def test_invalid_arguments_rejected():
+    k5 = Fq(5, 1)
+    for make, message in (
+            (lambda: k5.from_int(5), "element index 5 out of range for q = 5"),
+            (lambda: k5.from_int(-1),
+             "element index -1 out of range for q = 5"),
+            (lambda: FqMatrix.from_ints(k5, [[1, 0], [0]]),
+             "matrix must be square"),
+            (lambda: mat_pow(FqMatrix.identity(k5, 2), -1),
+             "negative matrix powers are not supported"),
+            (lambda: next(unitriangular_elements(0, k5)),
+             "matrix size must be at least 1"),
+            (lambda: next(unitriangular_elements(3, k5, "every")),
+             "unknown mode 'every'")):
+        with pytest.raises(InputError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
 def test_mixed_field_arithmetic_rejected():
     a = Fq(3, 1).from_int(2)
     b = Fq(5, 1).from_int(2)

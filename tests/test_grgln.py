@@ -119,11 +119,24 @@ def test_subgroup_support_twist_closure():
 
 def test_subgroup_support_errors():
     spec = build_gr_un(3, 3, 1)
-    for args in [("hook", 2, 2), ("hook", 0, 3), ("edge", 1), ("edge", 3),
-                 ("root", 3, 2), ("root", 1, 4), ("superdiag", 3),
-                 ("superdiag", 0), ("nonsense", 1)]:
-        with pytest.raises(InputError):
+    for args, message in [
+            (("hook", 2, 2), "need 1 <= i < j <= 3, got (2, 2)"),
+            (("hook", 0, 3), "need 1 <= i < j <= 3, got (0, 3)"),
+            (("hook", 1), "hook support takes two indices"),
+            (("hook", 1, 2, 3), "hook support takes two indices"),
+            (("edge", 1), "edge index must satisfy 1 < i < 3"),
+            (("edge", 3), "edge index must satisfy 1 < i < 3"),
+            (("edge", 1, 2), "edge support takes one index"),
+            (("edge",), "edge support takes one index"),
+            (("root", 3, 2), "need 1 <= i < j <= 3, got (3, 2)"),
+            (("root", 1, 4), "need 1 <= i < j <= 3, got (1, 4)"),
+            (("root", 2), "root support takes two indices"),
+            (("superdiag", 3), "unknown support kind 'superdiag'"),
+            (("superdiag", 0), "unknown support kind 'superdiag'"),
+            (("nonsense", 1), "unknown support kind 'nonsense'")]:
+        with pytest.raises(InputError) as exc:
             subgroup_support(spec, *args)
+        assert str(exc.value) == message, args
 
 
 def test_edges_inside_hook():

@@ -134,8 +134,10 @@ def test_monomial_normalization():
     assert m.format() == "x0*y0^2"
     assert Monomial(()).format() == "1"
     assert Monomial.from_dict({"exps": {"x0": 1}}) == mono(x0=1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="exponents must be positive"):
         Monomial((("x0", 0),))
+    with pytest.raises(InputError, match="repeated generator id in monomial"):
+        Monomial((("x0", 1), ("y0", 2), ("x0", 3)))
 
 
 def test_monomial_carries_no_instance_dict():
@@ -154,34 +156,43 @@ def test_monomial_carries_no_instance_dict():
                                         mono(x0=1, y0=1), mono(y0=1)]
 
 
-def encode(alg, hi, exps):
-    """Walker codes of (id, exponent) pairs in a call over degrees up to hi:
-    rank * (hi + 1) + hi - e, rank the id's place in the sorted ids."""
-    rank = sorted(alg.ids).index
-    return tuple(rank(i) * (hi + 1) + hi - e for i, e in exps)
+def code_width(alg):
+    """One width per spec: DEGREE_CAP // (number of generators)."""
+    return invalg.DEGREE_CAP // len(alg.generators)
+
+
+def encode(alg, exps):
+    """Walker codes of (id, exponent) pairs: rank * w + w - 1 - e, w the
+    spec's `code_width` and rank the id's place in the sorted ids."""
+    rank, w = sorted(alg.ids).index, code_width(alg)
+    return tuple(rank(i) * w + w - 1 - e for i, e in exps)
 
 
 def test_walker_output_is_sorted_and_checked():
     # walker codes skip the str/int coercion, not the two checks
-    alg, hi = rank1_pair_algebra(3, 1), 3
-    got = invalg._as_monomials([encode(alg, hi, [("y0", 2), ("x0", 1)]),
-                                encode(alg, hi, [("x0", 3)]), ()], alg, hi)
-    want = [Monomial(()), mono(x0=3), mono(x0=1, y0=2)]
+    alg = rank1_pair_algebra(3, 1)
+    top = code_width(alg) - 1       # the largest exponent a code holds
+    got = invalg._as_monomials([encode(alg, [("y0", 2), ("x0", 1)]),
+                                encode(alg, [("x0", 3)]), (),
+                                encode(alg, [("y0", top)])], alg)
+    want = [Monomial(()), mono(x0=3), mono(x0=1, y0=2), mono(y0=top)]
     assert got == want
     assert [m.exps for m in got] == [m.exps for m in want]
     assert [hash(m) for m in got] == [hash(m) for m in want]
+    # every code of the spec lies below DEGREE_CAP
+    assert max(invalg._codes(alg, alg.generators)) < invalg.DEGREE_CAP
     with pytest.raises(InputError, match="repeated generator id"):
         invalg._as_monomials(
-            [encode(alg, hi, [("x0", 1), ("y0", 1), ("x0", 2)])], alg, hi)
+            [encode(alg, [("x0", 1), ("y0", 1), ("x0", 2)])], alg)
     with pytest.raises(InputError, match="positive"):
-        invalg._as_monomials([encode(alg, hi, [("x0", 0)])], alg, hi)
+        invalg._as_monomials([encode(alg, [("x0", 0)])], alg)
 
 
 @st.composite
 def coded_monomials(draw):
     """A spec whose ids sort differently as strings and as numbers (x10
-    before x2), a top degree hi >= 10 and code tuples over distinct
-    generators with exponents 1..hi, each with a prefix of itself in the
+    before x2) and code tuples over distinct generators with exponents
+    from 1 to the largest a code holds, each with a prefix of itself in the
     canonical order."""
     numbers = draw(st.lists(st.integers(0, 30), min_size=2, max_size=8,
                             unique=True))
@@ -189,23 +200,23 @@ def coded_monomials(draw):
     ids = list(dict.fromkeys(ids))
     alg = AlgebraSpec.make(3, 1, 1, [GeneratorSpec(i, POLYNOMIAL, 2, (0,))
                                      for i in draw(st.permutations(ids))])
-    hi = draw(st.integers(10, 40))
-    exps = st.integers(1, hi) | st.sampled_from([1, hi])
+    top = code_width(alg) - 1
+    exps = st.integers(1, top) | st.sampled_from([1, 2, top - 1, top])
     monomials = []
     for _ in range(draw(st.integers(0, 12))):
         support = draw(st.lists(st.sampled_from(ids), unique=True,
                                 max_size=len(ids)))
         pairs = sorted((i, draw(exps)) for i in support)
         monomials += [pairs, pairs[:draw(st.integers(0, len(pairs)))]]
-    return alg, hi, [draw(st.permutations(pairs)) for pairs in monomials]
+    return alg, [draw(st.permutations(pairs)) for pairs in monomials]
 
 
 @settings(max_examples=100, deadline=None)
 @given(coded_monomials())
 def test_code_order_is_canonical_order(case):
-    alg, hi, monomials = case
-    got = invalg._as_monomials([encode(alg, hi, pairs) for pairs in monomials],
-                               alg, hi)
+    alg, monomials = case
+    got = invalg._as_monomials([encode(alg, pairs) for pairs in monomials],
+                               alg)
     want = canonical_sort([Monomial(pairs) for pairs in monomials])
     assert [m.exps for m in got] == [m.exps for m in want]
     assert got == want
@@ -793,6 +804,12 @@ def test_held_setup_changes_no_output(seed, rnd, budget):
         assert sub._oracle_state is not alg._oracle_state
 
 
+def stored(tables):
+    """Entries stored by the distinct tables among `tables` (None skipped)."""
+    return sum(len(t) for t in {id(t): t for t in tables
+                                if t is not None}.values())
+
+
 def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
     monkeypatch.setattr(invalg, "_TABLE_BUDGET", 7)
     # weights of gcd 2 with the modulus 48, so a budget too small for the
@@ -805,29 +822,29 @@ def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
     for d in range(1, 25):
         assert invariant_monomials_oracle(alg, d) == invariant_monomials(alg, d)
 
-    def stored(tables):
-        return sum(len(t) for t in {id(t): t for t in tables if t}.values())
+    def oracle_tables(spec):
+        (_, lsteps, lclose), (_, rsteps, rclose), _, products = \
+            spec._oracle_state
+        return lsteps + rsteps + lclose + rclose + list(products.values())
 
-    (_, lsteps, _), (_, rsteps, _), _, products = alg._oracle_state
-    assert stored(lsteps + rsteps + list(products.values())) == 7
+    assert stored(oracle_tables(alg)) == 7
     assert stored(alg._residue_state[3]) == 7
-    # a walk's pruning tables have a budget of their own, spent or not
+    # a divisibility walk's pruning tables have a budget of their own,
+    # spent or not
     gens, tables = invalg._residue_route(alg, 14, 14)
     invalg._walk(gens, 14, 14, **tables)
     assert stored(tables["allowed"]) == 7
-    # so has each oracle half walk's: on the (1,5) hook both halves close
-    # coordinates, and each half's closing tables store 7 entries
-    walks, walk = [], invalg._walk
-
-    def recording(*args, **kwargs):
-        walks.append(kwargs["allowed"])
-        return walk(*args, **kwargs)
-
+    # the oracle's closing tables are the spec's and draw on its one
+    # budget: on the (1,5) hook both halves close coordinates, and the
+    # step, product and closing tables store 7 entries in all
     hook = _hook_spec(5, 7, 1, 1, 5)
-    expected = plain_invariants(hook, 9, 9)
-    monkeypatch.setattr(invalg, "_walk", recording)
-    assert [invariant_monomials_oracle(hook, 9)] == expected
-    assert [stored(allowed) for allowed in walks] == [7, 7]
+    for d in (9, 5, 9):
+        assert [invariant_monomials_oracle(hook, d)] == \
+            plain_invariants(hook, d, d)
+    (_, _, lclose), (_, _, rclose), _, _ = hook._oracle_state
+    assert {t is None for t in lclose} == {t is None for t in rclose} == \
+        {False, True}
+    assert stored(oracle_tables(hook)) == 7
     # the held tables make no cycle back to their spec: with the cyclic
     # collector off, reference counting alone frees it
     ref = weakref.ref(alg)
@@ -839,6 +856,30 @@ def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_oracle_builds_its_tables_once_per_spec(monkeypatch):
+    # the closing test reads the state alone: one entry per state reached,
+    # in tables the spec holds, so a later call builds none
+    built = []
+
+    class Counted(ffq._Table):
+        def __init__(self, fill, budget):
+            built.append(fill)
+            super().__init__(fill, budget)
+
+    monkeypatch.setattr(invalg, "_Table", Counted)
+    alg = _hook_spec(8, 7, 1, 1, 8)
+    expected = invariant_monomials_by_degree(alg, 1, 9)
+    built.clear()
+    assert invariant_monomials_oracle(alg, 9) == expected[-1]
+    assert built
+    (_, _, lclose), (_, _, rclose), _, _ = alg._oracle_state
+    assert [stored(lclose), stored(rclose)] == [107, 128]
+    built.clear()
+    assert invariant_monomials_oracle_by_degree(alg, 1, 9) == expected
+    assert invariant_monomials_oracle(alg, 9) == expected[-1]
+    assert built == []
 
 
 def eigenvalue_reference(alg, degree):

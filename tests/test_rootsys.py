@@ -172,6 +172,30 @@ def test_invalid_components_rejected():
         build_root_system([])
 
 
+def test_invalid_lattices_and_roots_rejected():
+    rs = build_root_system([("A", 2)])
+    lat = character_lattice(rs, "adjoint")
+    for make, message in (
+            (lambda: cocharacter_lattice(rs, "weight"),
+             "unknown lattice kind 'weight'"),
+            (lambda: cocharacter_lattice(rs, "custom"),
+             "custom lattice needs an explicit basis"),
+            (lambda: character_lattice(rs, "custom", basis=[[1, 0, 0],
+                                                            [0, 1, 0]]),
+             "lattice basis must be square of full rank size"),
+            (lambda: _root_lattice_coords(rs, lat, (1, 1, 0)),
+             "root coordinate length mismatch"),
+            (lambda: _root_lattice_coords(rs, lat, (2, 1)),
+             "(2, 1) is not a root of this system"),
+            (lambda: root_divisibility(rs, lat, (1, 1), 0),
+             "divisor must be positive"),
+            (lambda: char2_vanishing_bound(rs, lat, 0),
+             "r must be at least 1")):
+        with pytest.raises(InputError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
 def test_good_primes():
     a5 = build_root_system([("A", 5)])
     assert all(is_good_prime(a5, p) for p in (2, 3, 5, 7))

@@ -1,6 +1,8 @@
 """The eigenvalue oracle borrows no invariance logic from the divisibility
 route: its set-up and its call name none of that route's functions or
-held state, so the two routes keep checking each other."""
+held state, so the two routes keep checking each other.  The walker they
+share names neither route's state or invariance helpers: what it knows of
+a state (its steps, tables and `stride`) the route hands it."""
 
 import ast
 from pathlib import Path
@@ -9,24 +11,28 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liecoh"
 ORACLE = ("_oracle_setup", "invariant_monomials_oracle_by_degree")
 DIVISIBILITY = {"_residue_route", "_residue_setup", "_residue_state",
                 "_suffix_rows", "monomial_weight"}
+WALKER = ("_walk",)
+ROUTES = {"_residue_state", "_oracle_state", "_residue_setup",
+          "_oracle_setup", "_suffix_rows", "monomial_weight", "moduli",
+          "field"}
 
 
-def borrowed(source: str) -> dict:
-    """Per top-level function named in ORACLE, the sorted DIVISIBILITY
-    names its body uses as a name, an attribute or a string."""
+def borrowed(source: str, functions=ORACLE, names=DIVISIBILITY) -> dict:
+    """Per top-level function named in `functions`, the sorted `names` its
+    body uses as a name, an attribute or a string."""
     out = {}
     for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name in ORACLE:
-            names = set()
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            used = set()
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
-                    names.add(sub.id)
+                    used.add(sub.id)
                 elif isinstance(sub, ast.Attribute):
-                    names.add(sub.attr)
+                    used.add(sub.attr)
                 elif isinstance(sub, ast.Constant) and \
                         isinstance(sub.value, str):
-                    names.add(sub.value)
-            out[node.name] = sorted(names & DIVISIBILITY)
+                    used.add(sub.value)
+            out[node.name] = sorted(used & names)
     return out
 
 
@@ -46,3 +52,20 @@ def test_the_check_sees_a_planted_reference():
 def test_the_oracle_borrows_no_divisibility_logic():
     assert borrowed((PACKAGE / "invalg.py").read_text()) == \
         {name: [] for name in ORACLE}
+
+
+def test_the_walker_check_sees_a_planted_reference():
+    planted = (
+        "def _walk(gens, lo, hi, bases, alg=None, stride=0):\n"
+        "    stride = stride or math.prod(alg.moduli)\n"
+        "    q = getattr(alg, 'field').q\n"
+        "    for key in alg._oracle_state[2]:\n"
+        "        _suffix_rows(gens, 0, q, lo, hi, True)\n"
+        "    return stride\n")
+    assert borrowed(planted, WALKER, ROUTES) == {
+        "_walk": ["_oracle_state", "_suffix_rows", "field", "moduli"]}
+
+
+def test_the_walker_names_no_route():
+    assert borrowed((PACKAGE / "invalg.py").read_text(), WALKER, ROUTES) == \
+        {"_walk": []}
