@@ -159,21 +159,27 @@ def _coprime(a, b, p) -> bool:
     return len(a) == 1
 
 
+def _power(x, e: int, mul):
+    """x ** e for e >= 1 under the product `mul`, by repeated squaring:
+    bit_length(e) - 1 squarings and popcount(e) - 1 more products, none by
+    an identity."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)
+
+
 def _is_irreducible(f, p) -> bool:
     """Ben-Or's test: monic f of degree r is irreducible over F_p exactly
     when gcd(f, t^(p^d) - t) = 1 for every d = 1 .. r // 2."""
     r, low = len(f) - 1, _low_terms(f)
     h = [0, 1] + [0] * (r - 2)      # t mod f; r >= 2 whenever the loop runs
     for _ in range(r // 2):
-        # h = h^p mod f, by repeated squaring
-        acc, base, e = None, h, p
-        while e:
-            if e & 1:
-                acc = base if acc is None else _mulmod(acc, base, f, p, low)
-            e >>= 1
-            if e:
-                base = _mulmod(base, base, f, p, low)
-        h = acc
+        h = _power(h, p, lambda a, b: _mulmod(a, b, f, p, low))
         if not _coprime(f, [h[0], h[1] - 1] + h[2:], p):
             return False
     return True
@@ -270,14 +276,7 @@ class Fq:
             a, e = self.inv(a), -e
         if self.r == 1:
             return pow(a, e, self.p)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
+        return _power(a, e, self.mul) if e else 1
 
     def inv(self, a: int) -> int:
         """Element number of 1 / a; zero raises ZeroDivisionError."""
@@ -476,17 +475,10 @@ class FqMatrix:
 
 
 def mat_pow(m: FqMatrix, e: int) -> FqMatrix:
-    """m ** e by repeated squaring, e >= 0, squaring only below e's top bit."""
+    """m ** e by repeated squaring (`_power`), e >= 0."""
     if e < 0:
         raise InputError("negative matrix powers are not supported")
-    result = None
-    while e:
-        if e & 1:
-            result = m if result is None else result * m
-        e >>= 1
-        if e:
-            m = m * m
-    return FqMatrix.identity(m.field, m.n) if result is None else result
+    return _power(m, e, mul) if e else FqMatrix.identity(m.field, m.n)
 
 
 def mat_pow_products(e: int) -> int:

@@ -44,9 +44,9 @@ routes walk the generators in a minimum-degree elimination order
 torus coordinates early, so fewer stay open at once and the tests prune
 sooner; the spec and its hash keep the given order.
 
-The divisibility route also meets in the middle, one factor deep: it hands
-the walker a final-factor index, each factor (generator j, exponent e)
-filed under the residue state -e * weight_j and its degree.  A node finds
+The divisibility route also meets in the middle, one factor deep: its
+listing walk gets a final-factor index, each factor (generator j, exponent
+e) filed under the residue state -e * weight_j and its degree.  A node finds
 the accepted monomials of the top degree that extend it by one factor
 with one lookup of its own state, instead of making, testing and pushing
 a child per generator ahead; walks without an index keep each top-degree
@@ -71,7 +71,8 @@ cells is refused before any is built.
 An invariant dimension series lists no monomial: `_count_invariants`
 counts them by state over the divisibility route's walk order and tables,
 one count per (residue state, degree) below the top degree, and reads the
-top degree off the final-factor index.  Its guard is SERIES_CAP live
+top degree off each generator's moves, at the states its final factors
+take to 0; it builds no code and no index.  Its guard is SERIES_CAP live
 (state, degree) entries.
 
 All list outputs are sorted in a canonical order (generator id ascending,
@@ -292,10 +293,6 @@ class Monomial:
         object.__setattr__(self, "exps", _entries(
             (str(i), int(e)) for i, e in self.exps))
 
-    @classmethod
-    def from_dict(cls, blob: dict) -> "Monomial":
-        return cls(tuple(blob.get("exps", {}).items()))
-
     def support(self) -> frozenset:
         return frozenset(i for i, _ in self.exps)
 
@@ -422,7 +419,7 @@ def _over_cap(max_count: int, degree: int) -> ResourceGuardError:
 
 def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
           allowed=None, last=None, stride=0, group=False,
-          max_count=MONOMIAL_CAP, stats=None):
+          max_count=None, stats=None):
     """Walk the monomials in the generators `gens` (a tuple of
     GeneratorSpec) of degree lo..hi depth first on an explicit stack.
 
@@ -460,12 +457,15 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
     factor codes in walk order, or with `group` a mapping from each final
     state to the accepted monomials reaching it.  Every popped node and every
     made or settled final child counts against its degree's cap: more than
-    `max_count` in one degree raises ResourceGuardError.  A `stats` dict
-    receives the walk's work: `nodes` popped, children `pruned` (at push,
-    or a plain walk's final children when made) and, per degree lo..hi,
-    the `leaves` counted (in degree hi with an index, the accepted ones).
+    `max_count` (default MONOMIAL_CAP) in one degree raises
+    ResourceGuardError.  A `stats` dict receives the walk's work: `nodes`
+    popped, children `pruned` (at push, or a plain walk's final children
+    when made) and, per degree lo..hi, the `leaves` counted (in degree hi
+    with an index, the accepted ones).
     """
     _degree_range(gens, lo, hi)
+    if max_count is None:
+        max_count = MONOMIAL_CAP
     steps = steps or [None] * len(gens)
     after = [None] * len(gens) if allowed is None else [*allowed[1:], None]
     factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, base, ok)
@@ -569,11 +569,11 @@ def _as_monomials(found, alg: AlgebraSpec) -> list[Monomial]:
     return out
 
 
-def enumerate_monomials(alg: AlgebraSpec, degree: int,
-                        max_count: int = MONOMIAL_CAP) -> list[Monomial]:
-    """All monomials of total degree exactly `degree`, canonically sorted."""
+def enumerate_monomials(alg: AlgebraSpec, degree: int) -> list[Monomial]:
+    """All monomials of total degree exactly `degree`, canonically sorted;
+    more than MONOMIAL_CAP examined in one degree raise ResourceGuardError."""
     found = _walk(alg.generators, degree, degree,
-                  _codes(alg, alg.generators), max_count=max_count)
+                  _codes(alg, alg.generators))
     return _as_monomials(found[0], alg)
 
 
@@ -676,8 +676,8 @@ def _residue_setup(alg: AlgebraSpec) -> tuple:
 
 
 def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
-    """The walk order (`_walk_order`) and walker tables for the
-    divisibility test over degrees lo..hi.
+    """The walk order (`_walk_order`), step tables, `allowed` tables and
+    `stride` for the divisibility test over degrees lo..hi.
 
     The state is the weight residue vector packed into one integer, digit c
     in base moduli[c], so the monomial 1 and the accepted state are both 0;
@@ -688,13 +688,9 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     sets of a coordinate take `_row_bytes` per degree and generator from
     the walk's _ROWS_BUDGET bytes; a coordinate whose sets do not fit is
     checked against the gcd of the weights ahead, for all degrees.
-    The tables include the generators' code bases (`_codes`) and the
-    final-factor index (`last` of `_walk`): the code of each (j, e) with
-    e * degree_j <= hi filed under the packed state -e * weight_j, the one
-    state that factor takes exactly to 0.
     """
     _degree_range(alg.generators, lo, hi)
-    gens, places, moves, steps = alg._residue_state
+    gens, places, _, steps = alg._residue_state
     stride = math.prod(alg.moduli)      # every packed state is below it
 
     def completable(checks):
@@ -718,19 +714,20 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
                 check.append((place, m, rows))
     allowed = _tables([tuple(check) for check in checks], completable,
                       [_TABLE_BUDGET])
-    bases, last = _codes(alg, gens), {}
-    for j, (g, move, base) in enumerate(zip(gens, moves, bases)):
-        d = g.degree
-        top = hi // d if g.parity == POLYNOMIAL else min(1, hi // d)
-        for e in range(1, top + 1):
-            key = sum(-e * w % m * place for place, m, w in move)
-            last.setdefault(e * d * stride + key, []).append((j, (base - e,)))
-    return gens, {"bases": bases, "steps": steps, "start": 0, "target": 0,
-                  "allowed": allowed, "last": last, "stride": stride}
+    return gens, steps, allowed, stride
+
+
+def _final_states(g: GeneratorSpec, move, hi: int):
+    """Per exponent e >= 1 of generator g with e * degree <= hi, e and the
+    packed residue state -e * weight, the one state that the factor g^e
+    takes exactly to 0; `move` is g's moves (`_residue_setup`)."""
+    top = hi // g.degree if g.parity == POLYNOMIAL else min(1, hi // g.degree)
+    for e in range(1, top + 1):
+        yield e, sum(-e * w % m * place for place, m, w in move)
 
 
 def invariant_monomials_by_degree(
-        alg: AlgebraSpec, lo: int, hi: int, max_count: int = MONOMIAL_CAP,
+        alg: AlgebraSpec, lo: int, hi: int,
         stats=None) -> list[list[Monomial]]:
     """Per degree lo..hi, the monomials whose weight is zero everywhere.
 
@@ -738,18 +735,26 @@ def invariant_monomials_by_degree(
     modulo that coordinate's modulus.  A branch is abandoned as soon as some
     coordinate's residue lies outside the set of residues that the
     generators still ahead can return to 0 with a monomial whose degree
-    lands the walk in lo..hi; this is exact.  A `stats` dict receives the
-    walk's counts (see `_walk`).
+    lands the walk in lo..hi; this is exact.  The walk's final-factor index
+    (`last` of `_walk`) files the code of each factor g^e of degree at most
+    hi under its degree and `_final_states`.  More than MONOMIAL_CAP
+    monomials examined in one degree raise ResourceGuardError.  A `stats`
+    dict receives the walk's counts (see `_walk`).
     """
-    gens, tables = _residue_route(alg, lo, hi)
-    found = _walk(gens, lo, hi, **tables, max_count=max_count, stats=stats)
+    gens, steps, allowed, stride = _residue_route(alg, lo, hi)
+    moves, bases, last = alg._residue_state[2], _codes(alg, gens), {}
+    for j, (g, move, base) in enumerate(zip(gens, moves, bases)):
+        for e, s in _final_states(g, move, hi):
+            last.setdefault(e * g.degree * stride + s, []).append(
+                (j, (base - e,)))
+    found = _walk(gens, lo, hi, bases, steps, target=0, allowed=allowed,
+                  last=last, stride=stride, stats=stats)
     return [_as_monomials(monos, alg) for monos in found]
 
 
-def invariant_monomials(alg: AlgebraSpec, degree: int,
-                        max_count: int = MONOMIAL_CAP) -> list[Monomial]:
+def invariant_monomials(alg: AlgebraSpec, degree: int) -> list[Monomial]:
     """`invariant_monomials_by_degree` for the one degree."""
-    return invariant_monomials_by_degree(alg, degree, degree, max_count)[0]
+    return invariant_monomials_by_degree(alg, degree, degree)[0]
 
 
 def _hilbert(gens, top: int, lo: int = 0, max_count=math.inf) -> list[int]:
@@ -948,23 +953,15 @@ def _count_invariants(alg: AlgebraSpec, hi: int) -> tuple:
     for a polynomial generator, j + 1 onward for an exterior one), and once
     j is added every entry that generators j + 1 onward cannot complete is
     dropped.  Degree hi is never stored: before generator j is added, each
-    of its final factors (j, e) adds the count filed in degree
-    hi - e * degree_j under the state -e * weight_j, the factor's key in
-    the walk's final-factor index.
+    of its final factors g^e adds the count filed in degree hi - e * degree
+    under the state -e * weight (`_final_states`).
 
     Returns the counts, the most live entries held at once and, per degree
     below hi, the most entries its layer held.  More than SERIES_CAP live
     entries raise ResourceGuardError.
     """
-    gens, tables = _residue_route(alg, 0, hi)
-    steps, allowed = tables["steps"], tables["allowed"]
-    stride = tables["stride"]
-    after = [*allowed[1:], None]
-    finals = [[] for _ in gens]     # per generator: (degree, state) to read
-    for packed, factors in tables["last"].items():
-        d, state = divmod(packed, stride)
-        for j, _ in factors:
-            finals[j].append((hi - d, state))
+    gens, steps, allowed, stride = _residue_route(alg, 0, hi)
+    moves, after = alg._residue_state[2], [*allowed[1:], None]
     layers = [{} for _ in range(hi)]
     if hi:
         layers[0][0] = 1
@@ -972,9 +969,9 @@ def _count_invariants(alg: AlgebraSpec, hi: int) -> tuple:
     most = [len(layer) for layer in layers]
     live = peak = sum(most)
     for j, g in enumerate(gens):
-        for t, state in finals[j]:
-            top += layers[t].get(state, 0)
         d, step = g.degree, steps[j]
+        for e, state in _final_states(g, moves[j], hi):
+            top += layers[hi - e * d].get(state, 0)
         if g.parity == POLYNOMIAL:
             ahead, degrees = allowed[j], range(d, hi)
         else:
@@ -1010,11 +1007,11 @@ def _count_invariants(alg: AlgebraSpec, hi: int) -> tuple:
 
 
 def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
-                     max_count: int = MONOMIAL_CAP, stats=None) -> list[int]:
+                     stats=None) -> list[int]:
     """dims[d] = number of monomials passing the filter in degree d <= D.
 
     Without an invariance filter the counts are the Hilbert series, and the
-    cap trips exactly when some degree has more than `max_count` monomials;
+    cap trips exactly when some degree has more than MONOMIAL_CAP monomials;
     a `stats` dict then receives 0 `nodes`, 0 `pruned`, the series as
     `leaves` and the `cap`.  The invariant filters count by state
     (`_count_invariants`), "invariant_nilpotent" as the count over all
@@ -1027,9 +1024,9 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
     _degree_range(alg.generators, 0, max_degree,
                   "max_degree must be nonnegative")
     if filter == "all":
-        dims = _hilbert(alg.generators, max_degree, max_count=max_count)
+        dims = _hilbert(alg.generators, max_degree, max_count=MONOMIAL_CAP)
         if stats is not None:
-            stats.update(nodes=0, pruned=0, leaves=dims, cap=max_count)
+            stats.update(nodes=0, pruned=0, leaves=dims, cap=MONOMIAL_CAP)
         return dims
     dims, peak, live = _count_invariants(alg, max_degree)
     if filter == "invariant_nilpotent":

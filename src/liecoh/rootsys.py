@@ -57,15 +57,6 @@ class RootSystem:
     def component_roots(self, ci: int):
         return [r for r in self.positive_roots if r.component == ci]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "components": [[t, n] for t, n in self.components],
-            "cartan": [list(row) for row in self.cartan],
-            "positive_roots": [list(r.coords) for r in self.positive_roots],
-            "heights": [r.height for r in self.positive_roots],
-            "length_classes": [r.length_class for r in self.positive_roots],
-        }
-
 
 def _component_cartan(ctype: str, rank: int):
     a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]

@@ -133,7 +133,6 @@ def test_monomial_normalization():
     assert m.exps == (("x0", 1), ("y0", 2))
     assert m.format() == "x0*y0^2"
     assert Monomial(()).format() == "1"
-    assert Monomial.from_dict({"exps": {"x0": 1}}) == mono(x0=1)
     with pytest.raises(InputError, match="exponents must be positive"):
         Monomial((("x0", 0),))
     with pytest.raises(InputError, match="repeated generator id in monomial"):
@@ -366,10 +365,11 @@ def test_enumerate_against_generating_function():
         assert have == series_coeffs(alg, 6)
 
 
-def test_enumeration_resource_guard():
+def test_enumeration_resource_guard(monkeypatch):
     alg = gr_u3_p3()
+    monkeypatch.setattr(invalg, "MONOMIAL_CAP", 5)
     with pytest.raises(ResourceGuardError):
-        enumerate_monomials(alg, 10, max_count=5)
+        enumerate_monomials(alg, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +516,15 @@ def test_final_factor_lookup_e8():
     assert stats == {"nodes": 2413, "pruned": 8, "leaves": [1240]}
 
 
-def test_interior_nodes_count_against_the_cap():
+def test_interior_nodes_count_against_the_cap(monkeypatch):
     # the single-degree E8 walk pops 1, 120 and 2,292 nodes in degrees 0, 1
     # and 2, and settles 1,240 leaves in degree 3
     alg = _e8_algebra()
+    monkeypatch.setattr(invalg, "MONOMIAL_CAP", 2291)
     with pytest.raises(ResourceGuardError, match="in degree 2$"):
-        invariant_monomials(alg, 3, max_count=2291)
-    assert len(invariant_monomials(alg, 3, max_count=2292)) == 1240
+        invariant_monomials(alg, 3)
+    monkeypatch.setattr(invalg, "MONOMIAL_CAP", 2292)
+    assert len(invariant_monomials(alg, 3)) == 1240
 
 
 def test_final_factor_lookup_char2_exponents():
@@ -831,9 +833,10 @@ def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
     assert stored(alg._residue_state[3]) == 7
     # a divisibility walk's pruning tables have a budget of their own,
     # spent or not
-    gens, tables = invalg._residue_route(alg, 14, 14)
-    invalg._walk(gens, 14, 14, **tables)
-    assert stored(tables["allowed"]) == 7
+    gens, steps, allowed, stride = invalg._residue_route(alg, 14, 14)
+    invalg._walk(gens, 14, 14, invalg._codes(alg, gens), steps, target=0,
+                 allowed=allowed, stride=stride)
+    assert stored(allowed) == 7
     # the oracle's closing tables are the spec's and draw on its one
     # budget: on the (1,5) hook both halves close coordinates, and the
     # step, product and closing tables store 7 entries in all
@@ -1125,7 +1128,7 @@ def test_oracle_cap_is_exact_at_the_requested_degree():
                     invariant_monomials_oracle(alg, d, max_count=n - 1)
 
 
-def test_dimension_series_all_cap_is_exact():
+def test_dimension_series_all_cap_is_exact(monkeypatch):
     rng = random.Random(41)
     specs = [gr_u3_p3(), char2_rank1_algebra(3)] + \
         [random_algebra_spec(rng) for _ in range(20)]
@@ -1133,11 +1136,14 @@ def test_dimension_series_all_cap_is_exact():
         dims = dimension_series(alg, 8, "all")
         assert dims == [len(enumerate_monomials(alg, d)) for d in range(9)]
         top = max(dims)
-        assert dimension_series(alg, 8, "all", max_count=top) == dims
+        monkeypatch.setattr(invalg, "MONOMIAL_CAP", top)
+        assert dimension_series(alg, 8, "all") == dims
         lowest = dims.index(top)
+        monkeypatch.setattr(invalg, "MONOMIAL_CAP", top - 1)
         with pytest.raises(ResourceGuardError,
                            match=f"^{top} monomials in degree {lowest},"):
-            dimension_series(alg, 8, "all", max_count=top - 1)
+            dimension_series(alg, 8, "all")
+        monkeypatch.undo()
 
 
 def test_invariant_series_cap_on_live_entries(monkeypatch):
@@ -1157,9 +1163,30 @@ def test_invariant_series_cap_on_live_entries(monkeypatch):
         assert str(exc.value) == (
             "21 live (state, degree) entries at generator 'x[3,6,0]', "
             "position 6 of 18 in walk order, more than the cap 20")
-    # the Hilbert series is not held to it, and max_count bounds only that
+    # the Hilbert series is not held to it
     assert dimension_series(alg, 11, "all")[11] == 75582
-    assert dimension_series(alg, 3, "invariant", max_count=1) == [1, 0, 0, 0]
+
+
+def test_series_counts_list_nothing(monkeypatch):
+    # an invariant series makes no factor code, no walk and so no
+    # final-factor index, and counts what the listing walk lists
+    alg = _hook_spec(4, 5, 1, 1, 4)
+    found = invariant_monomials_by_degree(alg, 0, 9)
+    exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}
+    listed = {"invariant": [len(ms) for ms in found],
+              "invariant_nilpotent": [
+                  sum(any(i in exterior for i, _ in m.exps) for m in ms)
+                  for ms in found]}
+    assert listed["invariant"] != listed["invariant_nilpotent"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series count listed monomials")
+
+    for name in ("_codes", "_walk", "_as_monomials",
+                 "invariant_monomials_by_degree"):
+        monkeypatch.setattr(invalg, name, refuse)
+    for flt, want in listed.items():
+        assert dimension_series(_hook_spec(4, 5, 1, 1, 4), 9, flt) == want
 
 
 def test_dimension_series_far_out_closed_form():

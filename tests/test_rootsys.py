@@ -609,14 +609,3 @@ def test_f4_series_at_p13_frozen():
     dims = dimension_series(alg, 23, "invariant")
     assert dims == [1] + [0] * 16 + [671, 12685, 129091, 913950, 4974573,
                                      22031060, 82501299]
-
-
-def test_root_system_json():
-    rs = build_root_system([("C", 3)])
-    blob = rs.to_json_dict()
-    assert blob["components"] == [["C", 3]]
-    assert len(blob["positive_roots"]) == 9
-    assert blob["heights"] == [r.height for r in rs.positive_roots]
-    assert blob["cartan"] == [list(row) for row in rs.cartan]
-    assert blob["length_classes"] == [r.length_class
-                                      for r in rs.positive_roots]

@@ -1,8 +1,9 @@
 """The eigenvalue oracle borrows no invariance logic from the divisibility
-route: its set-up and its call name none of that route's functions or
-held state, so the two routes keep checking each other.  The walker they
-share names neither route's state or invariance helpers: what it knows of
-a state (its steps, tables and `stride`) the route hands it."""
+route, and that route none from the oracle: the set-up and calls of each
+name none of the other's functions, held state or field, so the two routes
+keep checking each other.  The walker they share names neither route's
+state or invariance helpers: what it knows of a state (its steps, tables
+and `stride`) the route hands it."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liecoh"
 ORACLE = ("_oracle_setup", "invariant_monomials_oracle_by_degree")
 DIVISIBILITY = {"_residue_route", "_residue_setup", "_residue_state",
                 "_suffix_rows", "monomial_weight"}
+DIVISIBILITY_ROUTE = ("_residue_setup", "_residue_route", "_suffix_rows",
+                      "_final_states", "invariant_monomials_by_degree",
+                      "_count_invariants")
+ORACLE_NAMES = {"_oracle_setup", "_oracle_state",
+                "invariant_monomials_oracle_by_degree", "field", "generator"}
 WALKER = ("_walk",)
 ROUTES = {"_residue_state", "_oracle_state", "_residue_setup",
           "_oracle_setup", "_suffix_rows", "monomial_weight", "moduli",
@@ -52,6 +58,25 @@ def test_the_check_sees_a_planted_reference():
 def test_the_oracle_borrows_no_divisibility_logic():
     assert borrowed((PACKAGE / "invalg.py").read_text()) == \
         {name: [] for name in ORACLE}
+
+
+def test_the_mirror_check_sees_a_planted_reference():
+    planted = (
+        "def _residue_route(alg, lo, hi):\n"
+        "    return alg._oracle_state, alg.field.generator\n"
+        "def _count_invariants(alg, hi):\n"
+        "    return invariant_monomials_oracle_by_degree(alg, 0, hi)\n"
+        "def _suffix_rows(gens, c, m, lo, hi, exact):\n"
+        "    return getattr(gens[0], 'field'), _oracle_setup\n")
+    assert borrowed(planted, DIVISIBILITY_ROUTE, ORACLE_NAMES) == {
+        "_residue_route": ["_oracle_state", "field", "generator"],
+        "_count_invariants": ["invariant_monomials_oracle_by_degree"],
+        "_suffix_rows": ["_oracle_setup", "field"]}
+
+
+def test_the_divisibility_route_borrows_no_oracle_logic():
+    assert borrowed((PACKAGE / "invalg.py").read_text(), DIVISIBILITY_ROUTE,
+                    ORACLE_NAMES) == {name: [] for name in DIVISIBILITY_ROUTE}
 
 
 def test_the_walker_check_sees_a_planted_reference():
