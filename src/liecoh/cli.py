@@ -345,6 +345,10 @@ def _run_verify_all(args):
     def report_time(name, seconds):
         print(f"{name} {seconds:.3f}", file=sys.stderr)
     rep = run_grid(names, report_time if args.timings else None)
+    if args.timings:
+        for fname, (computed, reused) in rep["shared"].items():
+            print(f"shared {fname} computed {computed} reused {reused}",
+                  file=sys.stderr)
     params = {"criteria": names if names is not None else "all"}
     return {"criteria": rep["criteria"]}, rep["pass"], params
 
@@ -382,7 +386,8 @@ FLAGS = {
     "--grid": dict(metavar="FILE",
                    help="JSON file naming the criteria to run"),
     "--timings": dict(action="store_true",
-                      help="print each criterion's seconds on stderr"),
+                      help="print each criterion's seconds and the shared "
+                      "results' reuse counts on stderr"),
 }
 
 # flags that shape the output, not the computation: never in a report's params

@@ -16,6 +16,7 @@ relied on).  A failed computed ingredient sets `discrepancy` on the report;
 it never silently flips the reported dimension.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -37,6 +38,44 @@ from .invalg import (
 
 
 MATRIX_WORK_CAP = 10 ** 9    # products x n^3 multiply-adds of one check
+
+
+# ---------------------------------------------------------------------------
+# results shared within one verification run
+# ---------------------------------------------------------------------------
+
+# (results by call, {function name: [computed, reused]}) while a
+# `shared_run` is open; None otherwise, and then every call computes
+_store = None
+
+
+@contextlib.contextmanager
+def shared_run():
+    """Equal `_shared` calls inside the block compute once and return one
+    read-only result; yields the [computed, reused] counts per function.
+    Everything is dropped on exit, also when the block raises."""
+    global _store
+    _store = ({}, {})
+    try:
+        yield _store[1]
+    finally:
+        _store = None
+
+
+def _shared(fn):
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if _store is None:
+            return fn(*args, **kwargs)
+        results, counts = _store
+        key = (fn.__name__, args, tuple(kwargs.items()))
+        if key in results:
+            counts[fn.__name__][1] += 1
+            return results[key]
+        out = results[key] = fn(*args, **kwargs)    # a raise stores nothing
+        counts.setdefault(fn.__name__, [0, 0])[0] += 1
+        return out
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +107,7 @@ class GrUnSpec:
                 for s, pos in enumerate(_positions(self.n))}
 
 
+@_shared
 def build_gr_un(n: int, p: int, r: int) -> GrUnSpec:
     """Weighted algebra for the graded unitriangular group, one generator
     pair per position (i, j), i < j, and twist k, ordered by (i, j, k).
@@ -149,6 +189,7 @@ def subgroup_support(spec: GrUnSpec, kind: str, *indices) -> SubgroupSupport:
 # detection reports
 # ---------------------------------------------------------------------------
 
+@_shared
 def hook_detection(spec: GrUnSpec, degree=None) -> dict:
     """Invariant dimension series up to the first interesting degree and the
     kernel of restriction to a detecting family (all hooks for p odd, all
@@ -181,6 +222,7 @@ def hook_detection(spec: GrUnSpec, degree=None) -> dict:
     }
 
 
+@_shared
 def essential_kernel(n: int, p: int) -> dict:
     """Restrict the prime-field graded model to the full (1, n) hook and cut
     out everything the edge subgroups see, in degree 2p - 3.

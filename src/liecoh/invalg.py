@@ -327,18 +327,6 @@ def canonical_sort(monomials) -> list[Monomial]:
     return sorted(monomials, key=Monomial.sort_key)
 
 
-def monomial_weight(alg: AlgebraSpec, m: Monomial) -> tuple[int, ...]:
-    """Coordinatewise exponent-weighted sum of generator weights, reduced."""
-    total = [0] * alg.torus_rank
-    for gid, e in m.exps:
-        g = alg.by_id(gid)
-        if g.parity == EXTERIOR and e > 1:
-            raise InputError(f"exterior generator {gid!r} squares to zero")
-        for c, w in enumerate(g.weight):
-            total[c] += e * w
-    return tuple(t % m for t, m in zip(total, alg.moduli))
-
-
 # ---------------------------------------------------------------------------
 # enumeration: one descent walker, two invariance routes
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .grgln import (
     essential_kernel,
     exponent_check,
     hook_detection,
+    shared_run,
     subgroup_support,
     theorem_borel_char2,
     theorem_lowest_gl,
@@ -360,7 +361,10 @@ CRITERIA = [
 
 def run_grid(names=None, report_time=None) -> dict:
     """Run the named checks (all by default, in order) and collect reports;
-    `report_time(name, seconds)`, if given, gets each check's wall time."""
+    `report_time(name, seconds)`, if given, gets each check's wall time.
+    Equal U_n specs, hook detections and essential kernels are computed once
+    per run and shared between the checks; "shared" holds each such
+    function's [computed, reused] counts."""
     known = dict(CRITERIA)
     if names is None:
         selected = [name for name, _ in CRITERIA]
@@ -371,14 +375,16 @@ def run_grid(names=None, report_time=None) -> dict:
         if unknown:
             raise InputError(f"unknown criteria {unknown}")
     results = []
-    for name in selected:
-        start = time.perf_counter()
-        results.append(known[name]())
-        if report_time is not None:
-            report_time(name, time.perf_counter() - start)
+    with shared_run() as shared:
+        for name in selected:
+            start = time.perf_counter()
+            results.append(known[name]())
+            if report_time is not None:
+                report_time(name, time.perf_counter() - start)
     return {
         "op": "verify_all",
         "tool_version": __version__,
         "criteria": results,
         "pass": all(r["pass"] for r in results),
+        "shared": shared,
     }

@@ -518,6 +518,21 @@ def test_verify_timings_go_to_stderr(tmp_path, capsys):
     assert all(float(seconds) >= 0 for _, seconds in lines)
 
 
+def test_verify_timings_report_the_shared_results(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(["c05", "c06"]))
+    argv = ["verify", "all", "--grid", str(grid), "--format", "json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    lines = timed.err.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["c05", "c06"]
+    assert lines[2:] == ["shared build_gr_un computed 14 reused 14",
+                         "shared hook_detection computed 14 reused 14"]
+
+
 def test_verify_grid_rejects_names_that_are_not_strings(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     for names in ([["c01"]], [{"c01": 1}, "c09"]):

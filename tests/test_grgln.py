@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from liecoh import grgln, invalg
+from liecoh import grgln, invalg, verifygrid
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.ffq import Fq, FqMatrix, mat_pow
 from liecoh.grgln import (
@@ -556,3 +556,82 @@ def test_matrix_check_reports_frozen():
     assert sorted(reports) == sorted(frozen)
     for name, rep in reports.items():
         assert invalg.canonical_json(rep) == invalg.canonical_json(frozen[name])
+
+
+# ---------------------------------------------------------------------------
+# results shared within one verification run
+# ---------------------------------------------------------------------------
+
+BENCH_GRID = ["c01", "c02", "c03", "c04", "c05", "c06", "c07", "c09", "c10",
+              "c11", "c13", "c14"]
+
+
+def _count_detection_kernels(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return invalg.detection_kernel(*args, **kwargs)
+    monkeypatch.setattr(grgln, "detection_kernel", counted)
+    return calls
+
+
+def test_shared_counts_on_the_benchmark_grid_and_same_bytes():
+    rep = verifygrid.run_grid(BENCH_GRID)
+    assert rep["shared"] == {"build_gr_un": [29, 33],
+                             "hook_detection": [21, 23],
+                             "essential_kernel": [13, 4]}
+    assert grgln._store is None
+    direct = [dict(verifygrid.CRITERIA)[name]() for name in BENCH_GRID]
+    assert invalg.canonical_json(rep["criteria"]) == \
+        invalg.canonical_json(direct)
+
+
+def test_shared_counts_on_the_full_grid():
+    assert verifygrid.run_grid()["shared"] == {"build_gr_un": [29, 59],
+                                    "hook_detection": [21, 23],
+                                    "essential_kernel": [13, 4]}
+
+
+def test_nothing_is_shared_outside_a_run(monkeypatch):
+    calls = _count_detection_kernels(monkeypatch)
+    first = hook_detection(build_gr_un(3, 3, 1))
+    second = hook_detection(build_gr_un(3, 3, 1))
+    assert len(calls) == 2
+    assert first == second and first is not second
+    assert build_gr_un(3, 3, 1) is not build_gr_un(3, 3, 1)
+    assert essential_kernel(4, 5) is not essential_kernel(4, 5)
+    assert len(calls) == 4
+
+
+def test_equal_calls_share_one_result_inside_a_run(monkeypatch):
+    calls = _count_detection_kernels(monkeypatch)
+    with grgln.shared_run() as counts:
+        spec = build_gr_un(3, 3, 1)
+        assert build_gr_un(3, 3, 1) is spec
+        first = hook_detection(spec)
+        assert hook_detection(build_gr_un(3, 3, 1)) is first
+        assert hook_detection(spec, 2) is not first    # a different call
+        for _ in range(2):
+            with pytest.raises(InputError):
+                build_gr_un(1, 3, 1)
+    assert len(calls) == 2
+    assert counts == {"build_gr_un": [1, 2], "hook_detection": [2, 1]}
+    assert grgln._store is None
+    assert hook_detection(spec) is not first
+    assert len(calls) == 3
+
+
+def test_a_raising_criterion_leaves_no_store(monkeypatch):
+    def broken():
+        hook_detection(build_gr_un(3, 3, 1))
+        raise RuntimeError("criterion failed")
+    monkeypatch.setattr(verifygrid, "CRITERIA",
+                        [("c05", verifygrid.c05), ("c06", broken)])
+    with pytest.raises(RuntimeError):
+        verifygrid.run_grid()
+    assert grgln._store is None
+    calls = _count_detection_kernels(monkeypatch)
+    hook_detection(build_gr_un(3, 3, 1))
+    hook_detection(build_gr_un(3, 3, 1))
+    assert len(calls) == 2
