@@ -21,36 +21,33 @@ pass:
 The two deliberately share no invariance logic, so each checks the other.
 Each sets up what no degree changes once per spec, on its first call, by
 its own function, and the spec holds the result: the divisibility route
-its walk order and step tables, the oracle its halves, scalars,
-eigenvalues, product tables, step tables and closing tables.  A call
-builds only what depends on its degrees.
+its walk order and step tables, forward and inverse, the oracle its
+halves, scalars, eigenvalues, product tables, step tables and closing
+tables.  A call builds only what depends on its degrees.  Both order the
+generators by a minimum-degree elimination order (`_walk_order`, a
+permutation that holds no invariance test), which closes torus coordinates
+early, so fewer stay open at once and the tests prune sooner; the spec and
+its hash keep the given order.
 
-All enumerations run on one walker: a depth-first descent over a list of
-generators, kept on an explicit stack, that reaches each monomial of the
-requested degrees at most once, in one pass over a whole degree range.  The
-walker knows degrees only.  Each route hands it per-generator step tables
-over the route's own state (weight residues, or eigenvalue products coded as
-integers); the divisibility route adds the accepted state and per-generator
-sets of (state, remaining degree) pairs, keyed rem * stride + state, from
-which it is still reachable, built from suffix residue sets: for each
-generator j, coordinate and completion degree t, the residues from which
-the generators j onward bring that coordinate back to 0 with a monomial of
-degree exactly t.  A branch is pruned when some coordinate's residue lies
-in none of the sets for the degrees that could still complete it to a
-requested degree.  The test is a necessary condition, so pruning never
-changes the result.  The walker applies it before it pushes a child.  Both
-routes walk the generators in a minimum-degree elimination order
-(`_walk_order`, a permutation that holds no invariance test), which closes
-torus coordinates early, so fewer stay open at once and the tests prune
-sooner; the spec and its hash keep the given order.
+The divisibility route counts, then traces back.  `_count_invariants` runs
+the transfer-matrix method over the packed weight residues: one count per
+(state, degree), each generator added in place.  An entry is kept only
+while every coordinate's residue lies in the suffix residue sets of the
+generators ahead (`_suffix_rows`: for each generator j, coordinate and
+completion degree t, the residues from which the generators j onward bring
+that coordinate back to 0 with a monomial of degree exactly t) for a degree
+that lands in the requested range.  The test is a necessary condition, so
+it never drops an entry that an invariant passes through.  A series reads
+its counts at state 0.  A listing also records each entry's birth, the
+number of generators added when it first became nonzero, and traces each
+invariant back from (degree, state 0) through entries born early enough
+(`_trace_back`), so it makes nothing that it prunes later.
 
-The divisibility route also meets in the middle, one factor deep: its
-listing walk gets a final-factor index, each factor (generator j, exponent
-e) filed under the residue state -e * weight_j and its degree.  A node finds
-the accepted monomials of the top degree that extend it by one factor
-with one lookup of its own state, instead of making, testing and pushing
-a child per generator ahead; walks without an index keep each top-degree
-child when they make it.
+The other enumerations run on one walker: a depth-first descent over a
+list of generators, kept on an explicit stack, that reaches each monomial
+of the requested degrees at most once, in one pass over a whole degree
+range.  The walker knows degrees only; its caller hands it per-generator
+step tables over its own state and the tables it prunes by.
 
 The oracle meets in the middle (the Horowitz-Sahni subset-sum split): it
 cuts the ordered generators in two, walks each half once with the walker
@@ -59,21 +56,17 @@ inverted, and hash-joins the two halves on equal products in each requested
 degree.  Each half walk prunes on the oracle's own test, applied early: once
 no generator ahead in the half and none in the other half acts on a
 coordinate, a branch is kept only if its product there is 1.  That test
-reads the state alone (stride 0), no degree, residue or suffix set, so its
-tables are built once per spec.  Monomial counts are capped per degree
-(default 10^7) and the cap fails loudly; the oracle knows the count from
-the two halves' Hilbert series before it walks.  A walk counts every
-monomial it examines, in the degrees below the requested ones too, against
-its degree's cap, so a single-degree walk cannot run on unguarded through
-the degrees beneath it.  A degree range whose tables would pass DEGREE_CAP
-cells is refused before any is built.
+reads the state alone, no degree, residue or suffix set, so its tables are
+built once per spec.
 
-An invariant dimension series lists no monomial: `_count_invariants`
-counts them by state over the divisibility route's walk order and tables,
-one count per (residue state, degree) below the top degree, and reads the
-top degree off each generator's moves, at the states its final factors
-take to 0; it builds no code and no index.  Its guard is SERIES_CAP live
-(state, degree) entries.
+Monomial lists are capped per degree (MONOMIAL_CAP, default 10^7) and the
+cap fails loudly.  The oracle knows each degree's count from the two
+halves' Hilbert series before it walks, and the divisibility route from its
+count before it traces back.  A walk counts every monomial it examines, in
+the degrees below the requested ones too, against its degree's cap.  A
+count holds at most SERIES_CAP live (state, degree) entries, births
+included.  A degree range whose tables would pass DEGREE_CAP cells is
+refused before any is built.
 
 All list outputs are sorted in a canonical order (generator id ascending,
 exponent descending) so repeated runs are byte-identical.  The walker
@@ -259,6 +252,15 @@ class AlgebraSpec:
         blob = canonical_json(self.to_json_dict())
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
+    def __hash__(self):
+        return self._hash
+
+    # the dataclass hash, once per spec: it would rehash every generator
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.field, self.torus_rank, self.moduli,
+                     self.generators))
+
     # Each invariance route's degree-free set-up, built on first use and
     # held by the spec (not a field, so ==, hash and repr never see it).
     @functools.cached_property
@@ -334,49 +336,45 @@ def canonical_sort(monomials) -> list[Monomial]:
 # Entries a table budget lets its tables store, at most about 14 MB; later
 # misses are computed and not stored, so memory stays bounded however many
 # distinct states are reached.  Each spec holds one budget per route for
-# the tables it keeps (the oracle's closing tables too), and each
-# divisibility walk one for its pruning tables, dropped when it ends.
+# the tables it keeps (the oracle's closing tables too).
 _TABLE_BUDGET = 1 << 17
-# Bytes the divisibility route's suffix residue sets may take in one walk
+# Bytes the divisibility route's suffix residue sets may take in one count
 # (`_row_bytes`); a coordinate whose sets would pass what is left is checked
 # against the gcd of its weights instead.
 _ROWS_BUDGET = 1 << 26
 
 
-def _tables(keys, make, budget) -> list:
-    """One `_Table(make(key))` per distinct key, shared by equal keys; None
-    for an empty key."""
+def _tables(keys, make) -> list:
+    """One `make(key)` per distinct key, shared by equal keys; None for an
+    empty key."""
     shared = {}
     for key in keys:
         if key and key not in shared:
-            shared[key] = _Table(make(key), budget)
+            shared[key] = make(key)
     return [shared.get(key) for key in keys]
 
 
-def _stops(gens, lo: int, hi: int, lookup: bool) -> list:
+def _stops(gens, lo: int, hi: int) -> list:
     """stop[rem]: a node with rem degrees left makes children with the
     generators j < stop[rem] only.  Generator j is kept when one of its
     children lands in lo..hi or has a descendant there, by degree alone:
     the child adds e * degree (1 <= e, once for an exterior generator) and
     leaves a rem in `ahead`, the bitset of the rem from which the generators
-    past j reach lo..hi.  Past the last generator those are rem <= hi - lo.
-    With `lookup` the child must leave degrees to fill, since final factors
-    are looked up instead."""
+    past j reach lo..hi.  Past the last generator those are rem <= hi - lo."""
     full = (1 << (hi + 1)) - 1
     stop = [0] * (hi + 1)
     ahead, kept = (1 << (hi - lo + 1)) - 1, 0
     for j in range(len(gens) - 1, -1, -1):
         d = gens[j].degree
-        # e * d plus rem 0 ahead (a child of degree hi), or a positive rem
-        alone, rest = 1 << d, (ahead & ~1) << d
+        reach = ahead << d      # ahead holds rem 0, so e = 1 alone is in it
         if gens[j].parity == POLYNOMIAL:
             shift = d
             while shift < hi:
-                alone |= alone << shift
-                rest |= rest << shift
+                reach |= reach << shift
                 shift *= 2
-        ahead |= (alone | rest) & full
-        new = (rest if lookup else rest | alone) & full & ~kept
+        reach &= full
+        ahead |= reach
+        new = reach & ~kept
         kept |= new
         bits = bin(new)[:1:-1] if new else ""   # bit rem at index rem
         rem = bits.find("1")
@@ -405,9 +403,17 @@ def _over_cap(max_count: int, degree: int) -> ResourceGuardError:
                               f"in degree {degree}")
 
 
-def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
-          allowed=None, last=None, stride=0, group=False,
-          max_count=None, stats=None):
+def _refuse_over(counts, lo: int, cap) -> None:
+    """ResourceGuardError naming the lowest degree lo + i whose count
+    counts[i] is more than `cap`."""
+    for d, n in enumerate(counts, lo):
+        if n > cap:
+            raise ResourceGuardError(
+                f"{n} monomials in degree {d}, more than the cap {cap}")
+
+
+def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, allowed=None,
+          group=False, max_count=None, stats=None):
     """Walk the monomials in the generators `gens` (a tuple of
     GeneratorSpec) of degree lo..hi depth first on an explicit stack.
 
@@ -417,57 +423,37 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
     generator j (None: unchanged); the walker only looks states up.  The
     factor e of generator j is the code `bases[j] - e` (`_codes`).
 
-    There are two kinds of walk.  A plain one accepts every monomial it
-    does not prune and may `group`; it prunes only where its caller hands it
-    `allowed` tables.  The other accepts the monomials that reach `target`,
-    prunes by `allowed[j][rem * stride + s]` (can generators j onward
-    reach `target` from s with rem degrees left before degree hi?) and has
-    a final-factor index: `last[rem * stride + s]` lists in walk order the
-    factors (j, (code,)) that take s to `target` with exactly rem degrees.
-    Every state is below `stride`; tables whose test reads the state alone
-    take the default stride 0 and are keyed by the state.
-
-    Pruning happens at push time: the root is pushed only if `allowed[0]`
-    passes its (state, rem), a child made with generator j only if
-    `allowed[j + 1]` does, and a popped node does not look its pair up
-    again; a node moves past generator j only while `allowed[j + 1]` passes
-    its own pair.  An accepted monomial always passes.  `allowed` holds a
-    table or None (no test) per generator, and may hold one more for the
-    children of the last generator.
-
-    A child of degree hi (a final child) is never pushed: a plain walk keeps
-    it when made if `allowed[j + 1]` passes (its state, 0), and an indexed
-    one settles a node's accepted final children from the entries of `last`
-    with j at or past its first generator, so no final child is made,
-    tested or pruned.
+    Every monomial of degree lo..hi that is not pruned is accepted.  Pruning
+    reads `allowed`, a table keyed by state or None (no test) per
+    generator, and happens at push time: a child made with generator j is
+    pushed only if `allowed[j]` passes its state, and a popped node does not
+    look its state up again; a node moves past generator j only while
+    `allowed[j]` passes its own state.  A child of degree hi (a final child)
+    is never pushed, but kept when made if `allowed[j]` passes it.
 
     Returns one entry per degree lo..hi: the accepted monomials as tuples of
     factor codes in walk order, or with `group` a mapping from each final
     state to the accepted monomials reaching it.  Every popped node and every
-    made or settled final child counts against its degree's cap: more than
-    `max_count` (default MONOMIAL_CAP) in one degree raises
-    ResourceGuardError.  A `stats` dict receives the walk's work: `nodes`
-    popped, children `pruned` (at push, or a plain walk's final children
-    when made) and, per degree lo..hi, the `leaves` counted (in degree hi
-    with an index, the accepted ones).
+    made final child counts against its degree's cap: more than `max_count`
+    (default MONOMIAL_CAP) in one degree raises ResourceGuardError.  A
+    `stats` dict receives the walk's work: `nodes` popped, children `pruned`
+    (at push, or final children when made) and, per degree lo..hi, the
+    `leaves` counted.
     """
     _degree_range(gens, lo, hi)
     if max_count is None:
         max_count = MONOMIAL_CAP
     steps = steps or [None] * len(gens)
-    after = [None] * len(gens) if allowed is None else [*allowed[1:], None]
+    allowed = allowed or [None] * len(gens)
     factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, base, ok)
-               for g, base, step, ok in zip(gens, bases, steps, after)]
+               for g, base, step, ok in zip(gens, bases, steps, allowed)]
     span = hi - lo
-    lookup = last is not None    # with an index, children leave rem >= 1
-    stop = _stops(gens, lo, hi, lookup)
+    stop = _stops(gens, lo, hi)
 
     seen = [0] * (hi + 1)        # per degree 0..hi
     found = [defaultdict(list) if group else [] for _ in range(span + 1)]
     nodes = pruned = 0
-    ok = allowed[0] if allowed else None
-    stack = [(0, hi, start, ())] if ok is None or ok[hi * stride + start] \
-        else []
+    stack = [(0, hi, start, ())]
     push, pop = stack.append, stack.pop
     while stack:
         k, rem, s, exps = pop()
@@ -476,19 +462,14 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
         seen[depth] += 1
         if seen[depth] > max_count:
             raise _over_cap(max_count, depth)
-        if rem <= span and (target is None or s == target):
+        if rem <= span:
             if group:
                 found[span - rem][s].append(exps)
             else:
                 found[span - rem].append(exps)
-        if lookup:
-            for j, factor in last.get(rem * stride + s, ()):
-                if j >= k:
-                    seen[hi] += 1
-                    found[span].append(exps + factor)
         for j in range(k, stop[rem]):
             d, cap, step, base, ok = factors[j]
-            top = (rem - lookup) // d
+            top = rem // d
             if top > cap:
                 top = cap
             t = s
@@ -498,7 +479,7 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
                 if step is not None:
                     t = step[t]
                 if r:
-                    if ok is None or ok[r * stride + t]:
+                    if ok is None or ok[t]:
                         push((j + 1, r, t, exps + (base - e,)))
                     else:
                         pruned += 1
@@ -509,7 +490,7 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, target=None,
                         exps + (base - e,))
                 else:
                     pruned += 1
-            if ok is not None and not ok[rem * stride + s]:
+            if ok is not None and not ok[s]:
                 break
         if seen[hi] > max_count:
             raise _over_cap(max_count, hi)
@@ -538,7 +519,8 @@ def _as_monomials(found, alg: AlgebraSpec) -> list[Monomial]:
     must be positive and no id repeat."""
     ids, w = list(alg._id_ranks), _code_width(alg)
     pairs, out = {}, []
-    for codes in sorted([tuple(sorted(c)) for c in found]):
+    new, set_exps = object.__new__, Monomial.exps.__set__  # frozen class
+    for codes in sorted(map(sorted, found)):
         exps, prev = [], None
         for code in codes:
             pair = pairs.get(code)
@@ -551,8 +533,8 @@ def _as_monomials(found, alg: AlgebraSpec) -> list[Monomial]:
                 raise InputError("repeated generator id in monomial")
             prev = pair[0]
             exps.append(pair)
-        m = object.__new__(Monomial)
-        object.__setattr__(m, "exps", tuple(exps))
+        m = new(Monomial)
+        set_exps(m, tuple(exps))
         out.append(m)
     return out
 
@@ -644,51 +626,56 @@ def _residue_setup(alg: AlgebraSpec) -> tuple:
     """The divisibility route's degree-free set-up, held by the spec
     (`AlgebraSpec._residue_state`): the walk order (`_walk_order`), the
     place of each coordinate's digit in the packed state (digit c in base
-    moduli[c]) and, per generator in walk order, its moves (the place,
-    modulus and weight of each coordinate it acts on) and its step table.
-    The step tables are filled on lookup, from one budget for the spec."""
+    moduli[c]) and, per generator in walk order, its step table and its
+    inverse step table (the state before one more factor), each adding its
+    weight to the coordinates it acts on.  The step tables are filled on
+    lookup, from one budget for the spec."""
     gens, moduli = _walk_order(alg.generators), alg.moduli
     places = tuple(math.prod(moduli[:c]) for c in range(alg.torus_rank))
+    budget = [_TABLE_BUDGET]
 
-    def add(moves):
-        def fill(s):
-            for place, m, w in moves:
+    def add(move):
+        def fill(s, e=1):       # s plus e times the weight
+            for place, m, w in move:
                 v = s // place % m
-                s += ((v + w) % m - v) * place
+                s += ((v + e * w) % m - v) * place
             return s
-        return fill
+        return _Table(fill, budget)
 
     moves = tuple(tuple((place, m, w) for place, m, w
                         in zip(places, moduli, g.weight) if w) for g in gens)
-    return gens, places, moves, _tables(moves, add, [_TABLE_BUDGET])
+    backs = tuple(tuple((place, m, -w % m) for place, m, w in move)
+                  for move in moves)
+    steps = _tables(moves + backs, add)
+    return gens, places, steps[:len(gens)], steps[len(gens):]
 
 
 def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
-    """The walk order (`_walk_order`), step tables, `allowed` tables and
+    """The walk order (`_walk_order`), step tables, `allowed` tests and
     `stride` for the divisibility test over degrees lo..hi.
 
     The state is the weight residue vector packed into one integer, digit c
     in base moduli[c], so the monomial 1 and the accepted state are both 0;
     the order and step tables are the spec's own (`_residue_setup`).
-    Generator j is tried from state s with rem degrees left only if, in
-    every coordinate, generators j onward can bring the residue to 0 with a
-    monomial whose degree lands the walk in lo..hi (`_suffix_rows`).  The
-    sets of a coordinate take `_row_bytes` per degree and generator from
-    the walk's _ROWS_BUDGET bytes; a coordinate whose sets do not fit is
-    checked against the gcd of the weights ahead, for all degrees.
+    `allowed[j](rem * stride + s)` passes when, in every coordinate,
+    generators j onward can bring the residue of s to 0 with a monomial
+    whose degree lands rem degrees below hi in lo..hi (`_suffix_rows`).
+    The sets of a coordinate take `_row_bytes` per degree and generator
+    from the call's _ROWS_BUDGET bytes; a coordinate whose sets do not fit
+    is checked against the gcd of the weights ahead, for all degrees.
     """
     _degree_range(alg.generators, lo, hi)
-    gens, places, _, steps = alg._residue_state
+    gens, places, steps, _ = alg._residue_state
     stride = math.prod(alg.moduli)      # every packed state is below it
 
     def completable(checks):
-        def fill(key):
+        def test(key):
             rem, s = divmod(key, stride)
             for place, m, rows in checks:
                 if not rows[rem] >> (s // place % m) & 1:
                     return False
             return True
-        return fill
+        return test
 
     checks, left = [[] for _ in gens], _ROWS_BUDGET
     for c, (place, m) in enumerate(zip(places, alg.moduli)):
@@ -700,18 +687,152 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
                                _suffix_rows(gens, c, m, lo, hi, exact)):
             if rows is not None:
                 check.append((place, m, rows))
-    allowed = _tables([tuple(check) for check in checks], completable,
-                      [_TABLE_BUDGET])
+    allowed = _tables([tuple(check) for check in checks], completable)
     return gens, steps, allowed, stride
 
 
-def _final_states(g: GeneratorSpec, move, hi: int):
-    """Per exponent e >= 1 of generator g with e * degree <= hi, e and the
-    packed residue state -e * weight, the one state that the factor g^e
-    takes exactly to 0; `move` is g's moves (`_residue_setup`)."""
-    top = hi // g.degree if g.parity == POLYNOMIAL else min(1, hi // g.degree)
-    for e in range(1, top + 1):
-        yield e, sum(-e * w % m * place for place, m, w in move)
+def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
+                      births=None) -> tuple:
+    """Number of invariant monomials of each degree lo..hi, counted without
+    listing one: the transfer-matrix method (Stanley, Enumerative
+    Combinatorics I, 4.7) run over the divisibility route's walk order and
+    tables (`_residue_route` over lo..hi), which hold all of its invariance
+    logic.
+
+    layers[t] maps a packed residue state to the number of monomials of
+    degree t < hi in the generators added so far that reach it.  Generator j
+    is added in place: an exterior one from the top layer down, so no
+    monomial takes it twice, a polynomial one from the bottom up, so a layer
+    it has extended is extended again.  An entry new to its layer is kept
+    only if `allowed` passes it for the generators that may still follow
+    (j onward for a polynomial generator, j + 1 onward for an exterior one),
+    and once j is added every entry that generators j + 1 onward cannot
+    complete is dropped.  Degree hi is never stored: before generator j is
+    added, each of its final factors g^e adds the count filed in degree
+    hi - e * degree under the state -e * weight, the one state that g^e
+    takes to 0 (by the inverse step table).
+
+    A `births` dict receives the birth of each entry (t, s) kept and of
+    (hi, 0), keyed t * stride + s: the number of generators added when it
+    became nonzero.  Counts only grow, and no entry that an invariant
+    passes through is dropped, so such an entry is reached by the first k
+    generators exactly when its birth is at most k.
+
+    Returns the counts, the most live entries held at once and, per degree
+    below hi, the most entries its layer held.  More than SERIES_CAP live
+    entries, births included, raise ResourceGuardError.
+    """
+    gens, steps, allowed, stride = _residue_route(alg, lo, hi)
+    backs, after = alg._residue_state[3], [*allowed[1:], None]
+    layers = [{} for _ in range(hi)]
+    if hi:
+        layers[0][0] = 1
+    top = 0 if hi else 1    # the monomial 1: in layer 0, or itself degree hi
+    if births is not None:
+        births[0] = 0
+    most = [len(layer) for layer in layers]
+    live = peak = sum(most)
+    for j, g in enumerate(gens):
+        d, step, back, u = g.degree, steps[j], backs[j], 0
+        cap = 1 if g.parity == EXTERIOR else hi
+        for e in range(1, min(hi // d, cap) + 1):
+            u = u if back is None else back[u]
+            top += layers[hi - e * d].get(u, 0)
+        if top and births is not None:
+            births.setdefault(hi * stride, j + 1)
+        if g.parity == POLYNOMIAL:
+            ok, degrees = allowed[j], range(d, hi)
+        else:
+            ok, degrees = after[j], range(hi - 1, d - 1, -1)
+        for t in degrees:
+            layer, key, born = layers[t], (hi - t) * stride, t * stride
+            size, get = len(layer), layer.get
+            for s, c in layers[t - d].items():
+                u = s if step is None else step[s]
+                old = get(u)
+                if old is not None:
+                    layer[u] = old + c
+                elif ok is None or ok(key + u):
+                    layer[u] = c
+                    # an entry dropped and made again keeps its birth
+                    if births is not None:
+                        births.setdefault(born + u, j + 1)
+            if len(layer) == size:
+                continue
+            live += len(layer) - size
+            most[t] = max(most[t], len(layer))
+            if live + len(births or ()) > SERIES_CAP:
+                also = f" and {len(births)} births" if births else ""
+                raise ResourceGuardError(
+                    f"{live} live (state, degree) entries{also} at generator "
+                    f"{g.id!r}, position {j} of {len(gens)} in walk order, "
+                    f"more than the cap {SERIES_CAP}")
+        peak = max(peak, live)
+        ok = after[j]
+        if ok is not None and ok is not allowed[j]:
+            for t, layer in enumerate(layers):
+                key = (hi - t) * stride
+                dead = [s for s in layer if not ok(key + s)]
+                for s in dead:
+                    del layer[s]
+                live -= len(dead)
+    return [layer.get(0, 0) for layer in layers[lo:]] + [top], peak, most
+
+
+def _trace_back(alg: AlgebraSpec, lo: int, counts, births) -> tuple:
+    """Per degree lo..lo + len(counts) - 1, the invariant monomials as
+    `_codes` tuples, traced back through the births of the count that gave
+    `counts` (`_count_invariants`), and the number of births probed.
+
+    A node (k, t, s) stands for the monomials of degree t and state s in the
+    first k generators (walk order), from (all, t, 0) down.  Each ends in a
+    factor g_j^e, birth(t, s) <= j + 1 <= k, after a monomial of the node
+    (j, t - e * degree, s - e * weight) (inverse step tables), which has
+    one exactly when its birth is at most j.  So every node lies on the
+    path of an output monomial, and none is pruned.  Exponents start at
+    the first that leaves a degree the generators before j reach, by degree
+    alone, so the first generator takes its one exponent at once.
+    """
+    gens, _, steps, backs = alg._residue_state
+    stride, hi = math.prod(alg.moduli), lo + len(counts) - 1
+    factors, reach = [], 0
+    for g, step, back, base in zip(gens, steps, backs, _codes(alg, gens)):
+        cap = 1 if g.parity == EXTERIOR else hi
+        factors.append((g.degree, cap, reach, step, back, base))
+        reach = min(reach + cap * g.degree, hi)
+    get, probes = births.get, 0
+    found = [[] for _ in counts]
+    for degree, count in enumerate(counts, lo):
+        out = found[degree - lo]
+        stack = [(len(gens), degree, 0, ())] if degree and count else []
+        if count and not degree:
+            out.append(())
+        push, pop = stack.append, stack.pop
+        while stack:
+            k, t, s, exps = pop()
+            for j in range(births[t * stride + s] - 1, k):
+                d, cap, reach, step, back, base = factors[j]
+                top = t // d
+                if top > cap:
+                    top = cap
+                low = 1 if t - d <= reach else -(-(t - reach) // d)
+                if low > top:
+                    continue
+                probes += top - low + 1
+                r, u = t - (low - 1) * d, s
+                if low > 1 and back is not None:
+                    u = step.fill(s, 1 - low)
+                for e in range(low, top + 1):
+                    r -= d
+                    if back is not None:
+                        u = back[u]
+                    if get(r * stride + u, k) > j:  # unborn reads k > j
+                        continue
+                    if r:
+                        push((j, r, u, exps + (base - e,)))
+                    else:       # a one-factor completion: kept at once
+                        out.append(exps + (base - e,))
+    return found, probes
 
 
 def invariant_monomials_by_degree(
@@ -720,24 +841,21 @@ def invariant_monomials_by_degree(
     """Per degree lo..hi, the monomials whose weight is zero everywhere.
 
     Invariance is the divisibility test: each weight coordinate must vanish
-    modulo that coordinate's modulus.  A branch is abandoned as soon as some
-    coordinate's residue lies outside the set of residues that the
-    generators still ahead can return to 0 with a monomial whose degree
-    lands the walk in lo..hi; this is exact.  The walk's final-factor index
-    (`last` of `_walk`) files the code of each factor g^e of degree at most
-    hi under its degree and `_final_states`.  More than MONOMIAL_CAP
-    monomials examined in one degree raise ResourceGuardError.  A `stats`
-    dict receives the walk's counts (see `_walk`).
+    modulo that coordinate's modulus.  The invariants are counted with
+    births (`_count_invariants`), so more than MONOMIAL_CAP in one degree
+    raise ResourceGuardError before any is listed, and then traced back
+    (`_trace_back`).  A `stats` dict receives the count's `peak` live
+    entries and `births`, the traceback's `probes`, the monomials listed
+    per degree (`leaves`) and the `cap` on entries live and born.
     """
-    gens, steps, allowed, stride = _residue_route(alg, lo, hi)
-    moves, bases, last = alg._residue_state[2], _codes(alg, gens), {}
-    for j, (g, move, base) in enumerate(zip(gens, moves, bases)):
-        for e, s in _final_states(g, move, hi):
-            last.setdefault(e * g.degree * stride + s, []).append(
-                (j, (base - e,)))
-    found = _walk(gens, lo, hi, bases, steps, target=0, allowed=allowed,
-                  last=last, stride=stride, stats=stats)
-    return [_as_monomials(monos, alg) for monos in found]
+    births = {}
+    counts, peak, _ = _count_invariants(alg, lo, hi, births)
+    _refuse_over(counts, lo, MONOMIAL_CAP)
+    found, probes = _trace_back(alg, lo, counts, births)
+    if stats is not None:
+        stats.update(peak=peak, births=len(births), probes=probes,
+                     leaves=counts, cap=SERIES_CAP)
+    return [_as_monomials(monos, alg) if monos else [] for monos in found]
 
 
 def invariant_monomials(alg: AlgebraSpec, degree: int) -> list[Monomial]:
@@ -745,11 +863,10 @@ def invariant_monomials(alg: AlgebraSpec, degree: int) -> list[Monomial]:
     return invariant_monomials_by_degree(alg, degree, degree)[0]
 
 
-def _hilbert(gens, top: int, lo: int = 0, max_count=math.inf) -> list[int]:
-    """Number of monomials in the generators `gens` of each degree lo..top:
+def _hilbert(gens, top: int) -> list[int]:
+    """Number of monomials in the generators `gens` of each degree 0..top:
     the coefficients of the product of (1 + t^d) over exterior generators and
-    1/(1 - t^d) over polynomial ones, d the generator's degree.  More than
-    `max_count` in one degree raises ResourceGuardError naming the lowest."""
+    1/(1 - t^d) over polynomial ones, d the generator's degree."""
     coeffs = [1] + [0] * top
     for g in gens:
         d = g.degree
@@ -759,11 +876,7 @@ def _hilbert(gens, top: int, lo: int = 0, max_count=math.inf) -> list[int]:
         else:
             for k in range(d, top + 1):
                 coeffs[k] += coeffs[k - d]
-    for d in range(lo, top + 1):
-        if coeffs[d] > max_count:
-            raise ResourceGuardError(f"{coeffs[d]} monomials in degree {d}, "
-                                     f"more than the cap {max_count}")
-    return coeffs[lo:]
+    return coeffs
 
 
 def _oracle_setup(alg: AlgebraSpec) -> tuple:
@@ -772,10 +885,10 @@ def _oracle_setup(alg: AlgebraSpec) -> tuple:
     generators in a minimum-degree elimination order (`_walk_order`, a
     permutation), each as (generators, step tables, closing tables), then
     the state of the monomial 1 and the product table of each eigenvalue.
-    The closing table at position j = 0..len(half) maps a state to whether
-    its product is 1 on every coordinate that the half's generators before
-    j act on and no other generator does, in either half: those products
-    are final at j (None where there is no such coordinate).  The step,
+    The closing table of the half's generator j maps a state to whether its
+    product is 1 on every coordinate that the half's generators up to j act
+    on and no other generator does, in either half: those products are
+    final once j is added (None where there is no such coordinate).  The step,
     product and closing tables are filled on lookup, from one budget for
     the spec."""
     gens, field = _walk_order(alg.generators), alg.field
@@ -794,14 +907,15 @@ def _oracle_setup(alg: AlgebraSpec) -> tuple:
                 v = s // place % q
                 s += (table[v] - v) * place
             return s
-        return fill
+        return _Table(fill, budget)
 
     @functools.cache
     def eigenvalue(x, w):
         return field.pow(x, w)
 
     def closes(places):     # is the product 1 in each of these places?
-        return lambda s: all(s // place % q == 1 for place in places)
+        return _Table(lambda s: all(s // place % q == 1 for place in places),
+                      budget)
 
     def move(xs, weight):
         eig = [eigenvalue(x, w) for x, w in zip(xs, weight)]
@@ -816,19 +930,18 @@ def _oracle_setup(alg: AlgebraSpec) -> tuple:
     rmoves = [move(inverted, g.weight) for g in right]
     products = {ev: _Table(functools.partial(field.mul, ev), budget)
                 for ev in {ev for m in lmoves + rmoves for _, ev in m}}
-    steps = _tables(lmoves + rmoves, act, budget)
+    steps = _tables(lmoves + rmoves, act)
 
     def closed(own, other):
         outside = {place for m in other for place, _ in m}
         last = {place: j for j, m in enumerate(own) for place, _ in m}
         return [tuple(place for place, k in last.items()
-                      if k < j and place not in outside)
-                for j in range(len(own) + 1)]
+                      if k <= j and place not in outside)
+                for j in range(len(own))]
 
-    allowed = _tables(closed(lmoves, rmoves) + closed(rmoves, lmoves),
-                      closes, budget)       # half + 1 left, then the right's
-    return ((left, steps[:half], allowed[:half + 1]),
-            (right, steps[half:], allowed[half + 1:]), sum(places), products)
+    allowed = _tables(closed(lmoves, rmoves) + closed(rmoves, lmoves), closes)
+    return ((left, steps[:half], allowed[:half]),
+            (right, steps[half:], allowed[half:]), sum(places), products)
 
 
 def invariant_monomials_oracle_by_degree(
@@ -872,7 +985,7 @@ def invariant_monomials_oracle_by_degree(
     """
     gens = alg.generators
     _degree_range(gens, lo, hi)
-    _hilbert(gens, hi, lo, max_count)      # the cap, before any walk
+    _refuse_over(_hilbert(gens, hi)[lo:], lo, max_count)   # before any walk
     lhalf, rhalf, identity, _ = alg._oracle_state
     lcount, rcount = _hilbert(lhalf[0], hi), _hilbert(rhalf[0], hi)
     degrees = range(lo, hi + 1)
@@ -926,74 +1039,6 @@ def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
 FILTERS = ("all", "invariant", "invariant_nilpotent")
 
 
-def _count_invariants(alg: AlgebraSpec, hi: int) -> tuple:
-    """Number of invariant monomials of each degree 0..hi, counted without
-    listing one: the transfer-matrix method (Stanley, Enumerative
-    Combinatorics I, 4.7) run over the divisibility route's walk order and
-    tables (`_residue_route`), which hold all of its invariance logic.
-
-    layers[t] maps a packed residue state to the number of monomials of
-    degree t < hi in the generators added so far that reach it.  Generator j
-    is added in place: an exterior one from the top layer down, so no
-    monomial takes it twice, a polynomial one from the bottom up, so a layer
-    it has extended is extended again.  A new entry is kept only if
-    `allowed` passes it for the generators that may still follow (j onward
-    for a polynomial generator, j + 1 onward for an exterior one), and once
-    j is added every entry that generators j + 1 onward cannot complete is
-    dropped.  Degree hi is never stored: before generator j is added, each
-    of its final factors g^e adds the count filed in degree hi - e * degree
-    under the state -e * weight (`_final_states`).
-
-    Returns the counts, the most live entries held at once and, per degree
-    below hi, the most entries its layer held.  More than SERIES_CAP live
-    entries raise ResourceGuardError.
-    """
-    gens, steps, allowed, stride = _residue_route(alg, 0, hi)
-    moves, after = alg._residue_state[2], [*allowed[1:], None]
-    layers = [{} for _ in range(hi)]
-    if hi:
-        layers[0][0] = 1
-    top = 0 if hi else 1    # the monomial 1: in layer 0, or itself degree hi
-    most = [len(layer) for layer in layers]
-    live = peak = sum(most)
-    for j, g in enumerate(gens):
-        d, step = g.degree, steps[j]
-        for e, state in _final_states(g, moves[j], hi):
-            top += layers[hi - e * d].get(state, 0)
-        if g.parity == POLYNOMIAL:
-            ahead, degrees = allowed[j], range(d, hi)
-        else:
-            ahead, degrees = after[j], range(hi - 1, d - 1, -1)
-        # a (state, degree) meets each table about once: call its test
-        # directly, not through the table's memo
-        ok = None if ahead is None else ahead.fill
-        for t in degrees:
-            layer, key = layers[t], (hi - t) * stride
-            size, get = len(layer), layer.get
-            for s, c in layers[t - d].items():
-                u = s if step is None else step[s]
-                if ok is None or ok(key + u):
-                    layer[u] = get(u, 0) + c
-            live += len(layer) - size
-            most[t] = max(most[t], len(layer))
-            if live > SERIES_CAP:
-                raise ResourceGuardError(
-                    f"{live} live (state, degree) entries at generator "
-                    f"{g.id!r}, position {j} of {len(gens)} in walk order, "
-                    f"more than the cap {SERIES_CAP}")
-        peak = max(peak, live)
-        ahead = after[j]
-        if ahead is not None and ahead is not allowed[j]:
-            ok = ahead.fill
-            for t, layer in enumerate(layers):
-                key = (hi - t) * stride
-                dead = [s for s in layer if not ok(key + s)]
-                for s in dead:
-                    del layer[s]
-                live -= len(dead)
-    return [layer.get(0, 0) for layer in layers] + [top], peak, most
-
-
 def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
                      stats=None) -> list[int]:
     """dims[d] = number of monomials passing the filter in degree d <= D.
@@ -1012,17 +1057,18 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
     _degree_range(alg.generators, 0, max_degree,
                   "max_degree must be nonnegative")
     if filter == "all":
-        dims = _hilbert(alg.generators, max_degree, max_count=MONOMIAL_CAP)
+        dims = _hilbert(alg.generators, max_degree)
+        _refuse_over(dims, 0, MONOMIAL_CAP)
         if stats is not None:
             stats.update(nodes=0, pruned=0, leaves=dims, cap=MONOMIAL_CAP)
         return dims
-    dims, peak, live = _count_invariants(alg, max_degree)
+    dims, peak, live = _count_invariants(alg, 0, max_degree)
     if filter == "invariant_nilpotent":
         polynomial = [g.id for g in alg.generators if g.parity == POLYNOMIAL]
         even = dims         # without exterior generators, all of them
         if len(polynomial) < len(alg.generators):
             even, even_peak, even_live = _count_invariants(
-                alg.restrict(polynomial), max_degree)
+                alg.restrict(polynomial), 0, max_degree)
             peak, live = max(peak, even_peak), list(map(max, live, even_live))
         dims = [a - b for a, b in zip(dims, even)]
     if stats is not None:

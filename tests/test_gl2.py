@@ -79,11 +79,12 @@ def test_gl2_landmarks_p2_r2():
 
 @pytest.mark.parametrize("r", [16, 20])
 def test_gl2_landmarks_p2_large_r_keep_exact_pruning(r):
-    # the suffix sets of modulus 2^r - 1 fit the rows budget, so the walk
-    # prunes exactly and reaches degree r at once
+    # the suffix sets of modulus 2^r - 1 fit the rows budget, so the count
+    # prunes exactly: one entry per degree 0..r, x0 * ... * x_k, is born
     stats = {}
     invalg.invariant_monomials_by_degree(gl2_algebra(2, r), 1, r, stats=stats)
-    assert stats["nodes"] == r
+    assert (stats["peak"], stats["births"]) == (2, r + 1)
+    assert stats["leaves"] == [0] * (r - 1) + [1]
     rep = gl2_landmarks(2, r)
     assert rep["first_positive_degree"] == r and rep["first_dim"] == 1
     assert rep["match"] is True
@@ -185,15 +186,15 @@ def test_landmark_report_shape():
 
 def test_landmarks_large_p_frozen_in_one_walk(monkeypatch):
     walks = []
-    walk = invalg._walk
+    count = invalg._count_invariants
 
-    def record(gens, lo, hi, *args, **kwargs):
+    def record(alg, lo, hi, *args):
         walks.append((lo, hi))
-        return walk(gens, lo, hi, *args, **kwargs)
+        return count(alg, lo, hi, *args)
 
-    monkeypatch.setattr(invalg, "_walk", record)
+    monkeypatch.setattr(invalg, "_count_invariants", record)
     rep = gl2_landmarks(1021, 1)
-    # one walk over degrees 1..r(2p-2), the square-free check included
+    # one listing over degrees 1..r(2p-2), the square-free check included
     assert walks == [(1, 2040)]
     assert rep["match"] is True
     assert rep["spec_hash"] == "7bb1b1a956a3"
@@ -217,7 +218,7 @@ def test_landmarks_large_p_frozen_in_one_walk(monkeypatch):
     assert rep["nonnilpotent_witness"] == {"exps": {"y0": 510},
                                            "str": "y0^510"}
 
-    # in characteristic 2 the walk stops at degree r: x_0 ... x_{r-1}
+    # in characteristic 2 the listing stops at degree r: x_0 ... x_{r-1}
     walks.clear()
     assert gl2_landmarks(2, 12)["match"] is True
     assert walks == [(1, 12)]

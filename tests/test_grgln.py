@@ -172,20 +172,15 @@ def test_hook_detection_char2():
 
 
 def test_hook_detection_walks_each_degree_once(monkeypatch):
-    # degrees below d are counted by state, degree d is listed by the
-    # kernel walk: each degree 0..d is computed by exactly one of them
+    # degrees below d are counted by the series, degree d by the kernel's
+    # listing: each degree 0..d is counted by exactly one of them
     windows = []
-    walk, count = invalg._walk, invalg._count_invariants
+    count = invalg._count_invariants
 
-    def record(gens, lo, hi, *args, **kwargs):
+    def record_count(alg, lo, hi, *args):
         windows.append((lo, hi))
-        return walk(gens, lo, hi, *args, **kwargs)
+        return count(alg, lo, hi, *args)
 
-    def record_count(alg, hi):
-        windows.append((0, hi))
-        return count(alg, hi)
-
-    monkeypatch.setattr(invalg, "_walk", record)
     monkeypatch.setattr(invalg, "_count_invariants", record_count)
     for spec, degree in ((build_gr_un(3, 3, 1), None),
                          (build_gr_un(4, 3, 2), 5)):
@@ -228,26 +223,27 @@ def test_essential_kernel_large_p_hooks():
 
 
 def test_essential_kernel_walk_counts(monkeypatch):
-    # the walk in the spec's (i, j, k) order, pruning children only once
-    # popped, popped 73,698 nodes on (8,11) and 37,476 on (7,13); the
-    # top-degree leaves are settled by lookup, never popped
+    # the listing walk popped 990 nodes and pruned 7,251 children on (8,11),
+    # 367 and 3,682 on (7,13); the traceback probes a birth per (node,
+    # generator, exponent) tried and prunes nothing
     walks = []
-    walk = invalg._walk
+    listing = invalg.invariant_monomials_by_degree
 
-    def record(gens, lo, hi, *args, **kwargs):
-        kwargs["stats"] = stats = {}
-        found = walk(gens, lo, hi, *args, **kwargs)
+    def record(alg, lo, hi):
+        found = listing(alg, lo, hi, stats=(stats := {}))
         walks.append(stats)
         return found
 
-    monkeypatch.setattr(invalg, "_walk", record)
-    for (n, p), before, want in (
-            ((8, 11), 73_698, {"nodes": 990, "pruned": 7251, "leaves": [76]}),
-            ((7, 13), 37_476, {"nodes": 367, "pruned": 3682, "leaves": [42]})):
+    monkeypatch.setattr(invalg, "invariant_monomials_by_degree", record)
+    cap = invalg.SERIES_CAP
+    for (n, p), want in (
+            ((8, 11), {"peak": 42, "births": 240, "probes": 841,
+                       "leaves": [76], "cap": cap}),
+            ((7, 13), {"peak": 38, "births": 208, "probes": 455,
+                       "leaves": [42], "cap": cap})):
         walks.clear()
         assert essential_kernel(n, p)["kernel_dim"] == 1
         assert walks == [want]
-        assert want["nodes"] < before
 
 
 def _closed_form_kernel(n, p):

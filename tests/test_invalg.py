@@ -6,7 +6,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liecoh.errors import InputError, ResourceGuardError
@@ -263,6 +263,23 @@ def test_json_round_trip_and_hash():
     assert h != gr_u3_p3().spec_hash()
 
 
+def test_spec_hash_is_held_and_agrees_with_equality():
+    # the hash is the dataclass hash of the four fields, computed once
+    alg = build_gr_un(5, 3, 1).algebra
+    fields = (alg.field, alg.torus_rank, alg.moduli, alg.generators)
+    assert hash(alg) == hash(fields) and vars(alg)["_hash"] == hash(fields)
+    # equal specs built apart, restricted or read back hash equal
+    twin = build_gr_un(5, 3, 1).algebra
+    assert twin is not alg and twin == alg and hash(twin) == hash(alg)
+    for other in (AlgebraSpec.from_json_dict(alg.to_json_dict()),
+                  alg.restrict(alg.ids), twin.restrict(reversed(alg.ids))):
+        assert other == alg and hash(other) == hash(alg)
+    sub = alg.restrict(alg.ids[1:])
+    again = AlgebraSpec.from_json_dict(sub.to_json_dict())
+    assert again == sub != alg and hash(again) == hash(sub)
+    assert len({alg, twin, sub, again}) == 2
+
+
 def test_restrict_keeps_order_and_context():
     alg = gr_u3_p3()
     sub = alg.restrict(["x12", "y12", "x23"])
@@ -504,11 +521,13 @@ def test_walk_order_routes_agree(alg, window):
 
 def test_walk_with_nothing_to_find_pops_nothing():
     # degree 5 of the GL_2(F_3) model holds x0*y0^2 alone, of odd weight:
-    # the root fails the suffix test, so not even the root is pushed
+    # the count keeps no entry past the monomial 1, so there is nothing to
+    # trace back and not one birth is probed
     stats = {}
     assert invariant_monomials_by_degree(rank1_pair_algebra(3, 1), 5, 5,
                                          stats=stats) == [[]]
-    assert stats == {"nodes": 0, "pruned": 0, "leaves": [0]}
+    assert stats == {"peak": 1, "births": 1, "probes": 0, "leaves": [0],
+                     "cap": invalg.SERIES_CAP}
 
 
 def _e8_algebra():
@@ -518,31 +537,76 @@ def _e8_algebra():
 
 def test_final_factor_lookup_e8():
     # 240 generators, modulus 2 in eight coordinates: every suffix set past
-    # degree 0 is full, so nothing prunes; the degree-3 leaves are looked
-    # up, 1,240 of them, where stepping every generator made 109,844
+    # degree 0 is full, so nothing prunes; the listing walk popped 2,413
+    # nodes for the 1,240 leaves of degree 3, where the traceback probes a
+    # birth per (node, generator, exponent) tried
     alg = _e8_algebra()
     found = invariant_monomials_by_degree(alg, 1, 3)
     assert [len(ms) for ms in found] == [0, 0, 1240]
     assert found == invariant_monomials_oracle_by_degree(alg, 1, 3)
     stats = {}
     invariant_monomials_by_degree(alg, 3, 3, stats=stats)
-    assert stats == {"nodes": 2413, "pruned": 8, "leaves": [1240]}
+    assert stats == {"peak": 239, "births": 304, "probes": 26484,
+                     "leaves": [1240], "cap": invalg.SERIES_CAP}
 
 
-def test_interior_nodes_count_against_the_cap(monkeypatch):
-    # the single-degree E8 walk pops 1, 120 and 2,292 nodes in degrees 0, 1
-    # and 2, and settles 1,240 leaves in degree 3
+def test_listing_cap_on_the_exact_count_e8(monkeypatch):
+    # degree 3 of E8 holds 1,240 invariants: the count knows it before any
+    # is listed, so a cap below it refuses with no traceback at all
     alg = _e8_algebra()
-    monkeypatch.setattr(invalg, "MONOMIAL_CAP", 2291)
-    with pytest.raises(ResourceGuardError, match="in degree 2$"):
-        invariant_monomials(alg, 3)
-    monkeypatch.setattr(invalg, "MONOMIAL_CAP", 2292)
+    trace_back = invalg._trace_back
+
+    def refuse(*args):
+        raise AssertionError("traced back over the cap")
+
+    monkeypatch.setattr(invalg, "MONOMIAL_CAP", 1239)
+    monkeypatch.setattr(invalg, "_trace_back", refuse)
+    for lo in (3, 0):
+        with pytest.raises(ResourceGuardError) as exc:
+            invariant_monomials_by_degree(alg, lo, 3)
+        assert str(exc.value) == \
+            "1240 monomials in degree 3, more than the cap 1239"
+    monkeypatch.setattr(invalg, "MONOMIAL_CAP", 1240)
+    monkeypatch.setattr(invalg, "_trace_back", trace_back)
     assert len(invariant_monomials(alg, 3)) == 1240
 
 
+def test_listing_charges_births_to_the_series_cap(monkeypatch):
+    # the single-degree listing of the (1,6) hook of U_6 at p = 7 in degree
+    # 11 holds at most 95 live entries and births at once
+    alg = _hook_spec(6, 7, 1, 1, 6)
+    want = plain_invariants(alg, 11, 11)
+    monkeypatch.setattr(invalg, "SERIES_CAP", 95)
+    assert invariant_monomials_by_degree(alg, 11, 11) == want
+    monkeypatch.setattr(invalg, "SERIES_CAP", 94)
+    with pytest.raises(ResourceGuardError) as exc:
+        invariant_monomials(alg, 11)
+    assert str(exc.value) == (
+        "16 live (state, degree) entries and 79 births at generator "
+        "'x[1,6,0]', position 14 of 18 in walk order, more than the cap 94")
+    # the series of the same spec records no births: 21 live entries pass
+    monkeypatch.setattr(invalg, "SERIES_CAP", 21)
+    assert dimension_series(alg, 11, "invariant")[11] == len(want[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.lists(st.integers(0, 10), min_size=2, max_size=2).map(sorted))
+@example(0, [0, 0])
+@example(7, [0, 10])
+@example(11, [4, 9])
+def test_traceback_lists_what_the_plain_filter_keeps(seed, window):
+    alg = random_algebra_spec(random.Random(seed))
+    lo, hi = window
+    stats = {}
+    found = invariant_monomials_by_degree(alg, lo, hi, stats=stats)
+    assert found == plain_invariants(alg, lo, hi)
+    assert stats["leaves"] == [len(ms) for ms in found]
+
+
 def test_final_factor_lookup_char2_exponents():
-    # degree-1 polynomial generators: a final factor y^e closes e degrees
-    # at once, and equal weights share a lookup entry
+    # degree-1 polynomial generators: a last factor y^e closes e degrees
+    # at once, and equal weights share a step table
     for r, moduli, weights in ((2, (3,), [(1,), (1,), (2,)]),
                                (3, (7, 7), [(1, 3), (2, 0), (4, 5), (2, 0)]),
                                (4, (15,), [(5,), (3,), (0,), (12,)])):
@@ -559,9 +623,9 @@ def test_final_factor_lookup_char2_exponents():
 
 
 def test_stops_keep_exactly_the_generators_with_a_use():
-    # stop[rem] - 1 is the last generator with a child (non-final with an
-    # index) from which some degree in lo..hi is reachable, by degree alone
-    def brute(gens, lo, hi, lookup):
+    # stop[rem] - 1 is the last generator with a child from which some
+    # degree in lo..hi is reachable, by degree alone
+    def brute(gens, lo, hi):
         ahead = [set() for _ in gens] + [{0}]
         for j in range(len(gens) - 1, -1, -1):
             d, cap = gens[j].degree, 1 if gens[j].parity == EXTERIOR else hi
@@ -573,8 +637,8 @@ def test_stops_keep_exactly_the_generators_with_a_use():
                 cap = 1 if g.parity == EXTERIOR else hi
                 for e in range(1, cap + 1):
                     r = rem - e * g.degree
-                    if r >= lookup and any(r - (hi - lo) <= b <= r
-                                          for b in ahead[j + 1]):
+                    if r >= 0 and any(r - (hi - lo) <= b <= r
+                                      for b in ahead[j + 1]):
                         stop[rem] = j + 1
         return stop
 
@@ -585,9 +649,7 @@ def test_stops_keep_exactly_the_generators_with_a_use():
                 for i in range(rng.randint(0, 6))]
         hi = rng.randint(0, 12)
         lo = rng.randint(0, hi)
-        for lookup in (False, True):
-            assert invalg._stops(gens, lo, hi, lookup) == \
-                brute(gens, lo, hi, lookup)
+        assert invalg._stops(gens, lo, hi) == brute(gens, lo, hi)
 
 
 def test_suffix_rows_match_their_definition():
@@ -843,13 +905,14 @@ def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
         return lsteps + rsteps + lclose + rclose + list(products.values())
 
     assert stored(oracle_tables(alg)) == 7
-    assert stored(alg._residue_state[3]) == 7
-    # a divisibility walk's pruning tables have a budget of their own,
-    # spent or not
-    gens, steps, allowed, stride = invalg._residue_route(alg, 14, 14)
-    invalg._walk(gens, 14, 14, invalg._codes(alg, gens), steps, target=0,
-                 allowed=allowed, stride=stride)
-    assert stored(allowed) == 7
+    # the divisibility route's step and inverse step tables draw on the
+    # spec's one budget; its pruning tests are plain functions that store
+    # nothing
+    _, _, steps, backs = alg._residue_state
+    assert stored(steps + backs) == 7
+    allowed = invalg._residue_route(alg, 14, 14)[2]
+    assert all(allowed) and not any(isinstance(test, ffq._Table)
+                                    for test in allowed)
     # the oracle's closing tables are the spec's and draw on its one
     # budget: on the (1,5) hook both halves close coordinates, and the
     # step, product and closing tables store 7 entries in all
@@ -1181,8 +1244,8 @@ def test_invariant_series_cap_on_live_entries(monkeypatch):
 
 
 def test_series_counts_list_nothing(monkeypatch):
-    # an invariant series makes no factor code, no walk and so no
-    # final-factor index, and counts what the listing walk lists
+    # an invariant series makes no factor code, records no births and
+    # traces nothing back, and counts what the listing lists
     alg = _hook_spec(4, 5, 1, 1, 4)
     found = invariant_monomials_by_degree(alg, 0, 9)
     exterior = {g.id for g in alg.generators if g.parity == EXTERIOR}
@@ -1195,9 +1258,16 @@ def test_series_counts_list_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a series count listed monomials")
 
-    for name in ("_codes", "_walk", "_as_monomials",
+    for name in ("_codes", "_walk", "_as_monomials", "_trace_back",
                  "invariant_monomials_by_degree"):
         monkeypatch.setattr(invalg, name, refuse)
+    count = invalg._count_invariants
+
+    def no_births(alg, lo, hi, births=None):
+        assert births is None
+        return count(alg, lo, hi)
+
+    monkeypatch.setattr(invalg, "_count_invariants", no_births)
     for flt, want in listed.items():
         assert dimension_series(_hook_spec(4, 5, 1, 1, 4), 9, flt) == want
 

@@ -1,9 +1,9 @@
 """The eigenvalue oracle borrows no invariance logic from the divisibility
 route, and that route none from the oracle: the set-up and calls of each
 name none of the other's functions, held state or field, so the two routes
-keep checking each other.  The walker they share names neither route's
-state or invariance helpers: what it knows of a state (its steps, tables
-and `stride`) the route hands it."""
+keep checking each other.  The walker names neither route's state or
+invariance helpers: what it knows of a state (its steps and tables) its
+caller hands it."""
 
 import ast
 from pathlib import Path
@@ -11,10 +11,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liecoh"
 ORACLE = ("_oracle_setup", "invariant_monomials_oracle_by_degree")
 DIVISIBILITY = {"_residue_route", "_residue_setup", "_residue_state",
-                "_suffix_rows", "monomial_weight"}
+                "_suffix_rows", "_trace_back", "monomial_weight"}
 DIVISIBILITY_ROUTE = ("_residue_setup", "_residue_route", "_suffix_rows",
-                      "_final_states", "invariant_monomials_by_degree",
-                      "_count_invariants")
+                      "_count_invariants", "_trace_back",
+                      "invariant_monomials_by_degree")
 ORACLE_NAMES = {"_oracle_setup", "_oracle_state",
                 "invariant_monomials_oracle_by_degree", "field", "generator"}
 WALKER = ("_walk",)
