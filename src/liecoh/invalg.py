@@ -59,14 +59,13 @@ coordinate, a branch is kept only if its product there is 1.  That test
 reads the state alone, no degree, residue or suffix set, so its tables are
 built once per spec.
 
-Monomial lists are capped per degree (MONOMIAL_CAP, default 10^7) and the
-cap fails loudly.  The oracle knows each degree's count from the two
-halves' Hilbert series before it walks, and the divisibility route from its
-count before it traces back.  A walk counts every monomial it examines, in
-the degrees below the requested ones too, against its degree's cap.  A
-count holds at most SERIES_CAP live (state, degree) entries, births
-included.  A degree range whose tables would pass DEGREE_CAP cells is
-refused before any is built.
+Monomial lists are capped per degree (MONOMIAL_CAP, default 10^7), and
+every listing refuses from its exact count, before it makes anything: the
+oracle and `enumerate_monomials` count each degree from the Hilbert series,
+the divisibility route its invariants before it traces back.  The walker
+holds no guard of its own.  A count holds at most SERIES_CAP live (state,
+degree) entries, births included.  A degree range whose tables would pass
+DEGREE_CAP cells is refused before any is built.
 
 All list outputs are sorted in a canonical order (generator id ascending,
 exponent descending) so repeated runs are byte-identical.  The walker
@@ -398,11 +397,6 @@ def _degree_range(gens, lo: int, hi: int, refusal: str = "") -> None:
             f"generator-degree cells, more than the cap {DEGREE_CAP}")
 
 
-def _over_cap(max_count: int, degree: int) -> ResourceGuardError:
-    return ResourceGuardError(f"more than {max_count} monomials examined "
-                              f"in degree {degree}")
-
-
 def _refuse_over(counts, lo: int, cap) -> None:
     """ResourceGuardError naming the lowest degree lo + i whose count
     counts[i] is more than `cap`."""
@@ -413,7 +407,7 @@ def _refuse_over(counts, lo: int, cap) -> None:
 
 
 def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, allowed=None,
-          group=False, max_count=None, stats=None):
+          stats=None):
     """Walk the monomials in the generators `gens` (a tuple of
     GeneratorSpec) of degree lo..hi depth first on an explicit stack.
 
@@ -431,18 +425,13 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, allowed=None,
     `allowed[j]` passes its own state.  A child of degree hi (a final child)
     is never pushed, but kept when made if `allowed[j]` passes it.
 
-    Returns one entry per degree lo..hi: the accepted monomials as tuples of
-    factor codes in walk order, or with `group` a mapping from each final
-    state to the accepted monomials reaching it.  Every popped node and every
-    made final child counts against its degree's cap: more than `max_count`
-    (default MONOMIAL_CAP) in one degree raises ResourceGuardError.  A
-    `stats` dict receives the walk's work: `nodes` popped, children `pruned`
-    (at push, or final children when made) and, per degree lo..hi, the
-    `leaves` counted.
+    Returns one mapping per degree lo..hi from each final state to the
+    accepted monomials reaching it, as tuples of factor codes in walk order.
+    The caller checks the degree range (`_degree_range`) and the size of
+    what it lists before it walks; the walker holds no cap.  A `stats` dict
+    receives the walk's work: `nodes` popped and children `pruned` (at push,
+    or final children when made).
     """
-    _degree_range(gens, lo, hi)
-    if max_count is None:
-        max_count = MONOMIAL_CAP
     steps = steps or [None] * len(gens)
     allowed = allowed or [None] * len(gens)
     factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, base, ok)
@@ -450,23 +439,15 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, allowed=None,
     span = hi - lo
     stop = _stops(gens, lo, hi)
 
-    seen = [0] * (hi + 1)        # per degree 0..hi
-    found = [defaultdict(list) if group else [] for _ in range(span + 1)]
+    found = [defaultdict(list) for _ in range(span + 1)]
     nodes = pruned = 0
     stack = [(0, hi, start, ())]
     push, pop = stack.append, stack.pop
     while stack:
         k, rem, s, exps = pop()
         nodes += 1
-        depth = hi - rem
-        seen[depth] += 1
-        if seen[depth] > max_count:
-            raise _over_cap(max_count, depth)
         if rem <= span:
-            if group:
-                found[span - rem][s].append(exps)
-            else:
-                found[span - rem].append(exps)
+            found[span - rem][s].append(exps)
         for j in range(k, stop[rem]):
             d, cap, step, base, ok = factors[j]
             top = rem // d
@@ -478,24 +459,16 @@ def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, allowed=None,
                 r -= d
                 if step is not None:
                     t = step[t]
-                if r:
-                    if ok is None or ok[t]:
-                        push((j + 1, r, t, exps + (base - e,)))
-                    else:
-                        pruned += 1
-                    continue
-                seen[hi] += 1
-                if ok is None or ok[t]:
-                    (found[span][t] if group else found[span]).append(
-                        exps + (base - e,))
-                else:
+                if ok is not None and not ok[t]:
                     pruned += 1
+                elif r:
+                    push((j + 1, r, t, exps + (base - e,)))
+                else:
+                    found[span][t].append(exps + (base - e,))
             if ok is not None and not ok[s]:
                 break
-        if seen[hi] > max_count:
-            raise _over_cap(max_count, hi)
     if stats is not None:
-        stats.update(nodes=nodes, pruned=pruned, leaves=seen[lo:])
+        stats.update(nodes=nodes, pruned=pruned)
     return found
 
 
@@ -540,11 +513,17 @@ def _as_monomials(found, alg: AlgebraSpec) -> list[Monomial]:
 
 
 def enumerate_monomials(alg: AlgebraSpec, degree: int) -> list[Monomial]:
-    """All monomials of total degree exactly `degree`, canonically sorted;
-    more than MONOMIAL_CAP examined in one degree raise ResourceGuardError."""
-    found = _walk(alg.generators, degree, degree,
-                  _codes(alg, alg.generators))
-    return _as_monomials(found[0], alg)
+    """All monomials of total degree exactly `degree`, canonically sorted.
+
+    More than MONOMIAL_CAP of them, counted by the Hilbert series, raise
+    ResourceGuardError before anything is walked.  The walk prunes nothing
+    and reaches each monomial once, so no depth holds more nodes than the
+    degree has monomials."""
+    gens = alg.generators
+    _degree_range(gens, degree, degree)
+    _refuse_over(_hilbert(gens, degree)[degree:], degree, MONOMIAL_CAP)
+    found = _walk(gens, degree, degree, _codes(alg, gens))
+    return _as_monomials(found[0][0], alg)
 
 
 def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
@@ -997,9 +976,6 @@ def invariant_monomials_oracle_by_degree(
 
     llo, lhi = min(a for _, a in pairs), max(a for _, a in pairs)
     rlo, rhi = min(d - a for d, a in pairs), max(d - a for d, a in pairs)
-    # a half walk meets each monomial of a degree at most once, so with the
-    # half's largest Hilbert count up to its top degree as cap it never trips
-    cap = max(lcount[:lhi + 1] + rcount[:rhi + 1])
     # The walks and the join make a tuple per monomial and no reference
     # cycles.  The cyclic collector is held off until they are done, so it
     # never scans the groups while they live, however its counters stand.
@@ -1008,7 +984,7 @@ def invariant_monomials_oracle_by_degree(
     try:
         lgroups, rgroups = [
             _walk(gens, bottom, top, _codes(alg, gens), steps, identity,
-                  allowed=allowed, group=True, max_count=cap)
+                  allowed)
             for (gens, steps, allowed), bottom, top
             in ((lhalf, llo, lhi), (rhalf, rlo, rhi))]
         found = {d: [] for d in degrees}

@@ -400,6 +400,41 @@ def test_enumeration_resource_guard(monkeypatch):
     monkeypatch.setattr(invalg, "MONOMIAL_CAP", 5)
     with pytest.raises(ResourceGuardError):
         enumerate_monomials(alg, 10)
+    # the exact boundary: a cap of H(d) lists all H(d) monomials, one less
+    # refuses from the Hilbert count before any walk
+    n = invalg._hilbert(alg.generators, 10)[10]
+    monkeypatch.setattr(invalg, "MONOMIAL_CAP", n)
+    assert len(enumerate_monomials(alg, 10)) == n
+    monkeypatch.setattr(invalg, "MONOMIAL_CAP", n - 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked before refusing")
+
+    monkeypatch.setattr(invalg, "_walk", refuse)
+    with pytest.raises(ResourceGuardError, match=(
+            f"^{n} monomials in degree 10, more than the cap {n - 1}$")):
+        enumerate_monomials(alg, 10)
+
+
+def test_enumerate_against_brute_force():
+    # every exponent vector in range (each once), kept when its degree
+    # is d
+    rng = random.Random(20240528)
+    for _ in range(40):
+        alg = random_algebra_spec(rng)
+        gens = alg.generators
+        ranges = [range(2 if g.parity == EXTERIOR else 8 // g.degree + 1)
+                  for g in gens]
+        by_degree = [[] for _ in range(9)]
+        for exps in itertools.product(*ranges):
+            d = sum(e * g.degree for e, g in zip(exps, gens))
+            if d <= 8:
+                by_degree[d].append(exps)
+        for d, vectors in enumerate(by_degree):
+            want = canonical_sort(
+                Monomial(tuple((g.id, e) for g, e in zip(gens, exps) if e))
+                for exps in vectors)
+            assert enumerate_monomials(alg, d) == want
 
 
 # ---------------------------------------------------------------------------

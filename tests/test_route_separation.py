@@ -3,7 +3,8 @@ route, and that route none from the oracle: the set-up and calls of each
 name none of the other's functions, held state or field, so the two routes
 keep checking each other.  The walker names neither route's state or
 invariance helpers: what it knows of a state (its steps and tables) its
-caller hands it."""
+caller hands it.  Nor does it hold a guard: each caller refuses from an
+exact count, and checks the degree range, before it walks."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,8 @@ WALKER = ("_walk",)
 ROUTES = {"_residue_state", "_oracle_state", "_residue_setup",
           "_oracle_setup", "_suffix_rows", "monomial_weight", "moduli",
           "field"}
+GUARDS = {"MONOMIAL_CAP", "ResourceGuardError", "_refuse_over", "_over_cap",
+          "_degree_range"}
 
 
 def borrowed(source: str, functions=ORACLE, names=DIVISIBILITY) -> dict:
@@ -93,4 +96,16 @@ def test_the_walker_check_sees_a_planted_reference():
 
 def test_the_walker_names_no_route():
     assert borrowed((PACKAGE / "invalg.py").read_text(), WALKER, ROUTES) == \
+        {"_walk": []}
+
+
+def test_the_walker_holds_no_guard():
+    planted = (
+        "def _walk(gens, lo, hi, bases, max_count=None):\n"
+        "    _degree_range(gens, lo, hi)\n"
+        "    if len(gens) > (max_count or MONOMIAL_CAP):\n"
+        "        raise ResourceGuardError('over')\n")
+    assert borrowed(planted, WALKER, GUARDS) == {"_walk": [
+        "MONOMIAL_CAP", "ResourceGuardError", "_degree_range"]}
+    assert borrowed((PACKAGE / "invalg.py").read_text(), WALKER, GUARDS) == \
         {"_walk": []}
