@@ -22,15 +22,18 @@ Two canonical choices make every run reproducible:
 leave this module only as element numbers: in and out of `Fq.mul`, `Fq.pow`,
 `Fq.inv`, `multiplicative_generator` and `FqMatrix`.  (`FqElement` is a
 naive coefficient-tuple reference over them.)  A product is one `% p` for
-r = 1, and otherwise one int product of the two numbers' digits packed in
-slots too wide to carry, reduced once by `_poly_rem`.
-A matrix entry is one int code, its r coefficients packed little-endian in
-slots of w = (n*r*(p-1)**2).bit_length() bits (for r = 1, the residue), so
-a sum of n code products never carries between slots (Kronecker
-substitution).  A product entry is that int sum, unpacked and reduced by
-`_poly_rem` (for r = 1, one `% p`); `_reduce_slots` serves both.  For
-r >= 2 each field reduces a given sum once: one memo per slot width maps
-the sum to its reduced code, all of them bounded by `_REDUCE_BUDGET`
+r = 1.  For r >= 2 an element's code holds its r coefficients little-endian
+in w-bit slots, w = (n*r*(p-1)**2).bit_length() for n x n matrices, so a
+sum of n code products never carries between slots (Kronecker
+substitution); `Fq.mul` packs, multiplies and reduces as for n = 1.  Each
+field builds one table-driven `_kernel` per slot width, on first use: it
+packs by ORing in the codes of base-p^c digit chunks (p^c <= 2**10), and
+folds each product slot t^i above r - 1 back in through the packed
+residue R_i = t^i mod the modulus, for p = 2 by one AND with the slots'
+parity bits and an XOR of R_i per set high bit, for odd p by adding the
+pre-scaled (slot mod p) * R_i and one `% p` per low slot.  A matrix entry
+is one code (for r = 1, the residue); a product entry is an int sum,
+reduced through a memo per slot width, all bounded by `_REDUCE_BUDGET`
 entries, since unitriangular products repeat a few sums (mostly 0 and 1).
 `mat_pow(m, e)` takes bit_length(e) - 1 + popcount(e) - 1 products for e >= 1.
 
@@ -215,8 +218,8 @@ class Fq:
         self._low = _low_terms(self.modulus)
         # the slot width of one product of two element numbers
         self._w = _slot_width(self, 1)
-        # slot width -> reduction memo of the matrix product, one budget
-        self._memos, self._budget = {}, [_REDUCE_BUDGET]
+        # slot width -> `_kernel`, and -> matrix product memo (one budget)
+        self._kernels, self._memos, self._budget = {}, {}, [_REDUCE_BUDGET]
 
     # the modulus is the canonical one, so (p, r) names the field
     def __eq__(self, other):
@@ -264,11 +267,10 @@ class Fq:
     # multiplicative arithmetic on element numbers (see `from_int`)
     def mul(self, a: int, b: int) -> int:
         """Product of the elements numbered a and b."""
-        p, r = self.p, self.r
-        if r == 1:
-            return a * b % p
-        w = self._w
-        return _number(self, _pack(a, p, r, w) * _pack(b, p, r, w), w)
+        if self.r == 1:
+            return a * b % self.p
+        pack, reduce, number = self._kernel(self._w)
+        return number(reduce(pack(a) * pack(b)))
 
     def pow(self, a: int, e: int) -> int:
         """Element number of a ** e; a negative e inverts a first."""
@@ -284,14 +286,19 @@ class Fq:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.q - 2)
 
+    def _kernel(self, w: int):
+        """`_kernel` of this field for w-bit slots, built on first use."""
+        if w not in self._kernels:
+            self._kernels[w] = _kernel(self.p, self.r, self.modulus,
+                                       self._low, w)
+        return self._kernels[w]
+
     def _memo(self, w: int) -> _Table:
         """Memo from an unreduced product entry in w-bit slots to its
-        reduced code (see `FqMatrix.__mul__`)."""
+        reduced code (see `FqMatrix.__mul__`), filled by the kernel."""
         memo = self._memos.get(w)
         if memo is None:
-            memo = self._memos[w] = _Table(functools.partial(
-                _reduced_code, w, self.modulus, self.p, self._low),
-                self._budget)
+            memo = self._memos[w] = _Table(self._kernel(w)[1], self._budget)
         return memo
 
     def multiplicative_order(self, k: int) -> int:
@@ -372,41 +379,63 @@ def _slot_width(field: Fq, n: int) -> int:
     return (n * field.r * (field.p - 1) ** 2).bit_length()
 
 
-def _pack(k: int, p: int, r: int, w: int) -> int:
-    """Code of element number k: its r base-p digits in w-bit slots."""
-    code = 0
-    for shift in range(0, r * w, w):
-        k, c = divmod(k, p)
-        code |= c << shift
-    return code
+def _kernel(p: int, r: int, modulus, low, w: int):
+    """(pack, reduce, number) for codes in w-bit slots (module docstring;
+    for r = 1 the code is the number).  The closures hold tables, not the
+    field, so the memo that `reduce` fills holds no reference to it."""
+    if r == 1:
+        return int, lambda acc: acc % p, int
+    mask, top, chunk = (1 << w) - 1, r * w, [0]
 
+    def code_of(coeffs):
+        return sum(x << j * w for j, x in enumerate(coeffs))
 
-def _number(field: Fq, acc: int, w: int) -> int:
-    """Element number of the product whose unreduced polynomial sits in
-    acc's w-bit slots."""
-    k = 0
-    for c in reversed(_reduce_slots(acc, w, field.modulus, field.p,
-                                    field._low)):
-        k = k * field.p + c
-    return k
+    c = next(c for c in range(r, 0, -1) if p ** c <= 1 << 10)
+    base, cmask, spans = p ** c, (1 << c * w) - 1, range(0, top, c * w)
+    for s in range(0, c * w, w):
+        chunk = [x | d << s for d in range(p) for x in chunk]
+    digits = {code: d for d, code in enumerate(chunk)}
+    rems = [_poly_rem([0] * i + [1], modulus, p, low)
+            for i in range(r, 2 * r - 1)]
 
+    def pack(k):
+        code = 0
+        for s in spans:
+            k, d = divmod(k, base)
+            code |= chunk[d] << s
+        return code
 
-def _reduce_slots(acc: int, w: int, modulus, p: int, low) -> list[int]:
-    """Coefficients of the product whose unreduced polynomial (at most
-    2r - 1 terms) sits in acc's w-bit slots, reduced mod the modulus."""
-    mask = (1 << w) - 1
-    return _poly_rem([acc >> s & mask for s in range(0, acc.bit_length(), w)],
-                     modulus, p, low)
+    def number(code):
+        k = 0
+        for s in reversed(spans):
+            k = k * base + digits[code >> s & cmask]
+        return k
 
+    if p == 2:
+        parity, low_mask = code_of([1] * (2 * r - 1)), (1 << top) - 1
+        fold = {1 << j * w: code_of(rem) for j, rem in enumerate(rems)}
 
-def _reduced_code(w: int, modulus, p: int, low, acc: int) -> int:
-    """Code of the product entry whose unreduced sum sits in acc's w-bit
-    slots.  It takes the field's parts, not the field, so the memo that
-    calls it holds no reference back to its field."""
-    code = 0
-    for c in reversed(_reduce_slots(acc, w, modulus, p, low)):
-        code = code << w | c
-    return code
+        def reduce(acc):
+            acc &= parity
+            code, acc = acc & low_mask, acc >> top
+            while acc:
+                code ^= fold[acc & -acc]
+                acc &= acc - 1
+            return code
+        return pack, reduce, number
+    # sum (slot mod p) * R_i, each slot at most (r - 1)(p - 1) < 2^w
+    scaled = [(top + j * w, [code_of(v * x % p for x in rem)
+                             for v in range(p)]) for j, rem in enumerate(rems)]
+
+    def reduce(acc):
+        extra = 0
+        for s, row in scaled:
+            extra += row[(acc >> s & mask) % p]
+        code = 0
+        for s in range(0, top, w):
+            code |= ((acc >> s & mask) + (extra >> s & mask)) % p << s
+        return code
+    return pack, reduce, number
 
 
 class FqMatrix:
@@ -432,8 +461,8 @@ class FqMatrix:
         """Matrix of element numbers (see `Fq.from_int`), taken mod q."""
         if any(len(row) != len(rows) for row in rows):
             raise InputError("matrix must be square")
-        p, r, q, w = field.p, field.r, field.q, _slot_width(field, len(rows))
-        return cls._of(field, tuple(tuple(_pack(v % q, p, r, w) for v in row)
+        pack, q = field._kernel(_slot_width(field, len(rows)))[0], field.q
+        return cls._of(field, tuple(tuple(pack(v % q) for v in row)
                                     for row in rows))
 
     @property
@@ -466,8 +495,8 @@ class FqMatrix:
             for row in self.codes]))
 
     def to_int_rows(self) -> list[list[int]]:
-        f, w = self.field, _slot_width(self.field, self.n)
-        return [[_number(f, code, w) for code in row] for row in self.codes]
+        number = self.field._kernel(_slot_width(self.field, self.n))[2]
+        return [list(map(number, row)) for row in self.codes]
 
     def is_unitriangular(self) -> bool:
         return all(row[i] == 1 and not any(row[:i])
@@ -498,25 +527,26 @@ def unitriangular_elements(n: int, field: Fq, mode: str = "all",
     """
     if n < 1:
         raise InputError("matrix size must be at least 1")
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    p, r, q, w = field.p, field.r, field.q, _slot_width(field, n)
+    m = n * (n - 1) // 2
+    p, r, q = field.p, field.r, field.q
     if mode == "all":
-        size = q ** len(positions)
-        draws = (ks[::-1] for ks in
-                 itertools.product(range(q), repeat=len(positions)))
+        size = q ** m
+        draws = (ks[::-1] for ks in itertools.product(range(q), repeat=m))
     elif mode == "sample":
         if count is None or count < 1:
             raise InputError("sample mode needs a positive count")
         size, rng = count, random.Random(seed)
-        draws = ([rng.randrange(q) for _ in positions] for _ in range(count))
+        draws = ([rng.randrange(q) for _ in range(m)] for _ in range(count))
     else:
         raise InputError(f"unknown mode {mode!r}")
     if size > ENUMERATION_CAP:
         raise ResourceGuardError(
             f"{size} unitriangular matrices (mode {mode}) for n = {n}, "
             f"p = {p}, r = {r} exceed the enumeration cap {ENUMERATION_CAP}")
+    pack = field._kernel(_slot_width(field, n))[0]
+    heads = [(0,) * i + (1,) for i in range(n)]    # identity up to diagonal
+    cuts = list(itertools.accumulate(range(n - 1, -1, -1), initial=0))
     for ks in draws:
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        for (i, j), k in zip(positions, ks):
-            rows[i][j] = _pack(k, p, r, w)
-        yield FqMatrix._of(field, tuple(map(tuple, rows)))
+        codes = tuple(map(pack, ks))
+        yield FqMatrix._of(field, tuple([head + codes[a:b] for head, a, b
+                                         in zip(heads, cuts, cuts[1:])]))

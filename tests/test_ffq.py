@@ -483,19 +483,59 @@ def test_reduction_memo_stays_within_budget(monkeypatch):
             entrywise_product(entrywise_product(m, m), m)
     stored = [len(memo) for memo in f._memos.values()]
     assert len(stored) == 3 and sum(stored) == 40
+    # one kernel per slot width: the three matrix widths and Fq.mul's 5 bits
+    assert sorted(f._kernels) == [5, 6, 7, 8]
     # a fresh field stores nothing until it multiplies
-    assert not Fq(3, 6)._memos
-    # the memos hold no reference back to their field, so reference
-    # counting alone frees it, with the cyclic collector off
+    assert not Fq(3, 6)._memos and not Fq(3, 6)._kernels
+    # the memos and the kernels' tables hold no reference back to their
+    # field: with one memo and every kernel still held, reference counting
+    # alone frees it, with the cyclic collector off
+    held = f._memos[6], list(f._kernels.values())
     ref = weakref.ref(f)
     enabled = gc.isenabled()
     gc.disable()
     try:
         del f, draws, m
-        assert ref() is None
+        assert ref() is None and all(held)
     finally:
         if enabled:
             gc.enable()
+
+
+KERNEL_FIELDS = ((2, 3), (2, 8), (2, 20), (3, 6), (5, 2), (1021, 2))
+
+
+@pytest.mark.parametrize("p, r", KERNEL_FIELDS)
+def test_kernel_matches_poly_rem_reference(p, r):
+    # every slot width that n = 1..8 gives, with the largest slot value
+    # n*r*(p-1)^2 of that width: each slot alone at every position (every
+    # value up to 4096, else 0..2p, the top and a seeded sample), then
+    # seeded sums over all 2r - 1 slots, against `_poly_rem`
+    f, rng = Fq(p, r), random.Random(1000 * p + r)
+    tops = {(n * r * (p - 1) ** 2).bit_length(): n * r * (p - 1) ** 2
+            for n in range(1, 9)}
+    for w, top in tops.items():
+        pack, reduce, number = f._kernel(w)
+
+        def code(coeffs):
+            return sum(c << j * w for j, c in enumerate(coeffs))
+
+        def want(slots):
+            return code(ffq._poly_rem(slots, f.modulus, p, f._low))
+
+        values = range(top + 1) if top <= 4096 else sorted(
+            {*range(2 * p + 1), top, *rng.sample(range(top), 500)})
+        for i in range(2 * r - 1):
+            for v in values:
+                assert reduce(v << i * w) == want([0] * i + [v]), (w, i, v)
+        for _ in range(300):
+            slots = [rng.randint(0, top) for _ in range(2 * r - 1)]
+            assert reduce(code(slots)) == want(slots), (w, slots)
+        # packing is the digits in w-bit slots, and `number` reads it back
+        ks = range(f.q) if f.q <= 4096 else rng.sample(range(f.q), 2000)
+        for k in ks:
+            digits = [k // p ** j % p for j in range(r)]
+            assert pack(k) == code(digits) and number(code(digits)) == k
 
 
 def test_unitriangular_enumeration_counts():
