@@ -144,9 +144,11 @@ def emit_report(env, fmt: str, out_path=None) -> None:
 # ---------------------------------------------------------------------------
 
 def _read_json(path, what):
+    # ValueError covers bytes that are not UTF-8, text that is not JSON and
+    # integers over Python's digit limit; RecursionError, deep nesting
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 

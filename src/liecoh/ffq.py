@@ -246,17 +246,6 @@ class Fq:
             k //= self.p
         return FqElement(self, tuple(digits))
 
-    def zero(self) -> "FqElement":
-        return FqElement(self, (0,) * self.r)
-
-    def one(self) -> "FqElement":
-        return FqElement(self, (1,) + (0,) * (self.r - 1))
-
-    def elements(self):
-        """All q elements in lexicographic coefficient order."""
-        for coeffs in itertools.product(range(self.p), repeat=self.r):
-            yield FqElement(self, coeffs)
-
     # coefficient-tuple addition; FqElement operators delegate here
     def _add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -339,12 +328,6 @@ class FqElement:
 
     def __pow__(self, e: int):
         return self.field.from_int(self.field.pow(self.to_int(), e))
-
-    def inverse(self):
-        return self.field.from_int(self.field.inv(self.to_int()))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __bool__(self):
         return any(self.coeffs)

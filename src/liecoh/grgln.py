@@ -532,19 +532,6 @@ def exponent_check(n: int, p: int, r: int, mode: str = "all",
     }
 
 
-def _lucas_binom(m: int, k: int, p: int) -> int:
-    """Binomial coefficient C(m, k) mod p via base-p digits."""
-    result = 1
-    while m or k:
-        mi, ki = m % p, k % p
-        if ki > mi:
-            return 0
-        result = result * math.comb(mi, ki) % p
-        m //= p
-        k //= p
-    return result
-
-
 def chern_coefficient(n: int, p: int) -> int:
     """Leading coefficient (-1) * C(p^(n-1) - 1, 1) mod p of the Euler class
     expansion used to compare unitriangular and diagonal contributions; it
@@ -552,7 +539,7 @@ def chern_coefficient(n: int, p: int) -> int:
     if n < 2:
         raise InputError("matrix size must be at least 2")
     prime_power(p, 1)
-    return (-_lucas_binom(p ** (n - 1) - 1, 1, p)) % p
+    return (-math.comb(p ** (n - 1) - 1, 1)) % p
 
 
 def max_rank(n: int, r: int) -> int:

@@ -79,8 +79,10 @@ import copy
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -204,12 +206,6 @@ class AlgebraSpec:
     def ids(self):
         return tuple(g.id for g in self.generators)
 
-    def by_id(self, gid: str) -> GeneratorSpec:
-        try:
-            return self._by_id[gid]
-        except KeyError:
-            raise InputError(f"unknown generator id {gid!r}") from None
-
     def restrict(self, ids) -> "AlgebraSpec":
         """Sub-algebra on the given generator ids, order preserved."""
         keep = set(ids)
@@ -273,10 +269,6 @@ class AlgebraSpec:
     @functools.cached_property
     def _id_ranks(self) -> dict:    # each id's place in the sorted ids
         return {gid: rank for rank, gid in enumerate(sorted(self.ids))}
-
-    @functools.cached_property
-    def _by_id(self) -> dict:
-        return {g.id: g for g in self.generators}
 
 
 def canonical_json(obj) -> str:
@@ -605,12 +597,14 @@ def _residue_setup(alg: AlgebraSpec) -> tuple:
     """The divisibility route's degree-free set-up, held by the spec
     (`AlgebraSpec._residue_state`): the walk order (`_walk_order`), the
     place of each coordinate's digit in the packed state (digit c in base
-    moduli[c]) and, per generator in walk order, its step table and its
+    moduli[c]), the stride (the product of the moduli, above every packed
+    state) and, per generator in walk order, its step table and its
     inverse step table (the state before one more factor), each adding its
     weight to the coordinates it acts on.  The step tables are filled on
     lookup, from one budget for the spec."""
     gens, moduli = _walk_order(alg.generators), alg.moduli
-    places = tuple(math.prod(moduli[:c]) for c in range(alg.torus_rank))
+    # one running product: places[c] = moduli[0] * ... * moduli[c - 1]
+    *places, stride = itertools.accumulate(moduli, operator.mul, initial=1)
     budget = [_TABLE_BUDGET]
 
     def add(move):
@@ -626,30 +620,28 @@ def _residue_setup(alg: AlgebraSpec) -> tuple:
     backs = tuple(tuple((place, m, -w % m) for place, m, w in move)
                   for move in moves)
     steps = _tables(moves + backs, add)
-    return gens, places, steps[:len(gens)], steps[len(gens):]
+    return gens, places, stride, steps[:len(gens)], steps[len(gens):]
 
 
-def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
-    """The walk order (`_walk_order`), step tables, `allowed` tests and
-    `stride` for the divisibility test over degrees lo..hi.
+def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> list:
+    """The `allowed` tests of the divisibility test over degrees lo..hi,
+    one per generator in the spec's walk order (`_residue_setup`), None
+    where there is nothing to test.
 
     The state is the weight residue vector packed into one integer, digit c
-    in base moduli[c], so the monomial 1 and the accepted state are both 0;
-    the order and step tables are the spec's own (`_residue_setup`).
-    `allowed[j](rem * stride + s)` passes when, in every coordinate,
-    generators j onward can bring the residue of s to 0 with a monomial
-    whose degree lands rem degrees below hi in lo..hi (`_suffix_rows`).
-    The sets of a coordinate take `_row_bytes` per degree and generator
-    from the call's _ROWS_BUDGET bytes; a coordinate whose sets do not fit
-    is checked against the gcd of the weights ahead, for all degrees.
+    in base moduli[c], so the monomial 1 and the accepted state are both 0.
+    `allowed[j](rem, s)` passes when, in every coordinate, generators j
+    onward can bring the residue of state s to 0 with a monomial whose
+    degree lands rem degrees below hi in lo..hi (`_suffix_rows`).  The
+    sets of a coordinate take `_row_bytes` per degree and generator from
+    the call's _ROWS_BUDGET bytes; a coordinate whose sets do not fit is
+    checked against the gcd of the weights ahead, for all degrees.
     """
     _degree_range(alg.generators, lo, hi)
-    gens, places, steps, _ = alg._residue_state
-    stride = math.prod(alg.moduli)      # every packed state is below it
+    gens, places = alg._residue_state[:2]
 
     def completable(checks):
-        def test(key):
-            rem, s = divmod(key, stride)
+        def test(rem, s):
             for place, m, rows in checks:
                 if not rows[rem] >> (s // place % m) & 1:
                     return False
@@ -666,8 +658,7 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
                                _suffix_rows(gens, c, m, lo, hi, exact)):
             if rows is not None:
                 check.append((place, m, rows))
-    allowed = _tables([tuple(check) for check in checks], completable)
-    return gens, steps, allowed, stride
+    return _tables([tuple(check) for check in checks], completable)
 
 
 def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
@@ -675,34 +666,36 @@ def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
     """Number of invariant monomials of each degree lo..hi, counted without
     listing one: the transfer-matrix method (Stanley, Enumerative
     Combinatorics I, 4.7) run over the divisibility route's walk order and
-    tables (`_residue_route` over lo..hi), which hold all of its invariance
-    logic.
+    step tables (`_residue_setup`) and its tests over lo..hi
+    (`_residue_route`), which hold all of its invariance logic.
 
     layers[t] maps a packed residue state to the number of monomials of
     degree t < hi in the generators added so far that reach it.  Generator j
     is added in place: an exterior one from the top layer down, so no
     monomial takes it twice, a polynomial one from the bottom up, so a layer
-    it has extended is extended again.  An entry new to its layer is kept
-    only if `allowed` passes it for the generators that may still follow
-    (j onward for a polynomial generator, j + 1 onward for an exterior one),
-    and once j is added every entry that generators j + 1 onward cannot
-    complete is dropped.  Degree hi is never stored: before generator j is
-    added, each of its final factors g^e adds the count filed in degree
-    hi - e * degree under the state -e * weight, the one state that g^e
-    takes to 0 (by the inverse step table).
+    it has extended is extended again.  An entry (t, s) new to its layer is
+    kept only if `allowed` passes (hi - t, s) for the generators that may
+    still follow (j onward for a polynomial generator, j + 1 onward for an
+    exterior one), and once j is added every entry that generators j + 1
+    onward cannot complete is dropped.  Degree hi is never stored: before
+    generator j is added, each of its final factors g^e adds the count filed
+    in degree hi - e * degree under the state -e * weight, the one state
+    that g^e takes to 0 (by the inverse step table).
 
     A `births` dict receives the birth of each entry (t, s) kept and of
-    (hi, 0), keyed t * stride + s: the number of generators added when it
-    became nonzero.  Counts only grow, and no entry that an invariant
-    passes through is dropped, so such an entry is reached by the first k
-    generators exactly when its birth is at most k.
+    (hi, 0), keyed t * stride + s (the spec's stride, `_residue_setup`):
+    the number of generators added when it became nonzero.  Counts only
+    grow, and no entry that an invariant passes through is dropped, so such
+    an entry is reached by the first k generators exactly when its birth is
+    at most k.
 
     Returns the counts, the most live entries held at once and, per degree
     below hi, the most entries its layer held.  More than SERIES_CAP live
     entries, births included, raise ResourceGuardError.
     """
-    gens, steps, allowed, stride = _residue_route(alg, lo, hi)
-    backs, after = alg._residue_state[3], [*allowed[1:], None]
+    allowed = _residue_route(alg, lo, hi)
+    gens, _, stride, steps, backs = alg._residue_state
+    after = [*allowed[1:], None]
     layers = [{} for _ in range(hi)]
     if hi:
         layers[0][0] = 1
@@ -724,14 +717,14 @@ def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
         else:
             ok, degrees = after[j], range(hi - 1, d - 1, -1)
         for t in degrees:
-            layer, key, born = layers[t], (hi - t) * stride, t * stride
+            layer, rem, born = layers[t], hi - t, t * stride
             size, get = len(layer), layer.get
             for s, c in layers[t - d].items():
                 u = s if step is None else step[s]
                 old = get(u)
                 if old is not None:
                     layer[u] = old + c
-                elif ok is None or ok(key + u):
+                elif ok is None or ok(rem, u):
                     layer[u] = c
                     # an entry dropped and made again keeps its birth
                     if births is not None:
@@ -750,8 +743,7 @@ def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
         ok = after[j]
         if ok is not None and ok is not allowed[j]:
             for t, layer in enumerate(layers):
-                key = (hi - t) * stride
-                dead = [s for s in layer if not ok(key + s)]
+                dead = [s for s in layer if not ok(hi - t, s)]
                 for s in dead:
                     del layer[s]
                 live -= len(dead)
@@ -772,8 +764,8 @@ def _trace_back(alg: AlgebraSpec, lo: int, counts, births) -> tuple:
     the first that leaves a degree the generators before j reach, by degree
     alone, so the first generator takes its one exponent at once.
     """
-    gens, _, steps, backs = alg._residue_state
-    stride, hi = math.prod(alg.moduli), lo + len(counts) - 1
+    gens, _, stride, steps, backs = alg._residue_state
+    hi = lo + len(counts) - 1
     factors, reach = [], 0
     for g, step, back, base in zip(gens, steps, backs, _codes(alg, gens)):
         cap = 1 if g.parity == EXTERIOR else hi
@@ -875,7 +867,9 @@ def _oracle_setup(alg: AlgebraSpec) -> tuple:
     half = len(gens) // 2
     scalars = [field.pow(field.generator, (q - 1) // m) for m in alg.moduli]
     inverted = [field.inv(x) for x in scalars]
-    places = [q ** c for c in range(alg.torus_rank)]
+    # one running product: places[c] = q ** c
+    places = list(itertools.accumulate([q] * (alg.torus_rank - 1),
+                                       operator.mul, initial=1))
     budget = [_TABLE_BUDGET]
 
     def act(moves):

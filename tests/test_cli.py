@@ -608,6 +608,25 @@ def test_bad_input_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+MALFORMED = {"not_utf8": b'{"names": "\xff"}',
+             "long_integer": b"[" + b"7" * 5000 + b"]",
+             "deep_nesting": b"[" * 100000 + b"]" * 100000}
+READERS = {"spec": "invariants run --max-degree 1 --spec",
+           "lattice": "rootsys divisibility --type A --rank 2 --n 2 --lattice",
+           "grid": "verify all --grid"}
+
+
+@pytest.mark.parametrize("content", MALFORMED.values(), ids=list(MALFORMED))
+@pytest.mark.parametrize("what", READERS)
+def test_unreadable_json_file_exits_two(tmp_path, capsys, content, what):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main(READERS[what].split() + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {what} file ")
+
+
 def test_field_checked_before_generators_are_built(capsys):
     # r = 10**6 would otherwise build 10**6 generators per root or position,
     # with weights up to p^r, before the field size cap is looked at

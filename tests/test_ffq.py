@@ -164,24 +164,24 @@ def test_from_int_round_trip():
     assert len(seen) == 9
 
 
-def test_element_order_of_listing():
-    # elements() runs in lexicographic coefficient order, constant term first
-    k4 = Fq(2, 2)
-    assert [e.coeffs for e in k4.elements()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+def elements(k):
+    """All q elements of k in lexicographic coefficient order, constant
+    term first."""
+    return sorted(map(k.from_int, range(k.q)), key=lambda e: e.coeffs)
 
 
 def test_field_axioms_exhaustive_small():
     for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)):
         k = Fq(p, r)
-        elems = list(k.elements())
-        one, zero = k.one(), k.zero()
+        elems = elements(k)
+        one, zero = k.from_int(1), k.from_int(0)
         for a in elems:
             assert a + zero == a
             assert a * one == a
             assert a * zero == zero
             assert a - a == zero
-            if not a.is_zero():
-                assert a * a.inverse() == one
+            if a:
+                assert a * a ** -1 == one
         for a in elems:
             for b in elems:
                 assert a + b == b + a
@@ -199,19 +199,19 @@ def test_field_axioms_random_medium():
             assert (a + b) + c == a + (b + c)
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
-            if not a.is_zero():
-                assert (a * b) * a.inverse() == b
+            if a:
+                assert (a * b) * a ** -1 == b
 
 
 def test_pow_matches_repeated_multiplication():
     k = Fq(3, 2)
     a = k.from_int(5)
-    acc = k.one()
+    one = acc = k.from_int(1)
     for e in range(12):
         assert a ** e == acc
         acc = acc * a
-    assert a ** (-1) == a.inverse()
-    assert a ** (-2) == (a * a).inverse()
+    assert a ** (-1) * a == one
+    assert a ** (-2) * (a * a) == one
 
 
 def digits(k, p, r):
@@ -292,12 +292,12 @@ def test_multiplicative_generator_has_full_order():
         k = Fq(p, r)
         g = k.from_int(multiplicative_generator(k))
         n = k.q - 1
-        acc = k.one()
+        acc = k.from_int(1)
         seen = set()
         for _ in range(n):
             acc = acc * g
             seen.add(acc)
-        assert acc == k.one()
+        assert acc == k.from_int(1)
         assert len(seen) == n
 
 
@@ -307,10 +307,10 @@ def test_multiplicative_generator_is_lex_smallest():
     for p, r, by_number in ((3, 2, 4), (2, 3, 2), (5, 2, 7)):
         k = Fq(p, r)
         g = multiplicative_generator(k)
-        for e in k.elements():
+        for e in elements(k):
             if e.coeffs >= k.from_int(g).coeffs:
                 break
-            if e.is_zero():
+            if not e:
                 continue
             assert k.multiplicative_order(e.to_int()) < k.q - 1
         assert k.multiplicative_order(g) == k.q - 1
@@ -374,7 +374,7 @@ def entrywise_product(x, y):
     for i in range(n):
         row = []
         for j in range(n):
-            acc = f.zero()
+            acc = f.from_int(0)
             for k in range(n):
                 acc = acc + xs[i][k] * ys[k][j]
             row.append(acc.to_int())

@@ -40,8 +40,9 @@ def test_build_gr_un_odd():
     assert parities["x[1,2,0]"] == EXTERIOR
     assert parities["y[1,2,0]"] == POLYNOMIAL
     # weight of (1,2) is e_1 - e_2 reduced mod 2
-    assert alg.by_id("x[1,2,0]").weight == (1, 1, 0)
-    assert alg.by_id("x[1,2,0]").weight == alg.by_id("y[1,2,0]").weight
+    weight = {g.id: g.weight for g in alg.generators}
+    assert weight["x[1,2,0]"] == (1, 1, 0)
+    assert weight["x[1,2,0]"] == weight["y[1,2,0]"]
 
 
 def test_build_gr_un_char2():
@@ -52,8 +53,9 @@ def test_build_gr_un_char2():
     assert all(g.parity == POLYNOMIAL and g.degree == 1
                for g in alg.generators)
     assert alg.moduli == (3, 3, 3)
-    assert alg.by_id("x[1,2,0]").weight == (1, 2, 0)
-    assert alg.by_id("x[1,2,1]").weight == (2, 1, 0)
+    weight = {g.id: g.weight for g in alg.generators}
+    assert weight["x[1,2,0]"] == (1, 2, 0)
+    assert weight["x[1,2,1]"] == (2, 1, 0)
 
 
 def test_build_gr_un_counts_and_errors():
@@ -80,12 +82,13 @@ def test_triangle_weight_additivity():
     spec = build_gr_un(4, 3, 1)
     alg = spec.algebra
     m = alg.moduli[0]
+    weight = {g.id: g.weight for g in alg.generators}
     for i in range(1, 5):
         for j in range(i + 1, 5):
             for loong in range(j + 1, 5):
-                wij = alg.by_id(f"x[{i},{j},0]").weight
-                wjl = alg.by_id(f"x[{j},{loong},0]").weight
-                wil = alg.by_id(f"x[{i},{loong},0]").weight
+                wij = weight[f"x[{i},{j},0]"]
+                wjl = weight[f"x[{j},{loong},0]"]
+                wil = weight[f"x[{i},{loong},0]"]
                 assert tuple((a + b) % m for a, b in zip(wij, wjl)) == wil
 
 

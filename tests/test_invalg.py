@@ -88,13 +88,26 @@ def mono(**exps):
     return Monomial(tuple(exps.items()))
 
 
+@functools.lru_cache(maxsize=8)
+def generators_by_id(alg):
+    return {g.id: g for g in alg.generators}
+
+
+def generator(alg, gid):
+    """The generator of `alg` with id `gid`; InputError for an unknown id."""
+    try:
+        return generators_by_id(alg)[gid]
+    except KeyError:
+        raise InputError(f"unknown generator id {gid!r}") from None
+
+
 def monomial_weight(alg, m):
     """Coordinatewise exponent-weighted sum of generator weights, reduced:
     the plain filter's invariance test, written here so that it shares no
     code with either route."""
     total = [0] * alg.torus_rank
     for gid, e in m.exps:
-        g = alg.by_id(gid)
+        g = generator(alg, gid)
         if g.parity == EXTERIOR and e > 1:
             raise InputError(f"exterior generator {gid!r} squares to zero")
         for c, w in enumerate(g.weight):
@@ -943,9 +956,9 @@ def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
     # the divisibility route's step and inverse step tables draw on the
     # spec's one budget; its pruning tests are plain functions that store
     # nothing
-    _, _, steps, backs = alg._residue_state
+    _, _, _, steps, backs = alg._residue_state
     assert stored(steps + backs) == 7
-    allowed = invalg._residue_route(alg, 14, 14)[2]
+    allowed = invalg._residue_route(alg, 14, 14)
     assert all(allowed) and not any(isinstance(test, ffq._Table)
                                     for test in allowed)
     # the oracle's closing tables are the spec's and draw on its one
@@ -1005,13 +1018,13 @@ def eigenvalue_reference(alg, degree):
     scalars = [gen ** ((q - 1) // m if q > 2 else 0) for m in alg.moduli]
     keep = []
     for m in enumerate_monomials(alg, degree):
-        products = [field.one()] * alg.torus_rank
+        products = [field.from_int(1)] * alg.torus_rank
         for gid, e in m.exps:
-            weight = alg.by_id(gid).weight
+            weight = generator(alg, gid).weight
             for _ in range(e):
                 products = [v * x ** w
                             for v, x, w in zip(products, scalars, weight)]
-        if all(v == field.one() for v in products):
+        if all(v == field.from_int(1) for v in products):
             keep.append(m)
     return keep
 
@@ -1162,6 +1175,29 @@ def test_oracle_half_walks_close_coordinates(monkeypatch):
     monkeypatch.setattr(invalg, "_walk", counted)
     assert invariant_monomials_oracle(alg, 9) == []
     assert nodes == [382, 780]
+
+
+def test_walks_make_children_only_that_reach_the_degrees(monkeypatch):
+    # 20 zero-weight exterior generators in degree 20 have one monomial, and
+    # a node makes children only with generators that leave enough ahead to
+    # reach the degree (`_stops`); with every generator the same calls pop
+    # 1,048,575 nodes, and the oracle's half walks 1,023 each
+    nodes, walk = [], invalg._walk
+
+    def counted(*args, **kwargs):
+        stats = {}
+        out = walk(*args, **kwargs, stats=stats)
+        nodes.append(stats["nodes"])
+        return out
+
+    gens = [GeneratorSpec(f"x{i:02}", EXTERIOR, 1, (0,)) for i in range(20)]
+    alg = AlgebraSpec.make(3, 1, 1, gens)
+    monkeypatch.setattr(invalg, "_walk", counted)
+    listing = enumerate_monomials(alg, 20)
+    assert len(listing) == 1 and nodes == [20]
+    nodes.clear()
+    assert invariant_monomials_oracle(alg, 20) == listing
+    assert nodes == [10, 10]
 
 
 @pytest.mark.parametrize("n, p, degree, count", [(8, 11, 19, 76),
