@@ -29,6 +29,7 @@ from .gl2 import gl2_landmarks
 from .invalg import (
     AlgebraSpec,
     Monomial,
+    _detection,
     detection_kernel,
     dimension_series,
     graded_model_guard,
@@ -193,7 +194,8 @@ def subgroup_support(spec: GrUnSpec, kind: str, *indices) -> SubgroupSupport:
 def hook_detection(spec: GrUnSpec, degree=None) -> dict:
     """Invariant dimension series up to the first interesting degree and the
     kernel of restriction to a detecting family (all hooks for p odd, all
-    root supports in characteristic 2)."""
+    root supports in characteristic 2), from one count over degrees
+    0..degree that traces back the kernel's degree alone."""
     p, r = spec.field.p, spec.field.r
     if degree is None:
         degree = r * (2 * p - 3)
@@ -202,9 +204,7 @@ def hook_detection(spec: GrUnSpec, degree=None) -> dict:
     n, kind = spec.n, "root" if p == 2 else "hook"
     family = [subgroup_support(spec, kind, i, j) for i, j in _positions(n)]
     alg = spec.algebra
-    det = detection_kernel(alg, degree, family)
-    series = dimension_series(alg, degree - 1, "invariant") \
-        + [det["invariant_dim"]]
+    series, det = _detection(alg, 0, degree, family)
     vanishing_ok = all(d == 0 for d in series[1:degree])
     return {
         "op": "hook_detection",

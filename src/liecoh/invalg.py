@@ -41,7 +41,9 @@ it never drops an entry that an invariant passes through.  A series reads
 its counts at state 0.  A listing also records each entry's birth, the
 number of generators added when it first became nonzero, and traces each
 invariant back from (degree, state 0) through entries born early enough
-(`_trace_back`), so it makes nothing that it prunes later.
+(`_trace_back`), so it makes nothing that it prunes later.  A detection
+report counts once, traces back its top degree alone and tests family
+membership on the factor codes (`_detection`).
 
 The other enumerations run on one walker: a depth-first descent over a
 list of generators, kept on an explicit stack, that reaches each monomial
@@ -313,7 +315,7 @@ def _entries(pairs) -> tuple:
 
 
 def monomial_json(m: Monomial) -> dict:
-    return {"exps": {i: e for i, e in m.exps}, "str": m.format()}
+    return {"exps": dict(m.exps), "str": m.format()}
 
 
 def canonical_sort(monomials) -> list[Monomial]:
@@ -623,10 +625,14 @@ def _residue_setup(alg: AlgebraSpec) -> tuple:
     return gens, places, stride, steps[:len(gens)], steps[len(gens):]
 
 
-def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> list:
+def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     """The `allowed` tests of the divisibility test over degrees lo..hi,
     one per generator in the spec's walk order (`_residue_setup`), None
-    where there is nothing to test.
+    where there is nothing to test, and the `fresh` tests: fresh[j] tests
+    the coordinates of allowed[j] whose rows are not the very object that
+    allowed[j - 1] tests (`_suffix_rows` shares unchanged rows), and all of
+    them for j <= 1.  So past generator 1, a state that passes allowed[j - 1]
+    passes allowed[j] exactly when it passes fresh[j].
 
     The state is the weight residue vector packed into one integer, digit c
     in base moduli[c], so the monomial 1 and the accepted state are both 0.
@@ -648,17 +654,20 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> list:
             return True
         return test
 
-    checks, left = [[] for _ in gens], _ROWS_BUDGET
+    checks, fresh, left = [[] for _ in gens], [[] for _ in gens], _ROWS_BUDGET
     for c, (place, m) in enumerate(zip(places, alg.moduli)):
         size = len(gens) * (hi + 1) * _row_bytes(m)
         exact = size <= left
         if exact:
             left -= size
-        for check, rows in zip(checks,
-                               _suffix_rows(gens, c, m, lo, hi, exact)):
+        out = _suffix_rows(gens, c, m, lo, hi, exact)
+        for j, rows in enumerate(out):
             if rows is not None:
-                check.append((place, m, rows))
-    return _tables([tuple(check) for check in checks], completable)
+                checks[j].append((place, m, rows))
+                if j <= 1 or rows is not out[j - 1]:
+                    fresh[j].append((place, m, rows))
+    tests = _tables([tuple(check) for check in checks + fresh], completable)
+    return tests[:len(gens)], tests[len(gens):]
 
 
 def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
@@ -677,7 +686,8 @@ def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
     kept only if `allowed` passes (hi - t, s) for the generators that may
     still follow (j onward for a polynomial generator, j + 1 onward for an
     exterior one), and once j is added every entry that generators j + 1
-    onward cannot complete is dropped.  Degree hi is never stored: before
+    onward cannot complete is dropped, by fresh[j + 1] alone, since every
+    live entry passes allowed[j] already.  Degree hi is never stored: before
     generator j is added, each of its final factors g^e adds the count filed
     in degree hi - e * degree under the state -e * weight, the one state
     that g^e takes to 0 (by the inverse step table).
@@ -693,9 +703,9 @@ def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
     below hi, the most entries its layer held.  More than SERIES_CAP live
     entries, births included, raise ResourceGuardError.
     """
-    allowed = _residue_route(alg, lo, hi)
+    allowed, fresh = _residue_route(alg, lo, hi)
     gens, _, stride, steps, backs = alg._residue_state
-    after = [*allowed[1:], None]
+    after, prune = [*allowed[1:], None], [*fresh[1:], None]
     layers = [{} for _ in range(hi)]
     if hi:
         layers[0][0] = 1
@@ -740,8 +750,8 @@ def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
                     f"{g.id!r}, position {j} of {len(gens)} in walk order, "
                     f"more than the cap {SERIES_CAP}")
         peak = max(peak, live)
-        ok = after[j]
-        if ok is not None and ok is not allowed[j]:
+        ok = prune[j]
+        if ok is not None and after[j] is not allowed[j]:
             for t, layer in enumerate(layers):
                 dead = [s for s in layer if not ok(hi - t, s)]
                 for s in dead:
@@ -1046,38 +1056,59 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
     return dims
 
 
-def detection_kernel(alg: AlgebraSpec, degree: int, family) -> dict:
-    """Invariant monomials supported inside no family member.
-
-    Each family member is a set of generator ids (anything with an `ids`
-    attribute is accepted too).  An invariant monomial restricts nontrivially
-    to the member subalgebras containing its support; the kernel of the joint
-    restriction is spanned by the monomials contained in none of them, and the
-    cokernel of the corresponding sum-of-subspaces map has the same dimension.
-    """
-    known = set(alg.ids)
-    id_sets = []
-    for member in family:
+def _detection(alg: AlgebraSpec, lo: int, degree: int, family) -> tuple:
+    """The invariant counts of degrees lo..degree, from one count with
+    births, and the `detection_kernel` report of `degree`, traced back
+    alone.  Each generator rank carries one bit per family member holding
+    it, so a code tuple lies inside some member exactly when the AND over
+    its factors is nonzero.  Unknown ids raise InputError before anything
+    is counted."""
+    ranks, id_sets = alg._id_ranks, []
+    bits = [0] * len(ranks)
+    for i, member in enumerate(family):
         ids = set(getattr(member, "ids", member))
-        unknown = ids - known
+        unknown = ids.difference(ranks)
         if unknown:
             raise InputError(f"unknown generator ids {sorted(unknown)}")
         id_sets.append(ids)
-    inv = invariant_monomials(alg, degree)
-    kernel = []
-    for m in inv:
-        support = m.support()
-        if not any(support <= ids for ids in id_sets):
-            kernel.append(m)
-    return {
+        for gid in ids:
+            bits[ranks[gid]] |= 1 << i
+    births = {}
+    counts = _count_invariants(alg, lo, degree, births)[0]
+    _refuse_over(counts[-1:], degree, MONOMIAL_CAP)
+    (found,), _ = _trace_back(alg, degree, counts[-1:], births)
+    w, every, kernel = _code_width(alg), (1 << len(id_sets)) - 1, []
+    for codes in found:
+        inside = every      # the members that hold each factor so far
+        for code in codes:
+            inside &= bits[code // w]
+        if not inside:
+            kernel.append(codes)
+    kernel = _as_monomials(kernel, alg)     # only the kernel's Monomials
+    return counts, {
         "spec_hash": alg.spec_hash(),
         "degree": degree,
-        "invariant_dim": len(inv),
+        "invariant_dim": counts[-1],
         "kernel_dim": len(kernel),
         "cokernel_dim": len(kernel),
         "kernel_basis": [monomial_json(m) for m in kernel],
         "family": [sorted(ids) for ids in id_sets],
     }
+
+
+def detection_kernel(alg: AlgebraSpec, degree: int, family) -> dict:
+    """Invariant monomials of `degree` supported inside no family member,
+    each member a set of generator ids (or anything with an `ids` attribute).
+
+    An invariant monomial restricts nontrivially to the member subalgebras
+    containing its support; the kernel of the joint restriction is spanned
+    by the monomials contained in none of them, and the cokernel of the
+    corresponding sum-of-subspaces map has the same dimension.  The degree
+    is counted alone and its invariants traced back as factor codes, whose
+    membership is one AND of per-generator member bits (`_detection`), so
+    only the kernel's monomials are made.
+    """
+    return _detection(alg, degree, degree, family)[1]
 
 
 def quillen_verify(p: int, r: int) -> dict:

@@ -194,6 +194,26 @@ def test_hook_detection_walks_each_degree_once(monkeypatch):
     assert rep["series"] == [1, 0, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("p, r, n, degree", [
+    *((p, r, n, None) for p, r, n in verifygrid.GR_GRID),
+    (5, 1, 5, 12), (3, 2, 4, 10)])
+def test_hook_detection_equals_the_separate_counts(p, r, n, degree):
+    # one count over 0..D gives the series a count to D - 1 gives and the
+    # kernel that a count of degree D alone gives
+    spec = build_gr_un(n, p, r)
+    rep = hook_detection(spec, degree)
+    degree = rep["degree"]
+    kind = "root" if p == 2 else "hook"
+    family = [subgroup_support(spec, kind, i, j)
+              for i, j in grgln._positions(n)]
+    exact = invalg.detection_kernel(spec.algebra, degree, family)
+    assert rep["series"] == invalg.dimension_series(spec.algebra, degree,
+                                                    "invariant")
+    assert rep["series"][degree] == exact["invariant_dim"]
+    assert rep["kernel_basis"] == exact["kernel_basis"]
+    assert rep["kernel_dim"] == rep["cokernel_dim"] == exact["kernel_dim"]
+
+
 def test_essential_kernel_unique_witness():
     rep = essential_kernel(4, 5)
     assert rep["degree"] == 7
@@ -228,22 +248,28 @@ def test_essential_kernel_large_p_hooks():
 def test_essential_kernel_walk_counts(monkeypatch):
     # the listing walk popped 990 nodes and pruned 7,251 children on (8,11),
     # 367 and 3,682 on (7,13); the traceback probes a birth per (node,
-    # generator, exponent) tried and prunes nothing
+    # generator, exponent) tried and prunes nothing.  The kernel's degree is
+    # counted alone (lo = hi), so these are the counts of a listing's walk
     walks = []
-    listing = invalg.invariant_monomials_by_degree
+    count, trace = invalg._count_invariants, invalg._trace_back
 
-    def record(alg, lo, hi):
-        found = listing(alg, lo, hi, stats=(stats := {}))
-        walks.append(stats)
-        return found
+    def record_count(alg, lo, hi, births):
+        counts, peak, most = count(alg, lo, hi, births)
+        walks.append({"peak": peak, "births": len(births), "leaves": counts})
+        return counts, peak, most
 
-    monkeypatch.setattr(invalg, "invariant_monomials_by_degree", record)
-    cap = invalg.SERIES_CAP
+    def record_trace(alg, lo, counts, births):
+        found, probes = trace(alg, lo, counts, births)
+        walks[-1]["probes"] = probes
+        return found, probes
+
+    monkeypatch.setattr(invalg, "_count_invariants", record_count)
+    monkeypatch.setattr(invalg, "_trace_back", record_trace)
     for (n, p), want in (
             ((8, 11), {"peak": 42, "births": 240, "probes": 841,
-                       "leaves": [76], "cap": cap}),
+                       "leaves": [76]}),
             ((7, 13), {"peak": 38, "births": 208, "probes": 455,
-                       "leaves": [42], "cap": cap})):
+                       "leaves": [42]})):
         walks.clear()
         assert essential_kernel(n, p)["kernel_dim"] == 1
         assert walks == [want]
@@ -566,12 +592,16 @@ BENCH_GRID = ["c01", "c02", "c03", "c04", "c05", "c06", "c07", "c09", "c10",
 
 
 def _count_detection_kernels(monkeypatch):
+    # hook_detection calls the helper itself, essential_kernel through
+    # detection_kernel
     calls = []
+    detection = invalg._detection
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return invalg.detection_kernel(*args, **kwargs)
-    monkeypatch.setattr(grgln, "detection_kernel", counted)
+        return detection(*args)
+    monkeypatch.setattr(grgln, "_detection", counted)
+    monkeypatch.setattr(invalg, "_detection", counted)
     return calls
 
 

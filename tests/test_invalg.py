@@ -3,6 +3,7 @@ import functools
 import gc
 import itertools
 import random
+import unittest.mock
 import weakref
 
 import pytest
@@ -958,9 +959,9 @@ def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
     # nothing
     _, _, _, steps, backs = alg._residue_state
     assert stored(steps + backs) == 7
-    allowed = invalg._residue_route(alg, 14, 14)
+    allowed, fresh = invalg._residue_route(alg, 14, 14)
     assert all(allowed) and not any(isinstance(test, ffq._Table)
-                                    for test in allowed)
+                                    for test in allowed + fresh)
     # the oracle's closing tables are the spec's and draw on its one
     # budget: on the (1,5) hook both halves close coordinates, and the
     # step, product and closing tables store 7 entries in all
@@ -1429,6 +1430,42 @@ def test_detection_kernel_hook_n4():
 def test_detection_kernel_unknown_id():
     with pytest.raises(InputError):
         detection_kernel(gr_u3_p3(), 3, [{"bogus"}])
+
+
+@dataclasses.dataclass(frozen=True)
+class Support:
+    ids: frozenset
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 8), st.data())
+def test_detection_kernel_bits_match_the_support_definition(seed, degree,
+                                                            data):
+    alg = random_algebra_spec(random.Random(seed))
+    ids = sorted(alg.ids)
+    members = data.draw(st.lists(st.frozensets(st.sampled_from(ids)),
+                                 max_size=4))
+    objects = data.draw(st.lists(st.booleans(), min_size=len(members),
+                                 max_size=len(members)))
+    drawn = [Support(m) if o else set(m) for m, o in zip(members, objects)]
+    inv = invariant_monomials(alg, degree)
+    # the drawn family, an empty one, one with a member holding every id,
+    # and one with every member twice
+    for family in (drawn, [], drawn + [Support(frozenset(ids))],
+                   drawn + drawn):
+        sets = [set(getattr(f, "ids", f)) for f in family]
+        kernel = [m for m in inv
+                  if not any(m.support() <= ids for ids in sets)]
+        rep = detection_kernel(alg, degree, family)
+        assert rep["kernel_basis"] == [monomial_json(m) for m in kernel]
+        assert rep["kernel_dim"] == rep["cokernel_dim"] == len(kernel)
+        assert rep["invariant_dim"] == len(inv)
+        assert rep["family"] == [sorted(ids) for ids in sets]
+    # an unknown id is refused before anything is counted
+    with unittest.mock.patch.object(invalg, "_count_invariants") as count:
+        with pytest.raises(InputError):
+            detection_kernel(alg, degree, drawn + [{ids[0], "bogus"}])
+    assert not count.called
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ DIVISIBILITY = {"_residue_route", "_residue_setup", "_residue_state",
                 "_suffix_rows", "_trace_back", "monomial_weight"}
 DIVISIBILITY_ROUTE = ("_residue_setup", "_residue_route", "_suffix_rows",
                       "_count_invariants", "_trace_back",
-                      "invariant_monomials_by_degree")
+                      "invariant_monomials_by_degree", "_detection")
 ORACLE_NAMES = {"_oracle_setup", "_oracle_state",
                 "invariant_monomials_oracle_by_degree", "field", "generator"}
 WALKER = ("_walk",)
