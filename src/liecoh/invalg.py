@@ -21,56 +21,53 @@ pass:
 The two deliberately share no invariance logic, so each checks the other.
 Each sets up what no degree changes once per spec, on its first call, by
 its own function, and the spec holds the result: the divisibility route
-its walk order and step tables, forward and inverse, the oracle its
-halves, scalars, eigenvalues, product tables, step tables and closing
-tables.  A call builds only what depends on its degrees.  Both order the
-generators by a minimum-degree elimination order (`_walk_order`, a
-permutation that holds no invariance test), which closes torus coordinates
-early, so fewer stay open at once and the tests prune sooner; the spec and
-its hash keep the given order.
+its walk order and step tables, forward and inverse, the oracle the same
+over eigenvalue products, with its scalars, eigenvalues, product tables
+and closing tests.  A call builds only what depends on its degrees.  Both
+order the generators by a minimum-degree elimination order (`_walk_order`,
+a permutation that holds no invariance test), which closes torus
+coordinates early, so fewer stay open at once and the tests prune sooner;
+the spec and its hash keep the given order.
 
-The divisibility route counts, then traces back.  `_count_invariants` runs
-the transfer-matrix method over the packed weight residues: one count per
-(state, degree), each generator added in place.  An entry is kept only
-while every coordinate's residue lies in the suffix residue sets of the
-generators ahead (`_suffix_rows`: for each generator j, coordinate and
-completion degree t, the residues from which the generators j onward bring
-that coordinate back to 0 with a monomial of degree exactly t) for a degree
-that lands in the requested range.  The test is a necessary condition, so
-it never drops an entry that an invariant passes through.  A series reads
-its counts at state 0.  A listing also records each entry's birth, the
+Both routes, and `enumerate_monomials`, list on one engine: they count,
+then trace back.  `_count_invariants` runs the transfer-matrix method over
+a route's states: one count per (state, degree), each generator added in
+place, an entry kept only while the route's tests pass it.  A series reads
+its counts at the origin state, which the monomial 1 starts from and an
+accepted monomial ends in.  A listing also records each entry's birth, the
 number of generators added when it first became nonzero, and traces each
-invariant back from (degree, state 0) through entries born early enough
-(`_trace_back`), so it makes nothing that it prunes later.  A detection
-report counts once, traces back its top degree alone and tests family
-membership on the factor codes (`_detection`).
+accepted monomial back from (degree, origin) through entries born early
+enough (`_trace_back`), so it makes nothing that it prunes later.  The
+engine knows degrees only: each route hands it its set-up, the steps and
+inverse steps over its own states and its own tests.
 
-The other enumerations run on one walker: a depth-first descent over a
-list of generators, kept on an explicit stack, that reaches each monomial
-of the requested degrees at most once, in one pass over a whole degree
-range.  The walker knows degrees only; its caller hands it per-generator
-step tables over its own state and the tables it prunes by.
+The divisibility route's state is the packed weight residue vector.  An
+entry is kept only while every coordinate's residue lies in the suffix
+residue sets of the generators ahead (`_suffix_rows`: for each generator
+j, coordinate and completion degree t, the residues from which the
+generators j onward bring that coordinate back to 0 with a monomial of
+degree exactly t) for a degree that lands in the requested range.  The
+test is a necessary condition, so it never drops an entry that an
+invariant passes through.  A detection report counts once, traces back its
+top degree alone and tests family membership on the factor codes
+(`_detection`).
 
-The oracle meets in the middle (the Horowitz-Sahni subset-sum split): it
-cuts the ordered generators in two, walks each half once with the walker
-grouping every monomial by its eigenvalue products, the right half's
-inverted, and hash-joins the two halves on equal products in each requested
-degree.  Each half walk prunes on the oracle's own test, applied early: once
-no generator ahead in the half and none in the other half acts on a
-coordinate, a branch is kept only if its product there is 1.  That test
-reads the state alone, no degree, residue or suffix set, so its tables are
-built once per spec.
+The oracle's state is the vector of eigenvalue products.  Its test closes
+a coordinate once no generator ahead acts on it: from then on an entry is
+kept only if its product there is 1, the acceptance test applied early.
+That test reads the state alone, no degree, residue or suffix set, so its
+tables are built once per spec.
 
 Monomial lists are capped per degree (MONOMIAL_CAP, default 10^7), and
-every listing refuses from its exact count, before it makes anything: the
+every listing refuses from an exact count before it makes anything: the
 oracle and `enumerate_monomials` count each degree from the Hilbert series,
-the divisibility route its invariants before it traces back.  The walker
-holds no guard of its own.  A count holds at most SERIES_CAP live (state,
-degree) entries, births included.  A degree range whose tables would pass
-DEGREE_CAP cells is refused before any is built.
+the divisibility route its invariants before it traces back.  A count
+holds at most SERIES_CAP live (state, degree) entries, births included.  A
+degree range whose tables would pass DEGREE_CAP cells is refused before any
+is built.
 
 All list outputs are sorted in a canonical order (generator id ascending,
-exponent descending) so repeated runs are byte-identical.  The walker
+exponent descending) so repeated runs are byte-identical.  The traceback
 carries each factor as an integer code in that order, of one width per
 spec (`_codes`).
 """
@@ -79,13 +76,11 @@ from __future__ import annotations
 
 import copy
 import functools
-import gc
 import hashlib
 import itertools
 import json
 import math
 import operator
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceGuardError, require_int
@@ -323,13 +318,14 @@ def canonical_sort(monomials) -> list[Monomial]:
 
 
 # ---------------------------------------------------------------------------
-# enumeration: one descent walker, two invariance routes
+# enumeration: one listing engine, two invariance routes
 # ---------------------------------------------------------------------------
 
 # Entries a table budget lets its tables store, at most about 14 MB; later
 # misses are computed and not stored, so memory stays bounded however many
 # distinct states are reached.  Each spec holds one budget per route for
-# the tables it keeps (the oracle's closing tables too).
+# the tables it keeps: step and inverse step tables, and the oracle's
+# product and closing tables too.
 _TABLE_BUDGET = 1 << 17
 # Bytes the divisibility route's suffix residue sets may take in one count
 # (`_row_bytes`); a coordinate whose sets would pass what is left is checked
@@ -345,36 +341,6 @@ def _tables(keys, make) -> list:
         if key and key not in shared:
             shared[key] = make(key)
     return [shared.get(key) for key in keys]
-
-
-def _stops(gens, lo: int, hi: int) -> list:
-    """stop[rem]: a node with rem degrees left makes children with the
-    generators j < stop[rem] only.  Generator j is kept when one of its
-    children lands in lo..hi or has a descendant there, by degree alone:
-    the child adds e * degree (1 <= e, once for an exterior generator) and
-    leaves a rem in `ahead`, the bitset of the rem from which the generators
-    past j reach lo..hi.  Past the last generator those are rem <= hi - lo."""
-    full = (1 << (hi + 1)) - 1
-    stop = [0] * (hi + 1)
-    ahead, kept = (1 << (hi - lo + 1)) - 1, 0
-    for j in range(len(gens) - 1, -1, -1):
-        d = gens[j].degree
-        reach = ahead << d      # ahead holds rem 0, so e = 1 alone is in it
-        if gens[j].parity == POLYNOMIAL:
-            shift = d
-            while shift < hi:
-                reach |= reach << shift
-                shift *= 2
-        reach &= full
-        ahead |= reach
-        new = reach & ~kept
-        kept |= new
-        bits = bin(new)[:1:-1] if new else ""   # bit rem at index rem
-        rem = bits.find("1")
-        while rem >= 0:
-            stop[rem] = j + 1
-            rem = bits.find("1", rem + 1)
-    return stop
 
 
 def _degree_range(gens, lo: int, hi: int, refusal: str = "") -> None:
@@ -400,72 +366,6 @@ def _refuse_over(counts, lo: int, cap) -> None:
                 f"{n} monomials in degree {d}, more than the cap {cap}")
 
 
-def _walk(gens, lo: int, hi: int, bases, steps=None, start=0, allowed=None,
-          stats=None):
-    """Walk the monomials in the generators `gens` (a tuple of
-    GeneratorSpec) of degree lo..hi depth first on an explicit stack.
-
-    A node is a monomial; its children multiply in generators after its last
-    factor, so each monomial is reached at most once.  `start` is the state
-    of the monomial 1 and `steps[j][s]` the state after one more factor of
-    generator j (None: unchanged); the walker only looks states up.  The
-    factor e of generator j is the code `bases[j] - e` (`_codes`).
-
-    Every monomial of degree lo..hi that is not pruned is accepted.  Pruning
-    reads `allowed`, a table keyed by state or None (no test) per
-    generator, and happens at push time: a child made with generator j is
-    pushed only if `allowed[j]` passes its state, and a popped node does not
-    look its state up again; a node moves past generator j only while
-    `allowed[j]` passes its own state.  A child of degree hi (a final child)
-    is never pushed, but kept when made if `allowed[j]` passes it.
-
-    Returns one mapping per degree lo..hi from each final state to the
-    accepted monomials reaching it, as tuples of factor codes in walk order.
-    The caller checks the degree range (`_degree_range`) and the size of
-    what it lists before it walks; the walker holds no cap.  A `stats` dict
-    receives the walk's work: `nodes` popped and children `pruned` (at push,
-    or final children when made).
-    """
-    steps = steps or [None] * len(gens)
-    allowed = allowed or [None] * len(gens)
-    factors = [(g.degree, 1 if g.parity == EXTERIOR else hi, step, base, ok)
-               for g, base, step, ok in zip(gens, bases, steps, allowed)]
-    span = hi - lo
-    stop = _stops(gens, lo, hi)
-
-    found = [defaultdict(list) for _ in range(span + 1)]
-    nodes = pruned = 0
-    stack = [(0, hi, start, ())]
-    push, pop = stack.append, stack.pop
-    while stack:
-        k, rem, s, exps = pop()
-        nodes += 1
-        if rem <= span:
-            found[span - rem][s].append(exps)
-        for j in range(k, stop[rem]):
-            d, cap, step, base, ok = factors[j]
-            top = rem // d
-            if top > cap:
-                top = cap
-            t = s
-            r = rem
-            for e in range(1, top + 1):
-                r -= d
-                if step is not None:
-                    t = step[t]
-                if ok is not None and not ok[t]:
-                    pruned += 1
-                elif r:
-                    push((j + 1, r, t, exps + (base - e,)))
-                else:
-                    found[span][t].append(exps + (base - e,))
-            if ok is not None and not ok[s]:
-                break
-    if stats is not None:
-        stats.update(nodes=nodes, pruned=pruned)
-    return found
-
-
 def _code_width(alg: AlgebraSpec) -> int:
     return DEGREE_CAP // max(len(alg.generators), 1)
 
@@ -481,7 +381,7 @@ def _codes(alg: AlgebraSpec, gens) -> list:
 
 
 def _as_monomials(found, alg: AlgebraSpec) -> list[Monomial]:
-    """Walker output (`_codes` tuples) as canonically sorted Monomials, by
+    """Traced monomials (`_codes` tuples) as canonically sorted Monomials, by
     one sort and one decode per distinct code; as in `Monomial`, exponents
     must be positive and no id repeat."""
     ids, w = list(alg._id_ranks), _code_width(alg)
@@ -510,14 +410,17 @@ def enumerate_monomials(alg: AlgebraSpec, degree: int) -> list[Monomial]:
     """All monomials of total degree exactly `degree`, canonically sorted.
 
     More than MONOMIAL_CAP of them, counted by the Hilbert series, raise
-    ResourceGuardError before anything is walked.  The walk prunes nothing
-    and reaches each monomial once, so no depth holds more nodes than the
-    degree has monomials."""
+    ResourceGuardError before anything is listed.  They are counted and
+    traced back (`_count_invariants`, `_trace_back`) with no step and no
+    test, so every monomial ends in the one state."""
     gens = alg.generators
     _degree_range(gens, degree, degree)
     _refuse_over(_hilbert(gens, degree)[degree:], degree, MONOMIAL_CAP)
-    found = _walk(gens, degree, degree, _codes(alg, gens))
-    return _as_monomials(found[0][0], alg)
+    none, births = [None] * len(gens), {}
+    setup = (gens, none, none, 1, 0, none, none)
+    counts = _count_invariants(setup, degree, degree, births)[0]
+    (found,), _ = _trace_back(setup, _codes(alg, gens), degree, counts, births)
+    return _as_monomials(found, alg)
 
 
 def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
@@ -597,13 +500,14 @@ def _walk_order(gens) -> tuple:
 
 def _residue_setup(alg: AlgebraSpec) -> tuple:
     """The divisibility route's degree-free set-up, held by the spec
-    (`AlgebraSpec._residue_state`): the walk order (`_walk_order`), the
-    place of each coordinate's digit in the packed state (digit c in base
-    moduli[c]), the stride (the product of the moduli, above every packed
-    state) and, per generator in walk order, its step table and its
-    inverse step table (the state before one more factor), each adding its
-    weight to the coordinates it acts on.  The step tables are filled on
-    lookup, from one budget for the spec."""
+    (`AlgebraSpec._residue_state`): the engine's set-up
+    (`_count_invariants`) less its tests.  The state is the weight residue
+    vector packed into one integer, digit c in base moduli[c], so the
+    origin, the monomial 1 and the accepted state, is 0 and the stride is
+    the product of the moduli.  The walk order is `_walk_order`, and each
+    generator's step table adds its weight to the coordinates it acts on
+    (`fill(s, e)`: e times the weight), its inverse step table subtracts
+    it.  The tables are filled on lookup, from one budget for the spec."""
     gens, moduli = _walk_order(alg.generators), alg.moduli
     # one running product: places[c] = moduli[0] * ... * moduli[c - 1]
     *places, stride = itertools.accumulate(moduli, operator.mul, initial=1)
@@ -622,20 +526,17 @@ def _residue_setup(alg: AlgebraSpec) -> tuple:
     backs = tuple(tuple((place, m, -w % m) for place, m, w in move)
                   for move in moves)
     steps = _tables(moves + backs, add)
-    return gens, places, stride, steps[:len(gens)], steps[len(gens):]
+    return gens, steps[:len(gens)], steps[len(gens):], stride, 0
 
 
 def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
-    """The `allowed` tests of the divisibility test over degrees lo..hi,
-    one per generator in the spec's walk order (`_residue_setup`), None
-    where there is nothing to test, and the `fresh` tests: fresh[j] tests
-    the coordinates of allowed[j] whose rows are not the very object that
-    allowed[j - 1] tests (`_suffix_rows` shares unchanged rows), and all of
-    them for j <= 1.  So past generator 1, a state that passes allowed[j - 1]
-    passes allowed[j] exactly when it passes fresh[j].
+    """The divisibility route's engine set-up over degrees lo..hi: the
+    spec's (`_residue_setup`) and the `allowed` and `fresh` tests of the
+    divisibility test, one per generator in walk order, None where there is
+    nothing to test.  fresh[j] tests the coordinates of allowed[j] whose
+    rows are not the very object that allowed[j - 1] tests (`_suffix_rows`
+    shares unchanged rows), and all of them for j <= 1.
 
-    The state is the weight residue vector packed into one integer, digit c
-    in base moduli[c], so the monomial 1 and the accepted state are both 0.
     `allowed[j](rem, s)` passes when, in every coordinate, generators j
     onward can bring the residue of state s to 0 with a monomial whose
     degree lands rem degrees below hi in lo..hi (`_suffix_rows`).  The
@@ -644,7 +545,9 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     checked against the gcd of the weights ahead, for all degrees.
     """
     _degree_range(alg.generators, lo, hi)
-    gens, places = alg._residue_state[:2]
+    gens = alg._residue_state[0]
+    # digit c of a packed state sits at moduli[0] * ... * moduli[c - 1]
+    places = itertools.accumulate(alg.moduli, operator.mul, initial=1)
 
     def completable(checks):
         def test(rem, s):
@@ -667,61 +570,68 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
                 if j <= 1 or rows is not out[j - 1]:
                     fresh[j].append((place, m, rows))
     tests = _tables([tuple(check) for check in checks + fresh], completable)
-    return tests[:len(gens)], tests[len(gens):]
+    return alg._residue_state + (tests[:len(gens)], tests[len(gens):])
 
 
-def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
-                      births=None) -> tuple:
-    """Number of invariant monomials of each degree lo..hi, counted without
-    listing one: the transfer-matrix method (Stanley, Enumerative
-    Combinatorics I, 4.7) run over the divisibility route's walk order and
-    step tables (`_residue_setup`) and its tests over lo..hi
-    (`_residue_route`), which hold all of its invariance logic.
+def _count_invariants(setup, lo: int, hi: int, births=None) -> tuple:
+    """Number of the monomials of each degree lo..hi that end in a route's
+    origin state, counted without listing one: the transfer-matrix method
+    (Stanley, Enumerative Combinatorics I, 4.7) run over the route's
+    set-up, which holds all of its invariance logic.
 
-    layers[t] maps a packed residue state to the number of monomials of
-    degree t < hi in the generators added so far that reach it.  Generator j
-    is added in place: an exterior one from the top layer down, so no
-    monomial takes it twice, a polynomial one from the bottom up, so a layer
-    it has extended is extended again.  An entry (t, s) new to its layer is
-    kept only if `allowed` passes (hi - t, s) for the generators that may
-    still follow (j onward for a polynomial generator, j + 1 onward for an
-    exterior one), and once j is added every entry that generators j + 1
-    onward cannot complete is dropped, by fresh[j + 1] alone, since every
-    live entry passes allowed[j] already.  Degree hi is never stored: before
-    generator j is added, each of its final factors g^e adds the count filed
-    in degree hi - e * degree under the state -e * weight, the one state
-    that g^e takes to 0 (by the inverse step table).
+    The set-up is (generators in walk order, step tables, inverse step
+    tables, stride, origin, allowed, fresh).  steps[j][s] is the state
+    after one more factor of generator j and backs[j][s] the state before
+    it (None: the state is unchanged), every state lies below the stride,
+    and the origin is both the state of the monomial 1 and the one
+    accepted.  The tests are functions of (degrees left, state), None where
+    there is nothing to test: allowed[j](rem, s) holds whenever generators
+    j onward take s to the origin with a monomial whose degree lands rem
+    degrees below hi in lo..hi, and past generator 1 a state that passes
+    allowed[j - 1] passes allowed[j] exactly when it passes fresh[j].
+
+    layers[t] maps a state to the number of monomials of degree t < hi in
+    the generators added so far that reach it.  Generator j is added in
+    place: an exterior one from the top layer down, so no monomial takes it
+    twice, a polynomial one from the bottom up, so a layer it has extended
+    is extended again.  An entry (t, s) new to its layer is kept only if
+    `allowed` passes (hi - t, s) for the generators that may still follow
+    (j onward for a polynomial generator, j + 1 onward for an exterior one),
+    and once j is added every entry that generators j + 1 onward cannot
+    complete is dropped, by fresh[j + 1] alone, since every live entry
+    passes allowed[j] already.  Degree hi is never stored: before generator
+    j is added, each of its final factors g^e adds the count filed in degree
+    hi - e * degree under the one state that g^e takes to the origin (by
+    the inverse step table).
 
     A `births` dict receives the birth of each entry (t, s) kept and of
-    (hi, 0), keyed t * stride + s (the spec's stride, `_residue_setup`):
-    the number of generators added when it became nonzero.  Counts only
-    grow, and no entry that an invariant passes through is dropped, so such
-    an entry is reached by the first k generators exactly when its birth is
-    at most k.
+    (hi, origin), keyed t * stride + s: the number of generators added when
+    it became nonzero.  Counts only grow, and no entry that an accepted
+    monomial passes through is dropped, so such an entry is reached by the
+    first k generators exactly when its birth is at most k.
 
     Returns the counts, the most live entries held at once and, per degree
     below hi, the most entries its layer held.  More than SERIES_CAP live
     entries, births included, raise ResourceGuardError.
     """
-    allowed, fresh = _residue_route(alg, lo, hi)
-    gens, _, stride, steps, backs = alg._residue_state
+    gens, steps, backs, stride, origin, allowed, fresh = setup
     after, prune = [*allowed[1:], None], [*fresh[1:], None]
     layers = [{} for _ in range(hi)]
     if hi:
-        layers[0][0] = 1
+        layers[0][origin] = 1
     top = 0 if hi else 1    # the monomial 1: in layer 0, or itself degree hi
     if births is not None:
-        births[0] = 0
+        births[origin] = 0
     most = [len(layer) for layer in layers]
     live = peak = sum(most)
     for j, g in enumerate(gens):
-        d, step, back, u = g.degree, steps[j], backs[j], 0
+        d, step, back, u = g.degree, steps[j], backs[j], origin
         cap = 1 if g.parity == EXTERIOR else hi
         for e in range(1, min(hi // d, cap) + 1):
             u = u if back is None else back[u]
             top += layers[hi - e * d].get(u, 0)
         if top and births is not None:
-            births.setdefault(hi * stride, j + 1)
+            births.setdefault(hi * stride + origin, j + 1)
         if g.parity == POLYNOMIAL:
             ok, degrees = allowed[j], range(d, hi)
         else:
@@ -757,62 +667,78 @@ def _count_invariants(alg: AlgebraSpec, lo: int, hi: int,
                 for s in dead:
                     del layer[s]
                 live -= len(dead)
-    return [layer.get(0, 0) for layer in layers[lo:]] + [top], peak, most
+    return ([layer.get(origin, 0) for layer in layers[lo:]] + [top], peak,
+            most)
 
 
-def _trace_back(alg: AlgebraSpec, lo: int, counts, births) -> tuple:
-    """Per degree lo..lo + len(counts) - 1, the invariant monomials as
-    `_codes` tuples, traced back through the births of the count that gave
-    `counts` (`_count_invariants`), and the number of births probed.
+def _trace_back(setup, bases, lo: int, counts, births) -> tuple:
+    """Per degree lo..lo + len(counts) - 1, the monomials that end in the
+    set-up's origin as tuples of factor codes, g_j^e coded bases[j] - e
+    (`_codes`), traced back through the births of the count that gave
+    `counts` (`_count_invariants`, same set-up), and the number of births
+    probed.
 
     A node (k, t, s) stands for the monomials of degree t and state s in the
-    first k generators (walk order), from (all, t, 0) down.  Each ends in a
-    factor g_j^e, birth(t, s) <= j + 1 <= k, after a monomial of the node
-    (j, t - e * degree, s - e * weight) (inverse step tables), which has
-    one exactly when its birth is at most j.  So every node lies on the
-    path of an output monomial, and none is pruned.  Exponents start at
-    the first that leaves a degree the generators before j reach, by degree
-    alone, so the first generator takes its one exponent at once.
+    first k generators (walk order), from (all, t, origin) down.  Each ends
+    in a factor g_j^e, birth(t, s) <= j + 1 <= k, after a monomial of the
+    node (j, t - e * degree, s before e factors of g_j) (inverse step
+    tables), which has one exactly when its birth is at most j.  So every
+    node lies on the path of an output monomial, and none is pruned.
+    Exponents start at the first that leaves a degree the generators before
+    j reach, by degree alone, so the first generator takes its one exponent
+    at once.  The nodes are visited by falling k, each once: a node holds
+    the tails (the factors taken so far) of every monomial through it, and
+    its births are probed once for all of them.
     """
-    gens, _, stride, steps, backs = alg._residue_state
+    gens, steps, backs, stride, origin, _, _ = setup
     hi = lo + len(counts) - 1
     factors, reach = [], 0
-    for g, step, back, base in zip(gens, steps, backs, _codes(alg, gens)):
+    for g, step, back, base in zip(gens, steps, backs, bases):
         cap = 1 if g.parity == EXTERIOR else hi
         factors.append((g.degree, cap, reach, step, back, base))
         reach = min(reach + cap * g.degree, hi)
     get, probes = births.get, 0
     found = [[] for _ in counts]
     for degree, count in enumerate(counts, lo):
+        if not count:
+            continue
         out = found[degree - lo]
-        stack = [(len(gens), degree, 0, ())] if degree and count else []
-        if count and not degree:
+        if not degree:          # the monomial 1
             out.append(())
-        push, pop = stack.append, stack.pop
-        while stack:
-            k, t, s, exps = pop()
-            for j in range(births[t * stride + s] - 1, k):
-                d, cap, reach, step, back, base = factors[j]
-                top = t // d
-                if top > cap:
-                    top = cap
-                low = 1 if t - d <= reach else -(-(t - reach) // d)
-                if low > top:
-                    continue
-                probes += top - low + 1
-                r, u = t - (low - 1) * d, s
-                if low > 1 and back is not None:
-                    u = step.fill(s, 1 - low)
-                for e in range(low, top + 1):
-                    r -= d
-                    if back is not None:
-                        u = back[u]
-                    if get(r * stride + u, k) > j:  # unborn reads k > j
+            continue
+        # nodes[k]: t * stride + s -> the tails of node (k, t, s)
+        nodes = [{} for _ in gens] + [{degree * stride + origin: [()]}]
+        for k in range(len(gens), 0, -1):
+            for key, tails in nodes[k].items():
+                t, s = divmod(key, stride)
+                for j in range(births[key] - 1, k):
+                    d, cap, reach, step, back, base = factors[j]
+                    top = t // d
+                    if top > cap:
+                        top = cap
+                    low = 1 if t - d <= reach else -(-(t - reach) // d)
+                    if low > top:
                         continue
-                    if r:
-                        push((j, r, u, exps + (base - e,)))
-                    else:       # a one-factor completion: kept at once
-                        out.append(exps + (base - e,))
+                    probes += top - low + 1
+                    r, u = t - (low - 1) * d, s
+                    if low > 1 and back is not None:
+                        u = step.fill(s, 1 - low)
+                    for e in range(low, top + 1):
+                        r -= d
+                        if back is not None:
+                            u = back[u]
+                        below = r * stride + u
+                        if get(below, k) > j:   # unborn reads k > j
+                            continue
+                        code = (base - e,)
+                        made = [tail + code for tail in tails]
+                        if not r:       # a one-factor completion
+                            out += made
+                        elif below in nodes[j]:
+                            nodes[j][below] += made
+                        else:
+                            nodes[j][below] = made
+            nodes[k] = None
     return found, probes
 
 
@@ -823,16 +749,18 @@ def invariant_monomials_by_degree(
 
     Invariance is the divisibility test: each weight coordinate must vanish
     modulo that coordinate's modulus.  The invariants are counted with
-    births (`_count_invariants`), so more than MONOMIAL_CAP in one degree
-    raise ResourceGuardError before any is listed, and then traced back
-    (`_trace_back`).  A `stats` dict receives the count's `peak` live
-    entries and `births`, the traceback's `probes`, the monomials listed
-    per degree (`leaves`) and the `cap` on entries live and born.
+    births (`_count_invariants`) on the route's set-up (`_residue_route`),
+    so more than MONOMIAL_CAP in one degree raise ResourceGuardError before
+    any is listed, and then traced back (`_trace_back`).  A `stats` dict
+    receives the count's `peak` live entries and `births`, the traceback's
+    `probes`, the monomials listed per degree (`leaves`) and the `cap` on
+    entries live and born.
     """
-    births = {}
-    counts, peak, _ = _count_invariants(alg, lo, hi, births)
+    setup, births = _residue_route(alg, lo, hi), {}
+    counts, peak, _ = _count_invariants(setup, lo, hi, births)
     _refuse_over(counts, lo, MONOMIAL_CAP)
-    found, probes = _trace_back(alg, lo, counts, births)
+    found, probes = _trace_back(setup, _codes(alg, setup[0]), lo, counts,
+                                births)
     if stats is not None:
         stats.update(peak=peak, births=len(births), probes=probes,
                      leaves=counts, cap=SERIES_CAP)
@@ -861,70 +789,69 @@ def _hilbert(gens, top: int) -> list[int]:
 
 
 def _oracle_setup(alg: AlgebraSpec) -> tuple:
-    """The eigenvalue oracle's degree-free set-up, held by the spec
-    (`AlgebraSpec._oracle_state`): the left and right halves of the
-    generators in a minimum-degree elimination order (`_walk_order`, a
-    permutation), each as (generators, step tables, closing tables), then
-    the state of the monomial 1 and the product table of each eigenvalue.
-    The closing table of the half's generator j maps a state to whether its
-    product is 1 on every coordinate that the half's generators up to j act
-    on and no other generator does, in either half: those products are
-    final once j is added (None where there is no such coordinate).  The step,
-    product and closing tables are filled on lookup, from one budget for
-    the spec."""
+    """The eigenvalue oracle's engine set-up (`_count_invariants`), held by
+    the spec (`AlgebraSpec._oracle_state`); it reads no degree, so it is
+    built once per spec.
+
+    The generators run in a minimum-degree elimination order
+    (`_walk_order`, a permutation).  A state is the vector of eigenvalue
+    products, their element numbers packed as base-q digits, so the origin
+    is 1 in every digit and the stride is q to the torus rank.  A step
+    table multiplies each digit by the generator's eigenvalue there, an
+    inverse step table by its inverse (`fill(s, e)`: by the e-th power).
+    The tests close coordinates: allowed[j] passes a state whose product is
+    1 on every coordinate that some generator acts on and none of
+    generators j onward does, and fresh[j] tests those that generator
+    j - 1 acts on last.  They read the state alone, and are looked up in
+    tables keyed by it.  Products are `Fq.mul` tables, one per eigenvalue.
+    All tables are filled on lookup, from one budget for the spec.
+    """
     gens, field = _walk_order(alg.generators), alg.field
     q = field.q
-    half = len(gens) // 2
     scalars = [field.pow(field.generator, (q - 1) // m) for m in alg.moduli]
-    inverted = [field.inv(x) for x in scalars]
     # one running product: places[c] = q ** c
-    places = list(itertools.accumulate([q] * (alg.torus_rank - 1),
-                                       operator.mul, initial=1))
+    *places, stride = itertools.accumulate([q] * alg.torus_rank,
+                                           operator.mul, initial=1)
     budget = [_TABLE_BUDGET]
-
-    def act(moves):
-        tables = [(place, products[ev]) for place, ev in moves]
-
-        def fill(s):
-            for place, table in tables:
-                v = s // place % q
-                s += (table[v] - v) * place
-            return s
-        return _Table(fill, budget)
 
     @functools.cache
     def eigenvalue(x, w):
         return field.pow(x, w)
 
-    def closes(places):     # is the product 1 in each of these places?
-        return _Table(lambda s: all(s // place % q == 1 for place in places),
-                      budget)
-
-    def move(xs, weight):
-        eig = [eigenvalue(x, w) for x, w in zip(xs, weight)]
+    def move(weight):       # (place, eigenvalue) where it is not 1
+        eig = [eigenvalue(x, w) for x, w in zip(scalars, weight)]
         return tuple((place, ev) for place, ev in zip(places, eig) if ev != 1)
 
-    # The right half runs from the far end of the order, where its
-    # coordinates close sooner (hook (8,7) in degree 9 pops 780 nodes there
-    # against 1,280 walked forward), and its eigenvalues come inverted:
-    # (x^-1)^w = (x^w)^-1.
-    left, right = gens[:half], gens[half:][::-1]
-    lmoves = [move(scalars, g.weight) for g in left]
-    rmoves = [move(inverted, g.weight) for g in right]
+    moves = [move(g.weight) for g in gens]
+    inverse = {ev: field.inv(ev) for ev in {ev for m in moves for _, ev in m}}
+    backs = [tuple((place, inverse[ev]) for place, ev in move)
+             for move in moves]
     products = {ev: _Table(functools.partial(field.mul, ev), budget)
-                for ev in {ev for m in lmoves + rmoves for _, ev in m}}
-    steps = _tables(lmoves + rmoves, act)
+                for ev in {*inverse, *inverse.values()}}
 
-    def closed(own, other):
-        outside = {place for m in other for place, _ in m}
-        last = {place: j for j, m in enumerate(own) for place, _ in m}
-        return [tuple(place for place, k in last.items()
-                      if k <= j and place not in outside)
-                for j in range(len(own))]
+    def act(move):
+        def fill(s, e=1):       # s times the e-th power of the eigenvalues
+            for place, ev in move:
+                v = s // place % q
+                w = products[ev][v] if e == 1 else \
+                    field.mul(field.pow(ev, e), v)
+                s += (w - v) * place
+            return s
+        return _Table(fill, budget)
 
-    allowed = _tables(closed(lmoves, rmoves) + closed(rmoves, lmoves), closes)
-    return ((left, steps[:half], allowed[:half]),
-            (right, steps[half:], allowed[half:]), sum(places), products)
+    def closes(places):     # is the product 1 in each of these places?
+        table = _Table(lambda s: all(s // place % q == 1 for place in places),
+                       budget)
+        return lambda rem, s: table[s]
+
+    last = {place: j for j, move in enumerate(moves) for place, _ in move}
+    closed = [tuple(place for place, k in last.items() if k < j)
+              for j in range(len(gens))]
+    new = [tuple(place for place, k in last.items() if k == j - 1)
+           for j in range(len(gens))]
+    steps, tests = _tables(moves + backs, act), _tables(closed + new, closes)
+    return (gens, steps[:len(gens)], steps[len(gens):], stride, sum(places),
+            tests[:len(gens)], tests[len(gens):])
 
 
 def invariant_monomials_oracle_by_degree(
@@ -938,70 +865,31 @@ def invariant_monomials_oracle_by_degree(
     F_q^x).  Each generator then has a concrete eigenvalue per coordinate, and
     a monomial is kept exactly when multiplying its eigenvalues out in F_q
     gives 1 in every coordinate.  No weight-residue arithmetic is used.
-
-    The search meets in the middle (Horowitz and Sahni, 1974).  The
-    generators, in a minimum-degree elimination order (`_walk_order`), are
-    cut in two halves, and the right half is walked from the far end.  Each
-    half is walked once, over the degrees a whose partner degree `d - a`
-    has monomials in the other half for some d in lo..hi, and its monomials
-    are grouped by degree and by their state: the vector of eigenvalue
-    products, their element numbers packed as base-q digits.  The right
-    half multiplies by inverted eigenvalues, so a left monomial and a right
-    one multiply to 1 exactly when their states are equal, and a hash join
-    on the state pairs them in each degree d.  A half walk closes a
-    coordinate once no generator ahead in the half and none in the other
-    half acts on it: from then on it keeps a branch only if the product
-    there is 1, the element number 1, which is the acceptance test applied
-    early.  That test reads the state alone, so its tables are the spec's.
     Scalars, eigenvalues and products are element numbers of the spec's
     own field, `alg.field`, whose generator is found once per field object.
     Each eigenvalue is a field power of its scalar, computed once per
     (scalar, weight) pair; every product is an actual field multiplication,
     `Fq.mul`, made on the first lookup of an (eigenvalue, element) pair and
-    kept in a table while the budget lasts.  All of this, closing tables
-    included, is set up once per spec (`_oracle_setup`) and held by it; a
-    call counts, walks the halves and joins.
+    kept in a table while the budget lasts.
 
-    The number of monomials of each degree is known from the two halves'
-    Hilbert series before anything is walked; when a degree has more than
-    `max_count`, the call raises ResourceGuardError naming the lowest one.
+    The monomials are counted with births and traced back by the engine
+    that the divisibility route runs too (`_count_invariants`,
+    `_trace_back`), on the oracle's own set-up (`_oracle_setup`): states
+    are eigenvalue products, and a coordinate is closed, its product
+    required to be 1, once no generator ahead acts on it.  The count is
+    held to SERIES_CAP live entries and births.
+
+    The number of monomials of each degree is known from the Hilbert series
+    before anything is counted; when a degree has more than `max_count`,
+    the call raises ResourceGuardError naming the lowest one.
     """
     gens = alg.generators
     _degree_range(gens, lo, hi)
-    _refuse_over(_hilbert(gens, hi)[lo:], lo, max_count)   # before any walk
-    lhalf, rhalf, identity, _ = alg._oracle_state
-    lcount, rcount = _hilbert(lhalf[0], hi), _hilbert(rhalf[0], hi)
-    degrees = range(lo, hi + 1)
-    # (d, a): degree d takes degree a from the left half, d - a from the right
-    pairs = [(d, a) for d in degrees for a in range(d + 1)
-             if lcount[a] and rcount[d - a]]
-    if not pairs:
-        return [[] for _ in degrees]
-
-    llo, lhi = min(a for _, a in pairs), max(a for _, a in pairs)
-    rlo, rhi = min(d - a for d, a in pairs), max(d - a for d, a in pairs)
-    # The walks and the join make a tuple per monomial and no reference
-    # cycles.  The cyclic collector is held off until they are done, so it
-    # never scans the groups while they live, however its counters stand.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        lgroups, rgroups = [
-            _walk(gens, bottom, top, _codes(alg, gens), steps, identity,
-                  allowed)
-            for (gens, steps, allowed), bottom, top
-            in ((lhalf, llo, lhi), (rhalf, rlo, rhi))]
-        found = {d: [] for d in degrees}
-        for d, a in pairs:
-            rstates = rgroups[d - a - rlo]
-            for s, lexps in lgroups[a - llo].items():
-                rexps = rstates.get(s)
-                if rexps:
-                    found[d].extend(x + y for x in lexps for y in rexps)
-        return [_as_monomials(found[d], alg) for d in degrees]
-    finally:
-        if enabled:
-            gc.enable()
+    _refuse_over(_hilbert(gens, hi)[lo:], lo, max_count)   # before any count
+    setup, births = alg._oracle_state, {}
+    counts = _count_invariants(setup, lo, hi, births)[0]
+    found = _trace_back(setup, _codes(alg, setup[0]), lo, counts, births)[0]
+    return [_as_monomials(codes, alg) for codes in found]
 
 
 def invariant_monomials_oracle(alg: AlgebraSpec, degree: int,
@@ -1025,12 +913,12 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
 
     Without an invariance filter the counts are the Hilbert series, and the
     cap trips exactly when some degree has more than MONOMIAL_CAP monomials;
-    a `stats` dict then receives 0 `nodes`, 0 `pruned`, the series as
-    `leaves` and the `cap`.  The invariant filters count by state
-    (`_count_invariants`), "invariant_nilpotent" as the count over all
-    generators minus the count over the polynomial ones alone; their guard
-    is SERIES_CAP live entries, and `stats` receives the `peak` live
-    entries, the most each degree below D held (`live`) and the `cap`.
+    a `stats` dict then receives the series as `leaves` and the `cap`.  The
+    invariant filters count by state (`_count_invariants`),
+    "invariant_nilpotent" as the count over all generators minus the count
+    over the polynomial ones alone; their guard is SERIES_CAP live entries,
+    and `stats` receives the `peak` live entries, the most each degree below
+    D held (`live`) and the `cap`.
     """
     if filter not in FILTERS:
         raise InputError(f"filter must be one of {FILTERS}")
@@ -1040,15 +928,16 @@ def dimension_series(alg: AlgebraSpec, max_degree: int, filter: str = "all",
         dims = _hilbert(alg.generators, max_degree)
         _refuse_over(dims, 0, MONOMIAL_CAP)
         if stats is not None:
-            stats.update(nodes=0, pruned=0, leaves=dims, cap=MONOMIAL_CAP)
+            stats.update(leaves=dims, cap=MONOMIAL_CAP)
         return dims
-    dims, peak, live = _count_invariants(alg, 0, max_degree)
+    dims, peak, live = _count_invariants(_residue_route(alg, 0, max_degree),
+                                         0, max_degree)
     if filter == "invariant_nilpotent":
         polynomial = [g.id for g in alg.generators if g.parity == POLYNOMIAL]
         even = dims         # without exterior generators, all of them
         if len(polynomial) < len(alg.generators):
-            even, even_peak, even_live = _count_invariants(
-                alg.restrict(polynomial), 0, max_degree)
+            even, even_peak, even_live = _count_invariants(_residue_route(
+                alg.restrict(polynomial), 0, max_degree), 0, max_degree)
             peak, live = max(peak, even_peak), list(map(max, live, even_live))
         dims = [a - b for a, b in zip(dims, even)]
     if stats is not None:
@@ -1073,10 +962,11 @@ def _detection(alg: AlgebraSpec, lo: int, degree: int, family) -> tuple:
         id_sets.append(ids)
         for gid in ids:
             bits[ranks[gid]] |= 1 << i
-    births = {}
-    counts = _count_invariants(alg, lo, degree, births)[0]
+    setup, births = _residue_route(alg, lo, degree), {}
+    counts = _count_invariants(setup, lo, degree, births)[0]
     _refuse_over(counts[-1:], degree, MONOMIAL_CAP)
-    (found,), _ = _trace_back(alg, degree, counts[-1:], births)
+    (found,), _ = _trace_back(setup, _codes(alg, setup[0]), degree,
+                              counts[-1:], births)
     w, every, kernel = _code_width(alg), (1 << len(id_sets)) - 1, []
     for codes in found:
         inside = every      # the members that hold each factor so far

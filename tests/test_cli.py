@@ -84,16 +84,15 @@ def test_invariants_run_stats(tmp_path, capsys):
     # the count by state: at most 21 (state, degree) entries at once
     assert stats == {"peak": 21, "live": [1, 2, 3, 4, 4, 4, 3, 2, 1, 1, 1],
                      "cap": 10 ** 7}
-    # --filter all reads the Hilbert series and walks nothing; its plain
-    # report too is unchanged by --stats
+    # --filter all reads the Hilbert series and counts nothing by state;
+    # its plain report too is unchanged by --stats
     assert main(argv + ["--filter", "all"]) == 0
     plain = capsys.readouterr().out
     assert main(argv + ["--filter", "all", "--stats"]) == 0
     env = json.loads(capsys.readouterr().out)
     stats = env["results"].pop("stats")
     assert canonical_json(env) + "\n" == plain
-    assert stats == {"nodes": 0, "pruned": 0,
-                     "leaves": env["results"]["series"], "cap": 10 ** 7}
+    assert stats == {"leaves": env["results"]["series"], "cap": 10 ** 7}
 
 
 def test_series_live_entry_cap_exits_three(tmp_path, capsys, monkeypatch):

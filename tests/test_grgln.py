@@ -248,27 +248,28 @@ def test_essential_kernel_large_p_hooks():
 def test_essential_kernel_walk_counts(monkeypatch):
     # the listing walk popped 990 nodes and pruned 7,251 children on (8,11),
     # 367 and 3,682 on (7,13); the traceback probes a birth per (node,
-    # generator, exponent) tried and prunes nothing.  The kernel's degree is
-    # counted alone (lo = hi), so these are the counts of a listing's walk
+    # generator, exponent) tried and prunes nothing, where a node holds
+    # every monomial through (generators, degree, state).  The kernel's
+    # degree is counted alone (lo = hi), so these are a listing's counts
     walks = []
     count, trace = invalg._count_invariants, invalg._trace_back
 
-    def record_count(alg, lo, hi, births):
-        counts, peak, most = count(alg, lo, hi, births)
+    def record_count(setup, lo, hi, births):
+        counts, peak, most = count(setup, lo, hi, births)
         walks.append({"peak": peak, "births": len(births), "leaves": counts})
         return counts, peak, most
 
-    def record_trace(alg, lo, counts, births):
-        found, probes = trace(alg, lo, counts, births)
+    def record_trace(setup, bases, lo, counts, births):
+        found, probes = trace(setup, bases, lo, counts, births)
         walks[-1]["probes"] = probes
         return found, probes
 
     monkeypatch.setattr(invalg, "_count_invariants", record_count)
     monkeypatch.setattr(invalg, "_trace_back", record_trace)
     for (n, p), want in (
-            ((8, 11), {"peak": 42, "births": 240, "probes": 841,
+            ((8, 11), {"peak": 42, "births": 240, "probes": 470,
                        "leaves": [76]}),
-            ((7, 13), {"peak": 38, "births": 208, "probes": 455,
+            ((7, 13), {"peak": 38, "births": 208, "probes": 327,
                        "leaves": [42]})):
         walks.clear()
         assert essential_kernel(n, p)["kernel_dim"] == 1

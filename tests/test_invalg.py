@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liecoh.cli import main
 from liecoh.errors import InputError, ResourceGuardError
 from liecoh.ffq import Fq, multiplicative_generator
 from liecoh import ffq, invalg
@@ -195,23 +196,32 @@ def encode(alg, exps):
 
 
 def test_walker_output_is_sorted_and_checked():
-    # walker codes skip the str/int coercion, not the two checks
+    # traced codes skip the str/int coercion, not the two checks; both
+    # routes' set-ups code a factor g^e as base - e, as `encode` does
     alg = rank1_pair_algebra(3, 1)
-    top = code_width(alg) - 1       # the largest exponent a code holds
-    got = invalg._as_monomials([encode(alg, [("y0", 2), ("x0", 1)]),
-                                encode(alg, [("x0", 3)]), (),
-                                encode(alg, [("y0", top)])], alg)
-    want = [Monomial(()), mono(x0=3), mono(x0=1, y0=2), mono(y0=top)]
-    assert got == want
-    assert [m.exps for m in got] == [m.exps for m in want]
-    assert [hash(m) for m in got] == [hash(m) for m in want]
-    # every code of the spec lies below DEGREE_CAP
-    assert max(invalg._codes(alg, alg.generators)) < invalg.DEGREE_CAP
-    with pytest.raises(InputError, match="repeated generator id"):
-        invalg._as_monomials(
-            [encode(alg, [("x0", 1), ("y0", 1), ("x0", 2)])], alg)
-    with pytest.raises(InputError, match="positive"):
-        invalg._as_monomials([encode(alg, [("x0", 0)])], alg)
+    for state in (alg._residue_state, alg._oracle_state):
+        gens = state[0]
+        base = {g.id: b for g, b in zip(gens, invalg._codes(alg, gens))}
+
+        def traced(*exps):
+            return tuple(base[i] - e for i, e in exps)
+        assert traced(("y0", 2), ("x0", 1)) == \
+            encode(alg, [("y0", 2), ("x0", 1)])
+        top = code_width(alg) - 1       # the largest exponent a code holds
+        got = invalg._as_monomials([traced(("y0", 2), ("x0", 1)),
+                                    traced(("x0", 3)), (),
+                                    traced(("y0", top))], alg)
+        want = [Monomial(()), mono(x0=3), mono(x0=1, y0=2), mono(y0=top)]
+        assert got == want
+        assert [m.exps for m in got] == [m.exps for m in want]
+        assert [hash(m) for m in got] == [hash(m) for m in want]
+        # every code of the spec lies below DEGREE_CAP
+        assert max(base.values()) < invalg.DEGREE_CAP
+        with pytest.raises(InputError, match="repeated generator id"):
+            invalg._as_monomials(
+                [traced(("x0", 1), ("y0", 1), ("x0", 2))], alg)
+        with pytest.raises(InputError, match="positive"):
+            invalg._as_monomials([traced(("x0", 0))], alg)
 
 
 @st.composite
@@ -249,7 +259,7 @@ def test_code_order_is_canonical_order(case):
 
 
 def test_walks_build_no_sort_key(monkeypatch):
-    # walker output becomes Monomials by one sort of code tuples: no route
+    # traced output becomes Monomials by one sort of code tuples: no listing
     # builds a per-monomial key, sorts Monomials or normalizes their pairs
     def lists(alg):
         return [(invariant_monomials(alg, d), invariant_monomials_oracle(
@@ -415,16 +425,16 @@ def test_enumeration_resource_guard(monkeypatch):
     with pytest.raises(ResourceGuardError):
         enumerate_monomials(alg, 10)
     # the exact boundary: a cap of H(d) lists all H(d) monomials, one less
-    # refuses from the Hilbert count before any walk
+    # refuses from the Hilbert count before anything is counted
     n = invalg._hilbert(alg.generators, 10)[10]
     monkeypatch.setattr(invalg, "MONOMIAL_CAP", n)
     assert len(enumerate_monomials(alg, 10)) == n
     monkeypatch.setattr(invalg, "MONOMIAL_CAP", n - 1)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("walked before refusing")
+        raise AssertionError("counted before refusing")
 
-    monkeypatch.setattr(invalg, "_walk", refuse)
+    monkeypatch.setattr(invalg, "_count_invariants", refuse)
     with pytest.raises(ResourceGuardError, match=(
             f"^{n} monomials in degree 10, more than the cap {n - 1}$")):
         enumerate_monomials(alg, 10)
@@ -530,7 +540,7 @@ def weighted_specs(draw, sparse=False):
     """Specs of rank 1..3 over small fields, exterior and polynomial
     generators (polynomial only in characteristic 2), about half of them of
     weight zero; `sparse` ones act on one or two coordinates each, so that
-    some coordinates close inside an oracle half."""
+    the oracle closes some coordinates before its last generator."""
     p, r = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                  (5, 1), (7, 1), (13, 1)]))
     qm1 = p ** r - 1
@@ -669,36 +679,6 @@ def test_final_factor_lookup_char2_exponents():
         finals = [dict(m.exps)[max(m.support(), key=order.index)]
                   for ms in found for m in ms]
         assert max(finals) >= 2
-
-
-def test_stops_keep_exactly_the_generators_with_a_use():
-    # stop[rem] - 1 is the last generator with a child from which some
-    # degree in lo..hi is reachable, by degree alone
-    def brute(gens, lo, hi):
-        ahead = [set() for _ in gens] + [{0}]
-        for j in range(len(gens) - 1, -1, -1):
-            d, cap = gens[j].degree, 1 if gens[j].parity == EXTERIOR else hi
-            ahead[j] = {b + e * d for b in ahead[j + 1]
-                        for e in range(cap + 1) if b + e * d <= hi}
-        stop = [0] * (hi + 1)
-        for rem in range(hi + 1):
-            for j, g in enumerate(gens):
-                cap = 1 if g.parity == EXTERIOR else hi
-                for e in range(1, cap + 1):
-                    r = rem - e * g.degree
-                    if r >= 0 and any(r - (hi - lo) <= b <= r
-                                      for b in ahead[j + 1]):
-                        stop[rem] = j + 1
-        return stop
-
-    rng = random.Random(3)
-    for _ in range(400):
-        gens = [GeneratorSpec(f"g{i}", *rng.choice(
-                    [(EXTERIOR, 1), (POLYNOMIAL, 1), (POLYNOMIAL, 2)]), (0,))
-                for i in range(rng.randint(0, 6))]
-        hi = rng.randint(0, 12)
-        lo = rng.randint(0, hi)
-        assert invalg._stops(gens, lo, hi) == brute(gens, lo, hi)
 
 
 def test_suffix_rows_match_their_definition():
@@ -948,31 +928,37 @@ def test_held_tables_draw_on_one_budget_per_spec_and_route(monkeypatch):
     for d in range(1, 25):
         assert invariant_monomials_oracle(alg, d) == invariant_monomials(alg, d)
 
-    def oracle_tables(spec):
-        (_, lsteps, lclose), (_, rsteps, rclose), _, products = \
-            spec._oracle_state
-        return lsteps + rsteps + lclose + rclose + list(products.values())
+    def oracle_budget(spec):
+        # the budget the oracle's step tables draw on; its product and
+        # closing tables sit inside the steps and the tests
+        steps, backs = spec._oracle_state[1:3]
+        budgets = {id(t.budget): t.budget for t in steps + backs if t}
+        assert len(budgets) == 1
+        return budgets.popitem()[1], stored(steps + backs)
 
-    assert stored(oracle_tables(alg)) == 7
+    # the step tables store fewer than 7, so the product and closing tables
+    # take the rest of the spec's one budget
+    budget, steps_stored = oracle_budget(alg)
+    assert budget == [0] and steps_stored < 7
     # the divisibility route's step and inverse step tables draw on the
     # spec's one budget; its pruning tests are plain functions that store
     # nothing
-    _, _, _, steps, backs = alg._residue_state
+    _, steps, backs, _, _ = alg._residue_state
     assert stored(steps + backs) == 7
-    allowed, fresh = invalg._residue_route(alg, 14, 14)
+    allowed, fresh = invalg._residue_route(alg, 14, 14)[5:]
     assert all(allowed) and not any(isinstance(test, ffq._Table)
                                     for test in allowed + fresh)
-    # the oracle's closing tables are the spec's and draw on its one
-    # budget: on the (1,5) hook both halves close coordinates, and the
-    # step, product and closing tables store 7 entries in all
+    # the oracle's closing tests are the spec's and draw on its one budget:
+    # on the (1,5) hook coordinates close before the last generator, and
+    # the step, product and closing tables store 7 entries in all
     hook = _hook_spec(5, 7, 1, 1, 5)
     for d in (9, 5, 9):
         assert [invariant_monomials_oracle(hook, d)] == \
             plain_invariants(hook, d, d)
-    (_, _, lclose), (_, _, rclose), _, _ = hook._oracle_state
-    assert {t is None for t in lclose} == {t is None for t in rclose} == \
-        {False, True}
-    assert stored(oracle_tables(hook)) == 7
+    closing = hook._oracle_state[5]
+    assert {t is None for t in closing} == {False, True}
+    budget, steps_stored = oracle_budget(hook)
+    assert budget == [0] and steps_stored < 7
     # the held tables make no cycle back to their spec: with the cyclic
     # collector off, reference counting alone frees it
     ref = weakref.ref(alg)
@@ -1002,8 +988,9 @@ def test_oracle_builds_its_tables_once_per_spec(monkeypatch):
     built.clear()
     assert invariant_monomials_oracle(alg, 9) == expected[-1]
     assert built
-    (_, _, lclose), (_, _, rclose), _, _ = alg._oracle_state
-    assert [stored(lclose), stored(rclose)] == [107, 128]
+    # the step, inverse step, product and closing tables store 458 entries
+    budget = next(t for t in alg._oracle_state[1] if t).budget
+    assert invalg._TABLE_BUDGET - budget[0] == 458
     built.clear()
     assert invariant_monomials_oracle_by_degree(alg, 1, 9) == expected
     assert invariant_monomials_oracle(alg, 9) == expected[-1]
@@ -1083,41 +1070,6 @@ def test_oracle_edge_cases():
             assert oracle == eigenvalue_reference(alg, d)
 
 
-def test_oracle_holds_the_collector_off_and_restores_it():
-    # hook (8,7): the oracle's half walks make some 10^5 tuples in degree 9
-    spec = build_gr_un(8, 7, 1)
-    alg = spec.algebra.restrict(subgroup_support(spec, "hook", 1, 8).ids)
-    expected = invariant_monomials(alg, 9)
-    runs = []
-
-    def record(phase, info):
-        if phase == "start":
-            runs.append(info["generation"])
-
-    walk = invalg._walk
-
-    def counted_walk(*args, **kwargs):
-        before = len(runs)
-        out = walk(*args, **kwargs)
-        assert len(runs) == before, "the collector ran during a half walk"
-        return out
-
-    gc.callbacks.append(record)
-    try:
-        invalg._walk = counted_walk
-        assert invariant_monomials_oracle(alg, 9) == expected
-    finally:
-        invalg._walk = walk
-        gc.callbacks.remove(record)
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        assert invariant_monomials_oracle(alg, 9) == expected
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-
-
 def test_oracle_cap_exact_when_a_half_degree_has_no_partner():
     # left half polynomial only (even degrees), right half exterior only
     # (degrees 0..4): many degrees of one half have no partner in the other
@@ -1162,43 +1114,79 @@ def test_oracle_matches_the_plain_filter_on_hooks(n, p):
         plain_invariants(alg, 1, top)
 
 
-def test_oracle_half_walks_close_coordinates(monkeypatch):
-    # hook (8,7) in degree 9: 4,719 and 4,166 nodes when neither half pruned
-    nodes, walk = [], invalg._walk
+def engine_work(monkeypatch):
+    """Patch the count and the traceback to record, per call, the count's
+    peak live entries and births and the traceback's probes."""
+    work, count, trace = [], invalg._count_invariants, invalg._trace_back
 
-    def counted(*args, **kwargs):
-        stats = {}
-        out = walk(*args, **kwargs, stats=stats)
-        nodes.append(stats["nodes"])
-        return out
+    def counted(setup, lo, hi, births=None):
+        counts, peak, most = count(setup, lo, hi, births)
+        work.append({"peak": peak, "births": len(births or ())})
+        return counts, peak, most
 
+    def traced(setup, bases, lo, counts, births):
+        found, probes = trace(setup, bases, lo, counts, births)
+        work[-1]["probes"] = probes
+        return found, probes
+
+    monkeypatch.setattr(invalg, "_count_invariants", counted)
+    monkeypatch.setattr(invalg, "_trace_back", traced)
+    return work
+
+
+def test_oracle_count_closes_coordinates(monkeypatch):
+    # hook (8,7) in degree 9 has no invariant: the oracle's count holds at
+    # most 65 live entries and traces nothing back; without its closing
+    # tests the same count holds 27,329
     alg = _hook_spec(8, 7, 1, 1, 8)
-    monkeypatch.setattr(invalg, "_walk", counted)
+    setup = alg._oracle_state
+    none = [None] * len(setup[0])
+    assert invalg._count_invariants(setup[:5] + (none, none), 9, 9)[1] == \
+        27329
+    work = engine_work(monkeypatch)
     assert invariant_monomials_oracle(alg, 9) == []
-    assert nodes == [382, 780]
+    assert work == [{"peak": 65, "births": 291, "probes": 0}]
 
 
 def test_walks_make_children_only_that_reach_the_degrees(monkeypatch):
-    # 20 zero-weight exterior generators in degree 20 have one monomial, and
-    # a node makes children only with generators that leave enough ahead to
-    # reach the degree (`_stops`); with every generator the same calls pop
-    # 1,048,575 nodes, and the oracle's half walks 1,023 each
-    nodes, walk = [], invalg._walk
-
-    def counted(*args, **kwargs):
-        stats = {}
-        out = walk(*args, **kwargs, stats=stats)
-        nodes.append(stats["nodes"])
-        return out
-
+    # 20 zero-weight exterior generators in degree 20 have one monomial:
+    # the traceback tries only exponents that leave a degree the generators
+    # before reach, so it probes one birth per factor, where a walk making
+    # children with every generator popped 1,048,575 nodes
     gens = [GeneratorSpec(f"x{i:02}", EXTERIOR, 1, (0,)) for i in range(20)]
     alg = AlgebraSpec.make(3, 1, 1, gens)
-    monkeypatch.setattr(invalg, "_walk", counted)
+    work = engine_work(monkeypatch)
     listing = enumerate_monomials(alg, 20)
-    assert len(listing) == 1 and nodes == [20]
-    nodes.clear()
     assert invariant_monomials_oracle(alg, 20) == listing
-    assert nodes == [10, 10]
+    assert len(listing) == 1
+    assert work == [{"peak": 20, "births": 21, "probes": 20}] * 2
+
+
+def test_oracle_count_cap_on_live_entries_and_births(tmp_path, capsys,
+                                                     monkeypatch):
+    # the oracle's count of the (1,6) hook of U_6 at p = 7 in degree 11
+    # holds at most 361 live entries and births at once; the divisibility
+    # route's series and listings of the same spec need fewer
+    alg = _hook_spec(6, 7, 1, 1, 6)
+    want = plain_invariants(alg, 11, 11)
+    monkeypatch.setattr(invalg, "SERIES_CAP", 361)
+    assert invariant_monomials_oracle_by_degree(alg, 11, 11) == want
+    monkeypatch.setattr(invalg, "SERIES_CAP", 360)
+    with pytest.raises(ResourceGuardError) as exc:
+        invariant_monomials_oracle(alg, 11)
+    assert str(exc.value) == (
+        "82 live (state, degree) entries and 279 births at generator "
+        "'y[1,6,0]', position 15 of 18 in walk order, more than the cap 360")
+    assert invariant_monomials(alg, 11) == want[0]
+    # `invariants run --oracle` to degree 11: exit 0 at 361, 3 at 360
+    spec = tmp_path / "hook.json"
+    spec.write_text(invalg.canonical_json(alg.to_json_dict()))
+    argv = ["invariants", "run", "--spec", str(spec), "--max-degree", "11",
+            "--oracle"]
+    assert main(argv) == 3
+    assert "more than the cap 360" in capsys.readouterr().err
+    monkeypatch.setattr(invalg, "SERIES_CAP", 361)
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("n, p, degree, count", [(8, 11, 19, 76),
@@ -1263,8 +1251,8 @@ def test_dimension_series_matches_per_degree_enumeration():
 
 
 def test_oracle_cap_is_exact_at_the_requested_degree():
-    # the oracle counts the degree's monomials from its two halves' Hilbert
-    # series before walking, so the cap trips exactly above that count
+    # the oracle counts the degree's monomials from the Hilbert series
+    # before anything else, so the cap trips exactly above that count
     rng = random.Random(31)
     for _ in range(20):
         alg = random_algebra_spec(rng)
@@ -1330,7 +1318,7 @@ def test_series_counts_list_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a series count listed monomials")
 
-    for name in ("_codes", "_walk", "_as_monomials", "_trace_back",
+    for name in ("_codes", "_as_monomials", "_trace_back",
                  "invariant_monomials_by_degree"):
         monkeypatch.setattr(invalg, name, refuse)
     count = invalg._count_invariants
@@ -1359,7 +1347,7 @@ def test_degree_cap_trips_before_anything_is_built(monkeypatch):
              lambda: invariant_monomials_by_degree(alg, 0, top),
              lambda: invariant_monomials_oracle_by_degree(alg, top, top)] + \
         [lambda f=f: dimension_series(alg, top, f) for f in invalg.FILTERS]
-    for name in ("_hilbert", "_walk_order", "_tables", "_stops"):
+    for name in ("_hilbert", "_walk_order", "_tables"):
         monkeypatch.setattr(invalg, name, None)    # a call would fail
     for call in calls:
         with pytest.raises(ResourceGuardError) as exc:

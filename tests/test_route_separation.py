@@ -1,10 +1,11 @@
 """The eigenvalue oracle borrows no invariance logic from the divisibility
 route, and that route none from the oracle: the set-up and calls of each
 name none of the other's functions, held state or field, so the two routes
-keep checking each other.  The walker names neither route's state or
-invariance helpers: what it knows of a state (its steps and tables) its
-caller hands it.  Nor does it hold a guard: each caller refuses from an
-exact count, and checks the degree range, before it walks."""
+keep checking each other.  The listing engine that both run, the count and
+the traceback, names neither route's state, set-up or invariance helpers:
+what it knows of a state (its steps and tests) its caller hands it.  Nor
+does it hold a listing guard: each caller checks the degree range, and
+refuses from a count, itself."""
 
 import ast
 from pathlib import Path
@@ -12,18 +13,17 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liecoh"
 ORACLE = ("_oracle_setup", "invariant_monomials_oracle_by_degree")
 DIVISIBILITY = {"_residue_route", "_residue_setup", "_residue_state",
-                "_suffix_rows", "_trace_back", "monomial_weight"}
+                "_suffix_rows", "monomial_weight"}
 DIVISIBILITY_ROUTE = ("_residue_setup", "_residue_route", "_suffix_rows",
                       "_count_invariants", "_trace_back",
                       "invariant_monomials_by_degree", "_detection")
 ORACLE_NAMES = {"_oracle_setup", "_oracle_state",
                 "invariant_monomials_oracle_by_degree", "field", "generator"}
-WALKER = ("_walk",)
+ENGINE = ("_count_invariants", "_trace_back")
 ROUTES = {"_residue_state", "_oracle_state", "_residue_setup",
-          "_oracle_setup", "_suffix_rows", "monomial_weight", "moduli",
-          "field"}
-GUARDS = {"MONOMIAL_CAP", "ResourceGuardError", "_refuse_over", "_over_cap",
-          "_degree_range"}
+          "_residue_route", "_oracle_setup", "_suffix_rows",
+          "monomial_weight", "moduli", "field"}
+GUARDS = {"MONOMIAL_CAP", "_refuse_over", "_over_cap", "_degree_range"}
 
 
 def borrowed(source: str, functions=ORACLE, names=DIVISIBILITY) -> dict:
@@ -82,30 +82,24 @@ def test_the_divisibility_route_borrows_no_oracle_logic():
                     ORACLE_NAMES) == {name: [] for name in DIVISIBILITY_ROUTE}
 
 
-def test_the_walker_check_sees_a_planted_reference():
+def test_the_engine_check_sees_a_planted_reference():
     planted = (
-        "def _walk(gens, lo, hi, bases, alg=None, stride=0):\n"
-        "    stride = stride or math.prod(alg.moduli)\n"
-        "    q = getattr(alg, 'field').q\n"
-        "    for key in alg._oracle_state[2]:\n"
-        "        _suffix_rows(gens, 0, q, lo, hi, True)\n"
-        "    return stride\n")
-    assert borrowed(planted, WALKER, ROUTES) == {
-        "_walk": ["_oracle_state", "_suffix_rows", "field", "moduli"]}
+        "def _count_invariants(setup, lo, hi, births=None, alg=None):\n"
+        "    _degree_range(setup[0], lo, hi)\n"
+        "    stride = math.prod(alg.moduli)\n"
+        "    tests = _residue_route(alg, lo, hi)[5:]\n"
+        "    return stride, tests, getattr(alg, 'field').q\n"
+        "def _trace_back(setup, bases, lo, counts, births, alg=None):\n"
+        "    _refuse_over(counts, lo, MONOMIAL_CAP)\n"
+        "    for key in alg._oracle_state[3]:\n"
+        "        _suffix_rows(setup[0], 0, key, lo, lo, True)\n")
+    assert borrowed(planted, ENGINE, ROUTES | GUARDS) == {
+        "_count_invariants": ["_degree_range", "_residue_route", "field",
+                              "moduli"],
+        "_trace_back": ["MONOMIAL_CAP", "_oracle_state", "_refuse_over",
+                        "_suffix_rows"]}
 
 
-def test_the_walker_names_no_route():
-    assert borrowed((PACKAGE / "invalg.py").read_text(), WALKER, ROUTES) == \
-        {"_walk": []}
-
-
-def test_the_walker_holds_no_guard():
-    planted = (
-        "def _walk(gens, lo, hi, bases, max_count=None):\n"
-        "    _degree_range(gens, lo, hi)\n"
-        "    if len(gens) > (max_count or MONOMIAL_CAP):\n"
-        "        raise ResourceGuardError('over')\n")
-    assert borrowed(planted, WALKER, GUARDS) == {"_walk": [
-        "MONOMIAL_CAP", "ResourceGuardError", "_degree_range"]}
-    assert borrowed((PACKAGE / "invalg.py").read_text(), WALKER, GUARDS) == \
-        {"_walk": []}
+def test_the_engine_names_no_route_and_holds_no_listing_guard():
+    assert borrowed((PACKAGE / "invalg.py").read_text(), ENGINE,
+                    ROUTES | GUARDS) == {name: [] for name in ENGINE}
