@@ -1,8 +1,8 @@
 """The eigenvalue oracle borrows no invariance logic from the divisibility
 route, and that route none from the oracle: the set-up and calls of each
 name none of the other's functions, held state or field, so the two routes
-keep checking each other.  The listing engine that both run, the count and
-the traceback, names neither route's state, set-up or invariance helpers:
+keep checking each other.  The walker that both run, the listing engine's
+count and traceback, names neither route's state, set-up or invariance helpers:
 what it knows of a state (its steps and tests) its caller hands it.  Nor
 does it hold a listing guard: each caller checks the degree range, and
 refuses from a count, itself."""
@@ -100,6 +100,21 @@ def test_the_engine_check_sees_a_planted_reference():
                         "_suffix_rows"]}
 
 
-def test_the_engine_names_no_route_and_holds_no_listing_guard():
-    assert borrowed((PACKAGE / "invalg.py").read_text(), ENGINE,
-                    ROUTES | GUARDS) == {name: [] for name in ENGINE}
+def test_the_walker_names_no_route():
+    assert borrowed((PACKAGE / "invalg.py").read_text(), ENGINE, ROUTES) == \
+        {name: [] for name in ENGINE}
+
+
+def test_the_walker_holds_no_guard():
+    planted = (
+        "def _count_invariants(setup, lo, hi, births=None):\n"
+        "    _degree_range(setup[0], lo, hi)\n"
+        "    if len(setup[0]) > MONOMIAL_CAP:\n"
+        "        raise ResourceGuardError('over')\n"
+        "def _trace_back(setup, bases, lo, counts, births):\n"
+        "    _refuse_over(counts, lo, MONOMIAL_CAP)\n")
+    assert borrowed(planted, ENGINE, GUARDS) == {
+        "_count_invariants": ["MONOMIAL_CAP", "_degree_range"],
+        "_trace_back": ["MONOMIAL_CAP", "_refuse_over"]}
+    assert borrowed((PACKAGE / "invalg.py").read_text(), ENGINE, GUARDS) == \
+        {name: [] for name in ENGINE}
