@@ -47,8 +47,10 @@ residue sets of the generators ahead (`_suffix_rows`: for each generator
 j, coordinate and completion degree t, the residues from which the
 generators j onward bring that coordinate back to 0 with a monomial of
 degree exactly t) for a degree that lands in the requested range.  The
-test is a necessary condition, so it never drops an entry that an
-invariant passes through.  A detection report counts once, traces back its
+sets are charged by their bytes against one budget per count
+(_ROWS_BUDGET); past the budget a coordinate goes untested.  The test is a
+necessary condition, so it never drops an entry that an invariant passes
+through.  A detection report counts once, traces back its
 top degree alone and tests family membership on the factor codes
 (`_detection`).
 
@@ -328,8 +330,8 @@ def canonical_sort(monomials) -> list[Monomial]:
 # product and closing tables too.
 _TABLE_BUDGET = 1 << 17
 # Bytes the divisibility route's suffix residue sets may take in one count
-# (`_row_bytes`); a coordinate whose sets would pass what is left is checked
-# against the gcd of its weights instead.
+# (`_row_bytes`); a coordinate whose sets would pass what is left goes
+# untested.
 _ROWS_BUDGET = 1 << 26
 
 
@@ -423,7 +425,7 @@ def enumerate_monomials(alg: AlgebraSpec, degree: int) -> list[Monomial]:
     return _as_monomials(found, alg)
 
 
-def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
+def _suffix_rows(gens, c: int, m: int, lo: int, hi: int) -> list:
     """Per generator position j, the residues of coordinate c (modulus m)
     from which generators j onward can still bring it to 0, as bitsets:
     rows[rem] holds the residue v (bit v) when a monomial in them of some
@@ -431,27 +433,16 @@ def _suffix_rows(gens, c: int, m: int, lo: int, hi: int, exact: bool) -> list:
     None where each set past degree 0 is empty or full: then the coordinate
     cannot prune a branch that has a monomial of the degrees ahead.
 
-    With `exact` the sets are built per completion degree t: sets[t] for
-    generators j onward is sets[t] for j + 1 onward joined with sets[t - d]
-    (of j + 1 onward for an exterior generator, of j onward for a
-    polynomial one) rotated by generator j's weight; the rows follow the
-    same recurrence from residue 0 for rem <= hi - lo, since that factor
-    takes the window of rem to the window of rem - d.  Otherwise rows[rem]
-    are the multiples of the gcd of m and the weights ahead, for every rem.
-    Both only grow as j falls, so equal rows are shared between neighbours.
+    The sets are built per completion degree t: sets[t] for generators j
+    onward is sets[t] for j + 1 onward joined with sets[t - d] (of j + 1
+    onward for an exterior generator, of j onward for a polynomial one)
+    rotated by generator j's weight; the rows follow the same recurrence
+    from residue 0 for rem <= hi - lo, since that factor takes the window
+    of rem to the window of rem - d.  Both only grow as j falls, so equal
+    rows are shared between neighbours.
     """
     full = (1 << m) - 1
     out = [None] * len(gens)
-    rows = None
-    if not exact:
-        g, last = m, None
-        for j in range(len(gens) - 1, -1, -1):
-            g = math.gcd(g, gens[j].weight[c])
-            if g != last:
-                last = g
-                rows = (full // ((1 << g) - 1),) * (hi + 1) if g > 1 else None
-            out[j] = rows
-        return out
     sets = [1] + [0] * hi       # no generators: degree 0 from residue 0 only
     # and the rows: the same list when lo == hi
     tables = (sets,) if lo == hi else (sets, [1] * (hi - lo + 1) + [0] * lo)
@@ -541,8 +532,8 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     onward can bring the residue of state s to 0 with a monomial whose
     degree lands rem degrees below hi in lo..hi (`_suffix_rows`).  The
     sets of a coordinate take `_row_bytes` per degree and generator from
-    the call's _ROWS_BUDGET bytes; a coordinate whose sets do not fit is
-    checked against the gcd of the weights ahead, for all degrees.
+    the call's _ROWS_BUDGET bytes, charged in coordinate order; past the
+    budget a coordinate goes untested, at every generator.
     """
     _degree_range(alg.generators, lo, hi)
     gens = alg._residue_state[0]
@@ -560,10 +551,10 @@ def _residue_route(alg: AlgebraSpec, lo: int, hi: int) -> tuple:
     checks, fresh, left = [[] for _ in gens], [[] for _ in gens], _ROWS_BUDGET
     for c, (place, m) in enumerate(zip(places, alg.moduli)):
         size = len(gens) * (hi + 1) * _row_bytes(m)
-        exact = size <= left
-        if exact:
-            left -= size
-        out = _suffix_rows(gens, c, m, lo, hi, exact)
+        if size > left:
+            continue
+        left -= size
+        out = _suffix_rows(gens, c, m, lo, hi)
         for j, rows in enumerate(out):
             if rows is not None:
                 checks[j].append((place, m, rows))

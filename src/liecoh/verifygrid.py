@@ -289,8 +289,7 @@ def c12():
     reps = {
         "exponent_3_3_1": exponent_check(3, 3, 1),
         "exponent_3_2_1": exponent_check(3, 2, 1),
-        "exponent_4_5_1_sample": exponent_check(4, 5, 1, mode="sample",
-                                                count=10 ** 4, seed=0),
+        "exponent_4_5_1": exponent_check(4, 5, 1),
         "regular_3_3_1": commuting_regular_subgroup(3, 3, 1),
         "regular_3_5_2": commuting_regular_subgroup(3, 5, 2),
         "regular_5_5_1": commuting_regular_subgroup(5, 5, 1),
@@ -300,8 +299,8 @@ def c12():
         and reps["exponent_3_3_1"]["elements_checked"] == 27,
         "exponent_3_2_1": not reps["exponent_3_2_1"]["pass"]
         and reps["exponent_3_2_1"]["witness_order"] == 4,
-        "exponent_4_5_1_sample": reps["exponent_4_5_1_sample"]["pass"]
-        and reps["exponent_4_5_1_sample"]["elements_checked"] == 10 ** 4,
+        "exponent_4_5_1": reps["exponent_4_5_1"]["pass"]
+        and reps["exponent_4_5_1"]["elements_checked"] == 5 ** 6,
         "regular_3_3_1": reps["regular_3_3_1"]["pass"],
         "regular_3_5_2": reps["regular_3_5_2"]["pass"],
         "regular_5_5_1": reps["regular_5_5_1"]["pass"],

@@ -719,7 +719,7 @@ def test_suffix_rows_match_their_definition():
         hi = rng.randint(0, 9)
         lo = rng.choice([0, hi, rng.randint(0, hi)])
         kinds.add("lo = 0" if lo == 0 else "lo = hi" if lo == hi else "inner")
-        assert invalg._suffix_rows(gens, 0, m, lo, hi, True) == \
+        assert invalg._suffix_rows(gens, 0, m, lo, hi) == \
             brute(gens, m, lo, hi)
     assert kinds == {"lo = 0", "lo = hi", "inner"}
 
@@ -736,39 +736,55 @@ def test_walk_order_closes_coordinates_early():
                                      for v in "xy"]
 
 
-def test_pruning_collapses_to_gcd_outside_the_table_budget(monkeypatch):
-    exact = []
-    suffix_rows = invalg._suffix_rows
-
-    def record(gens, c, m, lo, hi, is_exact):
-        exact.append(is_exact)
-        return suffix_rows(gens, c, m, lo, hi, is_exact)
-
-    monkeypatch.setattr(invalg, "_suffix_rows", record)
-    # q = 2^20 with weights in a proper subgroup: the degree-aware sets of
-    # the one coordinate take 20 generators * 4 degrees * 139,848 bytes,
-    # within the rows budget but over a patched one of 1 MiB
+def big_field_spec():
+    """q = 2^20 with weights in a proper subgroup: the suffix sets of the
+    one coordinate take 20 generators * 4 degrees * 139,848 bytes at
+    degree 3."""
     gens = [GeneratorSpec(f"x{k}", POLYNOMIAL, 1, (3 * 2 ** k,))
             for k in range(20)]
-    big = AlgebraSpec.make(2, 20, 1, gens)
+    return AlgebraSpec.make(2, 20, 1, gens)
+
+
+def test_pruning_skips_coordinates_outside_the_rows_budget(monkeypatch):
+    tested = []
+    suffix_rows = invalg._suffix_rows
+
+    def record(gens, c, m, lo, hi):
+        tested.append(c)
+        return suffix_rows(gens, c, m, lo, hi)
+
+    monkeypatch.setattr(invalg, "_suffix_rows", record)
+    big = big_field_spec()
     assert invalg._row_bytes(2 ** 20 - 1) == 139848
     assert dimension_series(big, 3, "invariant") == [1, 0, 0, 0]
-    assert exact == [True]
-    exact.clear()
+    assert tested == [0]
+    # within the rows budget but over a patched one of 1 MiB: the
+    # coordinate goes untested, at every generator
+    tested.clear()
     monkeypatch.setattr(invalg, "_ROWS_BUDGET", 1 << 20)
     assert dimension_series(big, 3, "invariant") == [1, 0, 0, 0]
-    assert exact == [False]
     assert [invariant_monomials(big, 3)] == plain_invariants(big, 3, 3)
-    # with no budget at all every coordinate takes the degree-free check
+    assert tested == []
+    # with no budget at all no coordinate is tested
     monkeypatch.setattr(invalg, "_ROWS_BUDGET", 0)
     rng = random.Random(5)
     for _ in range(20):
         alg = random_algebra_spec(rng)
-        exact.clear()
         for d in range(7):
             assert [invariant_monomials(alg, d)] == \
                 plain_invariants(alg, d, d)
-        assert not any(exact)
+    assert tested == []
+
+
+def test_rows_budget_boundary_is_exact(monkeypatch):
+    big = big_field_spec()
+    size = 20 * 4 * invalg._row_bytes(2 ** 20 - 1)
+    assert size == 11187840
+    for budget, tested in ((size, True), (size - 1, False)):
+        monkeypatch.setattr(invalg, "_ROWS_BUDGET", budget)
+        assert any(invalg._residue_route(big, 0, 3)[5]) is tested
+        assert invariant_monomials_by_degree(big, 0, 3) == \
+            plain_invariants(big, 0, 3)
 
 
 def test_invariants_subset_of_enumeration():

@@ -51,7 +51,7 @@ def test_the_check_sees_a_planted_reference():
         "    return alg._residue_state, getattr(alg, 'monomial_weight')\n"
         "def invariant_monomials_oracle_by_degree(alg, lo, hi):\n"
         "    def inner():\n"
-        "        return _suffix_rows(alg.generators, 0, 1, lo, hi, True)\n"
+        "        return _suffix_rows(alg.generators, 0, 1, lo, hi)\n"
         "    return inner()\n")
     assert borrowed(planted) == {
         "_oracle_setup": ["_residue_state", "monomial_weight"],
@@ -69,7 +69,7 @@ def test_the_mirror_check_sees_a_planted_reference():
         "    return alg._oracle_state, alg.field.generator\n"
         "def _count_invariants(alg, hi):\n"
         "    return invariant_monomials_oracle_by_degree(alg, 0, hi)\n"
-        "def _suffix_rows(gens, c, m, lo, hi, exact):\n"
+        "def _suffix_rows(gens, c, m, lo, hi):\n"
         "    return getattr(gens[0], 'field'), _oracle_setup\n")
     assert borrowed(planted, DIVISIBILITY_ROUTE, ORACLE_NAMES) == {
         "_residue_route": ["_oracle_state", "field", "generator"],
@@ -92,7 +92,7 @@ def test_the_engine_check_sees_a_planted_reference():
         "def _trace_back(setup, bases, lo, counts, births, alg=None):\n"
         "    _refuse_over(counts, lo, MONOMIAL_CAP)\n"
         "    for key in alg._oracle_state[3]:\n"
-        "        _suffix_rows(setup[0], 0, key, lo, lo, True)\n")
+        "        _suffix_rows(setup[0], 0, key, lo, lo)\n")
     assert borrowed(planted, ENGINE, ROUTES | GUARDS) == {
         "_count_invariants": ["_degree_range", "_residue_route", "field",
                               "moduli"],
